@@ -19,7 +19,7 @@ import numpy as np
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, default_config, load_config, render_config
 from .encoder import (EncoderArch, EncoderModel, PoolingSpec, PretrainConfig,
-                      pretrain_base)
+                      encode_many, pretrain_base)
 from .errors import DataError, ShapeMismatchError
 from .evalsts import evaluate_suite, load_sts_tsv, write_report_csv
 from .experiments import (ablation_csv, derive_seed, grid_csv,
@@ -213,8 +213,7 @@ def _cmd_fit_flow(args) -> int:
     out = _out_dir(args, cfg)
     model = _require_encoder(args.model)
     corpus = _resolve_corpus(args, cfg)
-    from .experiments import _encode_many
-    embs = _encode_many(model, corpus, PoolingSpec(cfg.eval.pool_k))
+    embs = encode_many(model, corpus, PoolingSpec(cfg.eval.pool_k))
     seeds = [derive_seed(cfg.run.seed, "flow", 0),
              derive_seed(cfg.run.seed, "flow", 1)]
     flow = CouplingFlow(model.arch.hidden, cfg.flow.layers, seed=seeds[0])

@@ -21,6 +21,7 @@ from io import StringIO
 from .errors import ConfigError
 
 STAGE_NAMES = ("pretrain", "nli", "ct", "sed", "flow")
+METRICS = ("cosine", "neg_euclidean")
 
 
 @dataclass(frozen=True)
@@ -41,12 +42,7 @@ class ArchSection:
 
 @dataclass(frozen=True)
 class DataSection:
-    corpus: str = ""
     corpus_size: int = 5000
-    tasks_dir: str = ""
-    nli_file: str = ""
-    train_pairs: str = ""
-    dev_task: str = ""
 
 
 @dataclass(frozen=True)
@@ -90,7 +86,6 @@ class FlowSection:
     lr: float = 1e-3
     epochs: int = 1
     batch: int = 32
-    metric: str = "cosine"
 
 
 @dataclass(frozen=True)
@@ -233,6 +228,8 @@ def validate_config(cfg: RunConfig) -> None:
             raise ConfigError(f"unknown pipeline stage {stage!r}")
     if cfg.eval.pool_k not in (1, 2, 3):
         raise ConfigError("eval.pool_k must be 1, 2 or 3")
+    if cfg.eval.metric not in METRICS:
+        raise ConfigError(f"eval.metric must be one of {', '.join(METRICS)}")
     if not (0.0 <= cfg.supervised.lower_bound <= 0.95):
         raise ConfigError("supervised.lower_bound must lie in [0, 0.95]")
     for b in cfg.grid.bounds:

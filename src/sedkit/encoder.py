@@ -269,6 +269,18 @@ def encode(model: EncoderModel, sentence: str, pool: PoolingSpec) -> np.ndarray:
         return encode_batch(model, [sentence], pool).data[0]
 
 
+def encode_many(model: EncoderModel, sentences, pool: PoolingSpec,
+                batch: int = 64) -> np.ndarray:
+    """Embeddings (N, hidden) encoded in chunks of `batch`; no gradient
+    graph. Bit-identical to one `encode_batch` call over all sentences."""
+    chunks = []
+    with dc.no_grad():
+        for start in range(0, len(sentences), batch):
+            chunk = sentences[start : start + batch]
+            chunks.append(encode_batch(model, chunk, pool).data)
+    return np.concatenate(chunks, axis=0)
+
+
 @dataclass(frozen=True)
 class PretrainConfig:
     steps: int = 300

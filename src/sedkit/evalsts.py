@@ -1,9 +1,15 @@
-"""STS evaluation: dataset loading, cosine scoring, correlation reports.
+"""STS evaluation: dataset loading, pair scoring, correlation reports.
+
+One scorer serves a model, a model+flow and a full ensemble: per task,
+`score_pairs` embeds each unique sentence once and scores every pair
+with `similarity` (cosine or negative Euclidean distance, with or
+without a flow); `score_suite` builds the `CorrelationReport`.
 
 Correlations are computed from scratch (sample Pearson; Spearman as
 Pearson over fractional average ranks) and reported in the conventional
-x100 format. Constant inputs raise instead of silently returning 0 so a
-collapsed model is visible in the report rather than hidden by it.
+x100 format. Constant or non-finite inputs raise instead of returning a
+number, so a collapsed model is visible in the report rather than
+hidden by it.
 """
 
 from __future__ import annotations
@@ -15,9 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .encoder import EncoderModel, PoolingSpec, encode_batch
+from .encoder import EncoderModel, PoolingSpec, encode_many
 from .errors import ConstantInputError, DataError, ShapeMismatchError
-from . import diffcore as dc
+from .flow import flow_forward
 
 _zero_norm_count = 0
 
@@ -97,6 +103,15 @@ def cosine(u, v) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
+def similarity(u, v, metric: str = "cosine") -> float:
+    """Cosine (in [-1, 1]) or negative Euclidean distance of two vectors."""
+    if metric == "cosine":
+        return cosine(u, v)
+    if metric == "neg_euclidean":
+        return -float(np.linalg.norm(np.subtract(u, v, dtype=np.float64)))
+    raise DataError(f"unknown similarity metric: {metric!r}")
+
+
 def _check_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -104,6 +119,8 @@ def _check_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeMismatchError(f"correlation shapes {xs.shape} vs {ys.shape}")
     if xs.size < 2:
         raise DataError("correlation needs at least 2 points")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        raise DataError("correlation undefined for non-finite input")
     if np.all(xs == xs[0]) or np.all(ys == ys[0]):
         raise ConstantInputError("correlation undefined for constant input")
     return xs, ys
@@ -138,27 +155,33 @@ def spearman(xs, ys) -> float:
     return pearson(fractional_ranks(xs), fractional_ranks(ys))
 
 
+def score_pairs(embed, task: StsTask, metric: str = "cosine") -> np.ndarray:
+    """Similarity per pair, in task order. `embed` maps sentences to an
+    (n, D) array and sees each unique sentence once, in first-seen order;
+    encoding is batch-invariant, so deduplication changes no embedding."""
+    unique = dict.fromkeys(s for p in task.pairs
+                           for s in (p.sentence_1, p.sentence_2))
+    index = {s: i for i, s in enumerate(unique)}
+    embs = embed(list(unique))
+    return np.array([
+        similarity(embs[index[p.sentence_1]], embs[index[p.sentence_2]],
+                   metric)
+        for p in task.pairs
+    ])
+
+
 def predict_scores(model: EncoderModel, task: StsTask, pool: PoolingSpec,
                    flow=None, metric: str = "cosine") -> np.ndarray:
-    """Predicted similarity per pair, in task order."""
-    left = [p.sentence_1 for p in task.pairs]
-    right = [p.sentence_2 for p in task.pairs]
-    with dc.no_grad():
-        e1 = encode_batch(model, left, pool).data
-        e2 = encode_batch(model, right, pool).data
-    if flow is not None:
-        from .flow import flow_score
-        return np.array([
-            flow_score(flow, e1[i], e2[i], metric=metric)
-            for i in range(len(task.pairs))
-        ])
-    return np.array([cosine(e1[i], e2[i]) for i in range(len(task.pairs))])
+    """Predicted similarity per pair, in task order; with a flow, scored
+    in its latent space after one pass over all unique embeddings."""
+    def embed(sentences):
+        embs = encode_many(model, sentences, pool)
+        return embs if flow is None else flow_forward(flow, embs)[0]
+
+    return score_pairs(embed, task, metric)
 
 
-def evaluate_task(model: EncoderModel, task: StsTask, pool: PoolingSpec,
-                  flow=None, metric: str = "cosine") -> tuple[float, float]:
-    """(pearson_x100, spearman_x100) of predictions against gold."""
-    preds = predict_scores(model, task, pool, flow=flow, metric=metric)
+def _correlate(task: StsTask, preds) -> tuple[float, float]:
     golds = np.array([p.gold for p in task.pairs])
     try:
         return 100.0 * pearson(preds, golds), 100.0 * spearman(preds, golds)
@@ -166,14 +189,17 @@ def evaluate_task(model: EncoderModel, task: StsTask, pool: PoolingSpec,
         raise type(exc)(f"task {task.name!r}: {exc}") from exc
 
 
-def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
-                   pool: PoolingSpec, flow=None, metric: str = "cosine",
-                   metadata: dict | None = None) -> CorrelationReport:
-    """Evaluate every task; failures are recorded, not fatal.
+def evaluate_task(model: EncoderModel, task: StsTask, pool: PoolingSpec,
+                  flow=None, metric: str = "cosine") -> tuple[float, float]:
+    """(pearson_x100, spearman_x100) of predictions against gold."""
+    return _correlate(task, predict_scores(model, task, pool, flow, metric))
 
-    The average row is the unweighted arithmetic mean over the tasks
-    that evaluated successfully.
-    """
+
+def score_suite(tasks: list[StsTask], predict,
+                metadata: dict | None = None) -> CorrelationReport:
+    """Correlate `predict(task)` with gold per task; failures are recorded,
+    not fatal. The average is the unweighted mean over the tasks that
+    evaluated successfully."""
     if len(tasks) == 0:
         raise DataError("suite needs at least one task")
     names = [t.name for t in tasks]
@@ -183,7 +209,7 @@ def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
     failed: dict[str, str] = {}
     for task in tasks:
         try:
-            p, s = evaluate_task(model, task, pool, flow=flow, metric=metric)
+            p, s = _correlate(task, predict(task))
             per_task[task.name] = TaskResult(p, s, len(task.pairs))
         except (ConstantInputError, DataError) as exc:
             failed[task.name] = str(exc)
@@ -192,11 +218,17 @@ def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
         avg_s = float(np.mean([r.spearman_x100 for r in per_task.values()]))
     else:
         avg_p = avg_s = float("nan")
-    meta = dict(metadata or {})
-    meta.setdefault("pool_k", pool.k)
-    meta.setdefault("flow", flow is not None)
-    return CorrelationReport(per_task, avg_p, avg_s, metadata=meta,
-                             failed=failed)
+    return CorrelationReport(per_task, avg_p, avg_s,
+                             metadata=dict(metadata or {}), failed=failed)
+
+
+def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
+                   pool: PoolingSpec, flow=None, metric: str = "cosine",
+                   metadata: dict | None = None) -> CorrelationReport:
+    """Evaluate every task with `model` (and `flow`); see `score_suite`."""
+    meta = {"pool_k": pool.k, "flow": flow is not None, **(metadata or {})}
+    return score_suite(
+        tasks, lambda t: predict_scores(model, t, pool, flow, metric), meta)
 
 
 def load_sts_tsv(path) -> StsTask:

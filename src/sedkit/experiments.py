@@ -13,6 +13,7 @@ and checkpoint hashes) sufficient to reproduce it bit-identically.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -24,12 +25,12 @@ import numpy as np
 
 from . import diffcore as dc
 from .checkpoint import checkpoint_hash, save_checkpoint
-from .config import RunConfig, render_config
+from .config import STAGE_NAMES, RunConfig, render_config
 from .encoder import (EncoderArch, EncoderModel, PoolingSpec, PretrainConfig,
-                      Vocabulary, encode_batch, pretrain_base)
+                      Vocabulary, encode_batch, encode_many, pretrain_base)
 from .errors import ConfigError, ConstantInputError, DataError, ShapeMismatchError
-from .evalsts import (CorrelationReport, StsTask, TaskResult, cosine,
-                      evaluate_suite, evaluate_task, pearson, spearman)
+from .evalsts import (CorrelationReport, StsTask, evaluate_suite,
+                      evaluate_task, score_pairs, score_suite)
 from .flow import CouplingFlow, FlowFitConfig, fit_flow
 from .objectives import (EnsembleSpec, NliHead, RegressionTargetMap,
                          ensemble_mean_embeddings, nli_siamese_loss,
@@ -47,7 +48,6 @@ _ROLE_IDS = {
     "stability": 7,
 }
 
-STAGES = ("pretrain", "nli", "ct", "sed", "flow")
 TRAIN_POOL = PoolingSpec(1)
 
 
@@ -66,7 +66,7 @@ class PipelineSpec:
         if not self.stages:
             raise ConfigError("pipeline needs at least one stage")
         for s in self.stages:
-            if s not in STAGES:
+            if s not in STAGE_NAMES:
                 raise ConfigError(f"unknown stage {s!r}")
         if len(set(self.stages)) != len(self.stages):
             raise ConfigError("duplicate pipeline stages")
@@ -113,16 +113,6 @@ def _hash_text(text: str) -> str:
 def _hash_task(task: StsTask) -> str:
     lines = [f"{p.sentence_1}\t{p.sentence_2}\t{p.gold!r}" for p in task.pairs]
     return _hash_text(task.name + "\n" + "\n".join(lines))
-
-
-def _encode_many(model: EncoderModel, sentences: list[str], pool: PoolingSpec,
-                 batch: int = 64) -> np.ndarray:
-    chunks = []
-    with dc.no_grad():
-        for start in range(0, len(sentences), batch):
-            chunk = sentences[start : start + batch]
-            chunks.append(encode_batch(model, chunk, pool).data)
-    return np.concatenate(chunks, axis=0)
 
 
 def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderModel:
@@ -207,33 +197,11 @@ def full_ensemble_predict(ensemble: EnsembleSpec, tasks: list[StsTask],
                           pool: PoolingSpec,
                           metadata: dict | None = None) -> CorrelationReport:
     """Score pairs with the mean embedding of all members."""
-    per_task: dict[str, TaskResult] = {}
-    failed: dict[str, str] = {}
-    for task in tasks:
-        left = [p.sentence_1 for p in task.pairs]
-        right = [p.sentence_2 for p in task.pairs]
-        spec = EnsembleSpec(ensemble.members, target_pool=pool)
-        e1 = ensemble_mean_embeddings(spec, left)
-        e2 = ensemble_mean_embeddings(spec, right)
-        preds = np.array([cosine(e1[i], e2[i]) for i in range(len(task.pairs))])
-        golds = np.array([p.gold for p in task.pairs])
-        try:
-            per_task[task.name] = TaskResult(
-                100.0 * pearson(preds, golds), 100.0 * spearman(preds, golds),
-                len(task.pairs),
-            )
-        except (ConstantInputError, DataError) as exc:
-            failed[task.name] = f"task {task.name!r}: {exc}"
-    if per_task:
-        avg_p = float(np.mean([r.pearson_x100 for r in per_task.values()]))
-        avg_s = float(np.mean([r.spearman_x100 for r in per_task.values()]))
-    else:
-        avg_p = avg_s = float("nan")
-    meta = dict(metadata or {})
-    meta.setdefault("model", "full-ensemble")
-    meta.setdefault("n_members", len(ensemble.members))
-    meta.setdefault("pool_k", pool.k)
-    return CorrelationReport(per_task, avg_p, avg_s, metadata=meta, failed=failed)
+    spec = EnsembleSpec(ensemble.members, target_pool=pool)
+    meta = {"model": "full-ensemble", "n_members": len(ensemble.members),
+            "pool_k": pool.k, **(metadata or {})}
+    embed = functools.partial(ensemble_mean_embeddings, spec)
+    return score_suite(tasks, lambda t: score_pairs(embed, t), meta)
 
 
 def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
@@ -318,8 +286,8 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
                 seeds = [derive_seed(master, "flow", 0),
                          derive_seed(master, "flow", 1)]
                 manifest["derived_seeds"]["flow"] = seeds
-                embs = _encode_many(target, bundle.corpus,
-                                    PoolingSpec(cfg.eval.pool_k))
+                embs = encode_many(target, bundle.corpus,
+                                   PoolingSpec(cfg.eval.pool_k))
                 flow_model = CouplingFlow(arch.hidden, cfg.flow.layers,
                                           seed=seeds[0])
                 fit_flow(flow_model, embs,

@@ -199,18 +199,9 @@ def flow_nll_value(flow: CouplingFlow, embeddings) -> float:
 
 
 def flow_score(flow: CouplingFlow, e1, e2, metric: str = "cosine") -> float:
-    """Similarity of two embeddings in the calibrated latent space.
-
-    `metric` is "cosine" (default, in [-1, 1]) or "neg_euclidean".
-    """
+    """`evalsts.similarity` of two embeddings in the calibrated latent
+    space; `metric` is "cosine" (default) or "neg_euclidean"."""
+    from .evalsts import similarity  # evalsts imports this module
     z1, _ = flow_forward(flow, e1)
     z2, _ = flow_forward(flow, e2)
-    if metric == "neg_euclidean":
-        return -float(np.linalg.norm(z1 - z2))
-    if metric != "cosine":
-        raise DataError(f"unknown flow score metric: {metric!r}")
-    n1, n2 = np.linalg.norm(z1), np.linalg.norm(z2)
-    if n1 == 0.0 or n2 == 0.0:
-        warnings.warn("zero-norm latent in flow_score; returning 0")
-        return 0.0
-    return float(np.dot(z1, z2) / (n1 * n2))
+    return similarity(z1, z2, metric)

@@ -21,11 +21,11 @@ from sedkit.config import (ArchSection, CtSection, EvalSection, FlowSection,
                            RunSection, SedSection)
 from sedkit.diffcore import Tensor
 from sedkit.encoder import (EncoderArch, PoolingSpec, PretrainConfig,
-                            Vocabulary, encode, encode_batch, init_encoder,
-                            pretrain_base)
+                            Vocabulary, encode, encode_batch, encode_many,
+                            init_encoder, pretrain_base)
 from sedkit.evalsts import ScoredPair, StsTask, evaluate_suite, pearson, spearman
 from sedkit.experiments import (TRAIN_POOL, DataBundle, PipelineSpec,
-                                _encode_many, derive_seed,
+                                derive_seed,
                                 full_ensemble_predict,
                                 grid_search_lower_bound, pooling_ablation,
                                 run_pipeline, train_ct, train_sed)
@@ -352,7 +352,7 @@ def test_criterion_07_grid_search_recovers_planted_bound(world, base):
     t0 = time.monotonic()
     model = base["model"]
     corpus = world.corpus
-    embs = _encode_many(model, corpus, TRAIN_POOL)
+    embs = encode_many(model, corpus, TRAIN_POOL)
     norms = np.linalg.norm(embs, axis=1)
     rng = np.random.default_rng(99)
     low, high, seen = [], [], []

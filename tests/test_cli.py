@@ -101,6 +101,20 @@ def test_bad_checkpoint_kind_exits_1(workspace, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_bad_eval_metric_exits_1(workspace, tmp_path, capsys):
+    ini = tmp_path / "bad_metric.ini"
+    ini.write_text(render_config(cli_config()).replace(
+        "metric = cosine", "metric = manhattan"))
+    for extra in ([], ["--flow", str(tmp_path / "flow.ckpt")]):
+        rc = main(["evaluate", "--config", str(ini),
+                   "--model", workspace["base"],
+                   "--task", str(workspace["world"] / "sts_test.tsv"),
+                   "--out", str(tmp_path)] + extra)
+        assert rc == 1
+        assert "eval.metric" in capsys.readouterr().err
+    assert not (tmp_path / "report.csv").exists()
+
+
 # -- synthetic worlds -----------------------------------------------------
 
 def test_gen_synthetic_byte_identical(tmp_path):

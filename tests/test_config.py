@@ -73,6 +73,11 @@ def test_unknown_section_rejected():
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config("[sed]\nmembership = 4\n")
+    # keys that nothing reads are not part of the schema
+    for text in ("[flow]\nmetric = cosine\n", "[data]\ncorpus = c.txt\n",
+                 "[data]\ndev_task = dev.tsv\n"):
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_config(text)
 
 
 def test_bad_value_types_rejected():
@@ -87,6 +92,8 @@ def test_validation_rules():
         parse_config("[run]\nstages = pretrain, distill\n")
     with pytest.raises(ConfigError, match="pool_k"):
         parse_config("[eval]\npool_k = 4\n")
+    with pytest.raises(ConfigError, match="eval.metric"):
+        parse_config("[eval]\nmetric = manhattan\n")
     with pytest.raises(ConfigError, match="lower_bound"):
         parse_config("[supervised]\nlower_bound = 0.96\n")
     with pytest.raises(ConfigError, match="bound"):

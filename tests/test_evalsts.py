@@ -3,6 +3,7 @@ oracle implemented independently inside this file, scipy cross-checks,
 TSV parsing edge cases, and the reporting layer."""
 
 import csv
+import functools
 import json
 import math
 
@@ -15,7 +16,7 @@ from sedkit.errors import ConstantInputError, DataError, ShapeMismatchError
 from sedkit.evalsts import (CorrelationReport, ScoredPair, StsTask,
                             TaskResult, cosine, evaluate_suite,
                             evaluate_task, fractional_ranks, load_sts_tsv,
-                            pearson, predict_scores, spearman,
+                            pearson, predict_scores, score_pairs, spearman,
                             write_report_csv)
 
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -229,6 +230,115 @@ def test_evaluate_suite_unique_names(tiny_model, tiny_world, eval_pool):
         evaluate_suite(tiny_model, [t, t], eval_pool)
     with pytest.raises(DataError):
         evaluate_suite(tiny_model, [], eval_pool)
+
+
+# -- one scorer: model, model+flow, ensemble ------------------------------
+
+def _old_per_pair_scores(embed_side, task, latent=None):
+    """The per-pair composition: each side encoded in task order, then
+    one cosine per row (per-row flow passes when `latent` is given)."""
+    e1 = embed_side([p.sentence_1 for p in task.pairs])
+    e2 = embed_side([p.sentence_2 for p in task.pairs])
+    if latent is not None:
+        e1 = np.stack([latent(row) for row in e1])
+        e2 = np.stack([latent(row) for row in e2])
+    return np.array([cosine(e1[i], e2[i]) for i in range(len(task.pairs))])
+
+
+def test_scores_match_per_pair_composition(tiny_model, tiny_world,
+                                           eval_pool):
+    from sedkit import diffcore as dc
+    from sedkit.encoder import encode_batch
+    from sedkit.experiments import full_ensemble_predict
+    from sedkit.flow import CouplingFlow, flow_forward
+    from sedkit.objectives import EnsembleSpec, ensemble_mean_embeddings
+
+    task = tiny_world.sts["test"]
+    golds = np.array([p.gold for p in task.pairs])
+
+    def encode_side(sents):
+        with dc.no_grad():
+            return encode_batch(tiny_model, sents, eval_pool).data
+
+    old = _old_per_pair_scores(encode_side, task)
+    assert np.array_equal(predict_scores(tiny_model, task, eval_pool), old)
+
+    other = tiny_model.clone()
+    other.params["tok_emb"].data *= 0.9
+    spec = EnsembleSpec([tiny_model, other], target_pool=eval_pool)
+    ens_embed = functools.partial(ensemble_mean_embeddings, spec)
+    old_ens = _old_per_pair_scores(ens_embed, task)
+    assert np.array_equal(score_pairs(ens_embed, task), old_ens)
+    report = full_ensemble_predict(EnsembleSpec([tiny_model, other]),
+                                   [task], eval_pool)
+    assert report.per_task[task.name].pearson_x100 == 100.0 * pearson(
+        old_ens, golds)
+    assert report.per_task[task.name].spearman_x100 == 100.0 * spearman(
+        old_ens, golds)
+
+    flow = CouplingFlow(tiny_model.arch.hidden, n_layers=2, seed=4)
+    rng = np.random.default_rng(5)
+    for prm in flow.parameters():
+        prm.data = prm.data + rng.normal(0.0, 0.3, size=prm.data.shape)
+    old_flow = _old_per_pair_scores(
+        encode_side, task, latent=lambda row: flow_forward(flow, row)[0])
+    new_flow = predict_scores(tiny_model, task, eval_pool, flow=flow)
+    assert np.max(np.abs(new_flow - old_flow)) <= 1e-12
+    assert not np.array_equal(new_flow, old)
+
+
+def test_repeated_sentence_is_encoded_once(tiny_model, tiny_corpus,
+                                           eval_pool, monkeypatch):
+    import sedkit.encoder as enc
+    from sedkit.experiments import full_ensemble_predict
+    from sedkit.objectives import EnsembleSpec
+
+    rows = []
+    real = enc.encode_batch
+
+    def counting(model, sentences, pool):
+        rows.append(len(sentences))
+        return real(model, sentences, pool)
+
+    monkeypatch.setattr(enc, "encode_batch", counting)
+    a, b, c = tiny_corpus[0], tiny_corpus[4], tiny_corpus[8]
+    task = StsTask("repeats", (ScoredPair(a, b, 1.0), ScoredPair(a, c, 2.0),
+                               ScoredPair(b, a, 3.0), ScoredPair(c, c, 4.0)))
+    predict_scores(tiny_model, task, eval_pool)
+    assert sum(rows) == 3
+    rows.clear()
+    full_ensemble_predict(EnsembleSpec([tiny_model, tiny_model.clone()]),
+                          [task], eval_pool)
+    assert sum(rows) == 2 * 3
+
+
+def test_metric_applies_without_flow(tiny_model, tiny_world, eval_pool):
+    from sedkit.encoder import encode
+    task = tiny_world.sts["test"]
+    preds = predict_scores(tiny_model, task, eval_pool,
+                           metric="neg_euclidean")
+    for pair, got in zip(task.pairs, preds):
+        u = encode(tiny_model, pair.sentence_1, eval_pool)
+        v = encode(tiny_model, pair.sentence_2, eval_pool)
+        assert got == -float(np.linalg.norm(u - v))
+    with pytest.raises(DataError, match="metric"):
+        predict_scores(tiny_model, task, eval_pool, metric="manhattan")
+
+
+def test_non_finite_predictions_fail_the_task(tiny_model, tiny_world,
+                                              eval_pool):
+    nan = np.full(5, np.nan)
+    with pytest.raises(DataError, match="non-finite"):
+        pearson(nan, np.arange(5.0))
+    with pytest.raises(DataError, match="non-finite"):
+        spearman(nan, np.arange(5.0))
+    broken = tiny_model.clone()
+    broken.params["tok_emb"].data[:] = np.nan
+    task = tiny_world.sts["test"]
+    assert np.all(np.isnan(predict_scores(broken, task, eval_pool)))
+    report = evaluate_suite(broken, [task], eval_pool)
+    assert report.per_task == {}
+    assert "non-finite" in report.failed[task.name]
 
 
 # -- TSV loading ----------------------------------------------------------

@@ -15,12 +15,13 @@ from sedkit.config import (ArchSection, CtSection, EvalSection, FlowSection,
                            GridSection, NliSection, PretrainSection,
                            RunConfig, RunSection, SedSection,
                            StabilitySection, SupervisedSection, parse_config)
-from sedkit.encoder import PoolingSpec, encode, encode_batch, init_encoder
+from sedkit.encoder import (PoolingSpec, encode, encode_batch, encode_many,
+                            init_encoder)
 from sedkit.errors import (ConfigError, ConstantInputError, DataError,
                            ShapeMismatchError)
 from sedkit.evalsts import ScoredPair, StsTask, cosine, evaluate_suite, evaluate_task
 from sedkit.experiments import (TRAIN_POOL, DataBundle, GridSearchResult,
-                                PipelineSpec, StabilityReport, _encode_many,
+                                PipelineSpec, StabilityReport,
                                 ablation_csv, derive_seed,
                                 full_ensemble_predict, grid_csv,
                                 grid_search_lower_bound, pooling_ablation,
@@ -170,13 +171,13 @@ def test_distillation_moves_student_to_copied_teacher(tiny_model,
     ens = EnsembleSpec([teacher, teacher])
     train, held = tiny_corpus[:24], tiny_corpus[24:]
     student = tiny_model.clone()
-    t_held = _encode_many(teacher, held, TRAIN_POOL)
-    mse0 = float(np.mean((_encode_many(student, held, TRAIN_POOL)
+    t_held = encode_many(teacher, held, TRAIN_POOL)
+    mse0 = float(np.mean((encode_many(student, held, TRAIN_POOL)
                           - t_held) ** 2))
     student = train_sed(ens, train,
                         dataclasses.replace(TINY_SED, epochs=30),
                         seed=3, student=student)
-    mse1 = float(np.mean((_encode_many(student, held, TRAIN_POOL)
+    mse1 = float(np.mean((encode_many(student, held, TRAIN_POOL)
                           - t_held) ** 2))
     assert mse1 < 0.1 * mse0, f"held-out MSE {mse0:.4f} -> {mse1:.4f}"
 
@@ -213,7 +214,7 @@ def test_precomputed_targets_match_batched_targets(tiny_model, tiny_corpus):
 
 def test_encode_many_matches_single_batch(tiny_model, tiny_corpus):
     sents = list(tiny_corpus[:13])
-    chunked = _encode_many(tiny_model, sents, TRAIN_POOL, batch=4)
+    chunked = encode_many(tiny_model, sents, TRAIN_POOL, batch=4)
     with dc.no_grad():
         whole = encode_batch(tiny_model, sents, TRAIN_POOL).data
     assert np.array_equal(chunked, whole)
