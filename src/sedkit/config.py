@@ -235,11 +235,30 @@ def validate_config(cfg: RunConfig) -> None:
     for b in cfg.grid.bounds:
         if not (0.0 <= b < 1.0):
             raise ConfigError(f"grid bound {b} outside [0, 1)")
-    if cfg.sed.members < 1:
-        raise ConfigError("sed.members must be >= 1")
+    minimums = {
+        "pretrain.steps": 0, "nli.steps": 0, "ct.steps": 0,
+        "ct.negatives_per_positive": 0, "sed.members": 1, "sed.epochs": 0,
+        "flow.epochs": 0, "supervised.max_epochs": 1,
+        "supervised.patience": 0, "grid.seeds_per_bound": 1,
+        "grid.steps": 0, "stability.runs": 2,
+        **{f"{s}.batch": 1 for s in ("pretrain", "nli", "ct", "sed", "flow",
+                                     "supervised", "grid")},
+    }
+    for name, low in minimums.items():
+        section, key = name.split(".")
+        if getattr(getattr(cfg, section), key) < low:
+            raise ConfigError(f"{name} must be >= {low}")
+    block = cfg.ct.negatives_per_positive + 1
+    if cfg.ct.batch % block:
+        raise ConfigError(f"ct.batch must be divisible by "
+                          f"ct.negatives_per_positive + 1 = {block}")
     init = cfg.sed.student_init
-    if init != "base" and not init.startswith("member:"):
-        raise ConfigError("sed.student_init must be 'base' or 'member:<i>'")
+    if init != "base":
+        kind, _, index = init.partition(":")
+        if (kind != "member" or not index.isdecimal()
+                or int(index) >= cfg.sed.members):
+            raise ConfigError("sed.student_init must be 'base' or "
+                              "'member:<i>' with 0 <= i < sed.members")
 
 
 def load_config(path) -> RunConfig:

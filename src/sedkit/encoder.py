@@ -26,8 +26,9 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _NEG_BIAS = -1e30  # additive attention bias; exp() underflows to exactly 0
 _LN_EPS = 1e-5
 
-# sentences truncated to max_len since process start; snapshot into run
-# metadata via truncation_count()/reset_truncation_count()
+# sentences truncated to max_len since process start or the last
+# reset_truncation_count(), read by truncation_count(); no manifest or
+# report records it yet
 _TRUNCATION_COUNT = 0
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import METRICS
 from .encoder import EncoderModel, PoolingSpec, encode_many
 from .errors import ConstantInputError, DataError, ShapeMismatchError
 from .flow import flow_forward
@@ -225,7 +226,10 @@ def score_suite(tasks: list[StsTask], predict,
 def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
                    pool: PoolingSpec, flow=None, metric: str = "cosine",
                    metadata: dict | None = None) -> CorrelationReport:
-    """Evaluate every task with `model` (and `flow`); see `score_suite`."""
+    """Evaluate every task with `model` (and `flow`); see `score_suite`.
+    An unknown `metric` raises before any sentence is embedded."""
+    if metric not in METRICS:
+        raise DataError(f"unknown similarity metric: {metric!r}")
     meta = {"pool_k": pool.k, "flow": flow is not None, **(metadata or {})}
     return score_suite(
         tasks, lambda t: predict_scores(model, t, pool, flow, metric), meta)

@@ -9,6 +9,12 @@ defaults to pooling the final two layers (k=2).
 Every run derives its stage seeds from one master seed through
 SeedSequence spawn keys, and emits a manifest (config text, seeds, input
 and checkpoint hashes) sufficient to reproduce it bit-identically.
+
+Each stage has one function (`pretrain_stage`, `member_stage`,
+`distill_stage`, `flow_stage`, `supervised_stage`) that derives its
+seeds from `cfg.run.seed`, builds its runtime configs, trains without
+touching its inputs, and returns the artifact with the seeds a manifest
+records; `run_pipeline`, the CLI and `stability_study` all use them.
 """
 
 from __future__ import annotations
@@ -25,9 +31,9 @@ import numpy as np
 
 from . import diffcore as dc
 from .checkpoint import checkpoint_hash, save_checkpoint
-from .config import STAGE_NAMES, RunConfig, render_config
+from .config import STAGE_NAMES, RunConfig, render_config, validate_config
 from .encoder import (EncoderArch, EncoderModel, PoolingSpec, PretrainConfig,
-                      Vocabulary, encode_batch, encode_many, pretrain_base)
+                      encode_batch, encode_many, pretrain_base)
 from .errors import ConfigError, ConstantInputError, DataError, ShapeMismatchError
 from .evalsts import (CorrelationReport, StsTask, evaluate_suite,
                       evaluate_task, score_pairs, score_suite)
@@ -80,6 +86,7 @@ class PipelineSpec:
                 raise ConfigError(
                     "sed needs an ensemble from a preceding nli or ct stage"
                 )
+        validate_config(self.config)
 
     @classmethod
     def from_config(cls, cfg: RunConfig) -> "PipelineSpec":
@@ -166,7 +173,7 @@ def train_sed(ensemble: EnsembleSpec, corpus: list[str], cfg, seed: int,
     """
     if student.arch != ensemble.members[0].arch:
         raise ShapeMismatchError(
-            f"student arch {student.arch} differs from ensemble arch "
+            f"student arch {student.arch} does not match teacher arch "
             f"{ensemble.members[0].arch}"
         )
     if not corpus:
@@ -204,6 +211,51 @@ def full_ensemble_predict(ensemble: EnsembleSpec, tasks: list[StsTask],
     return score_suite(tasks, lambda t: score_pairs(embed, t), meta)
 
 
+def pretrain_stage(cfg: RunConfig, corpus: list[str]) -> tuple[EncoderModel, int]:
+    """Stage `pretrain`: a base encoder of the configured arch."""
+    seed = derive_seed(cfg.run.seed, "pretrain", 0)
+    a, p = cfg.arch, cfg.pretrain
+    model = pretrain_base(corpus,
+                          EncoderArch(a.layers, a.hidden, a.heads, a.ff,
+                                      a.max_len),
+                          PretrainConfig(p.steps, p.batch, p.lr, p.mask_prob,
+                                         seed))
+    return model, seed
+
+
+def member_stage(kind: str, cfg: RunConfig, base: EncoderModel, data,
+                 index: int) -> tuple[EncoderModel, int]:
+    """Stage `ct` (data: a corpus) or `nli` (data: NLI pairs): ensemble
+    member `index`, fine-tuned from `base`."""
+    seed = derive_seed(cfg.run.seed, kind, index)
+    if kind == "ct":
+        return train_ct(base, data, cfg.ct, seed), seed
+    return train_nli(base, data, cfg.nli, seed), seed
+
+
+def distill_stage(cfg: RunConfig, teachers: list[EncoderModel],
+                  corpus: list[str], init: EncoderModel,
+                  index: int = 0) -> tuple[EncoderModel, int]:
+    """Stage `sed`: a student started from a copy of `init`, distilled
+    from the mean of `teachers`; `index` numbers repeated runs."""
+    seed = derive_seed(cfg.run.seed, "sed", index)
+    return train_sed(EnsembleSpec(teachers), corpus, cfg.sed, seed,
+                     init.clone()), seed
+
+
+def flow_stage(cfg: RunConfig, model: EncoderModel,
+               corpus: list[str]) -> tuple[CouplingFlow, list[int]]:
+    """Stage `flow`: a flow fitted to the evaluation-pooled embeddings
+    of `corpus` under `model`."""
+    seeds = [derive_seed(cfg.run.seed, "flow", 0),
+             derive_seed(cfg.run.seed, "flow", 1)]
+    embs = encode_many(model, corpus, PoolingSpec(cfg.eval.pool_k))
+    flow = CouplingFlow(model.arch.hidden, cfg.flow.layers, seed=seeds[0])
+    fit_flow(flow, embs, FlowFitConfig(cfg.flow.lr, cfg.flow.epochs,
+                                       cfg.flow.batch, seeds[1]))
+    return flow, seeds
+
+
 def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
                  out_dir=None) -> PipelineResult:
     """Execute the stages in order and evaluate the final model.
@@ -213,87 +265,68 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
     """
     cfg = spec.config
     master = cfg.run.seed
-    arch = EncoderArch(cfg.arch.layers, cfg.arch.hidden, cfg.arch.heads,
-                       cfg.arch.ff, cfg.arch.max_len)
-    vocab = Vocabulary.build(bundle.corpus)
     n_members = cfg.sed.members if "sed" in spec.stages else 1
+    seeds: dict = {}
+    checkpoints: dict = {}
     manifest: dict = {
         "stages": list(spec.stages),
         "config_text": render_config(cfg),
         "master_seed": master,
-        "derived_seeds": {},
+        "derived_seeds": seeds,
         "input_hashes": {
             "corpus": _hash_text("\n".join(bundle.corpus)),
             "tasks": {t.name: _hash_task(t) for t in bundle.tasks},
         },
-        "checkpoints": {},
+        "checkpoints": checkpoints,
         "completed_stages": [],
     }
-    models: dict = {}
+    models: dict = {"base": None}
     base = None
     members: list[EncoderModel] = []
     student = None
     flow_model = None
     current = None
+
+    def keep(key: str, model) -> None:
+        models[key] = model
+        checkpoints[key] = checkpoint_hash(model)
+
     try:
         for current in spec.stages:
             if current == "pretrain":
-                seed = derive_seed(master, "pretrain", 0)
-                manifest["derived_seeds"]["pretrain"] = seed
-                pc = PretrainConfig(cfg.pretrain.steps, cfg.pretrain.batch,
-                                    cfg.pretrain.lr, cfg.pretrain.mask_prob,
-                                    seed)
-                base = pretrain_base(bundle.corpus, arch, pc, vocab=vocab)
-                manifest["checkpoints"]["base"] = checkpoint_hash(base)
+                base, seeds["pretrain"] = pretrain_stage(cfg, bundle.corpus)
+                keep("base", base)
             elif current in ("nli", "ct"):
                 if base is None and not members:
                     raise ConfigError(f"{current} stage needs a base model")
+                if current == "nli" and bundle.nli is None:
+                    raise DataError("nli stage needs NLI pairs in the bundle")
+                data = bundle.corpus if current == "ct" else bundle.nli
                 sources = members if members else [base] * n_members
-                seeds = [derive_seed(master, current, i)
-                         for i in range(n_members)]
-                manifest["derived_seeds"][current] = seeds
-                if current == "ct":
-                    members = [
-                        train_ct(src, bundle.corpus, cfg.ct, s)
-                        for src, s in zip(sources, seeds)
-                    ]
-                else:
-                    if bundle.nli is None:
-                        raise DataError("nli stage needs NLI pairs in the bundle")
-                    members = [
-                        train_nli(src, bundle.nli, cfg.nli, s)
-                        for src, s in zip(sources, seeds)
-                    ]
+                trained = [member_stage(current, cfg, src, data, i)
+                           for i, src in enumerate(sources)]
+                members = [m for m, _ in trained]
+                seeds[current] = [s for _, s in trained]
                 for i, m in enumerate(members):
-                    manifest["checkpoints"][f"member_{i}"] = checkpoint_hash(m)
+                    keep(f"member_{i}", m)
             elif current == "sed":
-                ens = EnsembleSpec(members)
                 init = cfg.sed.student_init
                 if init == "base":
                     if base is None:
                         raise ConfigError("student_init 'base' without pretrain")
-                    student = base.clone()
+                    source = base
                 else:
-                    student = members[int(init.split(":", 1)[1])].clone()
-                seed = derive_seed(master, "sed", 0)
-                manifest["derived_seeds"]["sed"] = seed
-                student = train_sed(ens, bundle.corpus, cfg.sed, seed, student)
-                manifest["checkpoints"]["student"] = checkpoint_hash(student)
+                    source = members[int(init.split(":", 1)[1])]
+                student, seeds["sed"] = distill_stage(cfg, members,
+                                                      bundle.corpus, source)
+                keep("student", student)
             elif current == "flow":
                 target = student or (members[0] if members else base)
                 if target is None:
                     raise ConfigError("flow stage has no model to calibrate")
-                seeds = [derive_seed(master, "flow", 0),
-                         derive_seed(master, "flow", 1)]
-                manifest["derived_seeds"]["flow"] = seeds
-                embs = encode_many(target, bundle.corpus,
-                                   PoolingSpec(cfg.eval.pool_k))
-                flow_model = CouplingFlow(arch.hidden, cfg.flow.layers,
-                                          seed=seeds[0])
-                fit_flow(flow_model, embs,
-                         FlowFitConfig(cfg.flow.lr, cfg.flow.epochs,
-                                       cfg.flow.batch, seeds[1]))
-                manifest["checkpoints"]["flow"] = checkpoint_hash(flow_model)
+                flow_model, seeds["flow"] = flow_stage(cfg, target,
+                                                       bundle.corpus)
+                keep("flow", flow_model)
             manifest["completed_stages"].append(current)
     except Exception as exc:
         manifest["failed_stage"] = current
@@ -316,21 +349,12 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
             for name, r in report.per_task.items()
         },
     }
-    models["base"] = base
-    for i, m in enumerate(members):
-        models[f"member_{i}"] = m
-    if student is not None:
-        models["student"] = student
-    if flow_model is not None:
-        models["flow"] = flow_model
     models["final"] = final
     if out_dir is not None:
         os.makedirs(str(out_dir), exist_ok=True)
-        for name, m in models.items():
-            if name == "final":
-                continue
-            if m is not None:
-                save_checkpoint(m, os.path.join(str(out_dir), f"{name}.ckpt"))
+        for name in checkpoints:
+            save_checkpoint(models[name],
+                            os.path.join(str(out_dir), f"{name}.ckpt"))
         write_manifest(manifest, _manifest_path(out_dir))
     return PipelineResult(models, report, manifest)
 
@@ -383,7 +407,6 @@ def stability_study(base: EncoderModel, corpus: list[str],
     runs = cfg.stability.runs if runs is None else runs
     if runs < 2:
         raise ConfigError("stability study needs at least 2 runs")
-    master = cfg.run.seed
     pool = PoolingSpec(cfg.eval.pool_k)
 
     def avg_spearman(report: CorrelationReport) -> float:
@@ -396,16 +419,15 @@ def stability_study(base: EncoderModel, corpus: list[str],
     members = []
     member_scores = []
     for i in range(cfg.sed.members):
-        m = train_ct(base, corpus, cfg.ct, derive_seed(master, "ct", i))
+        m, _ = member_stage("ct", cfg, base, corpus, i)
         members.append(m)
         member_scores.append(avg_spearman(evaluate_suite(m, tasks, pool)))
-    ens = EnsembleSpec(members)
-    ensemble_score = avg_spearman(full_ensemble_predict(ens, tasks, pool))
+    ensemble_score = avg_spearman(
+        full_ensemble_predict(EnsembleSpec(members), tasks, pool))
     student_scores = []
     for r in range(runs):
         try:
-            student = train_sed(ens, corpus, cfg.sed,
-                                derive_seed(master, "sed", r), base.clone())
+            student, _ = distill_stage(cfg, members, corpus, base, r)
             student_scores.append(avg_spearman(evaluate_suite(student, tasks, pool)))
         except (DataError, ConstantInputError) as exc:
             warnings.warn(f"stability run {r} failed and was excluded: {exc}")
@@ -572,6 +594,18 @@ def train_supervised_with_early_stopping(
     for p, data in zip(model.parameters(), best_state):
         p.data = data
     return model, trajectory
+
+
+def supervised_stage(cfg: RunConfig, model: EncoderModel, train_pairs,
+                     dev_task: StsTask, lower_bound: float
+                     ) -> tuple[EncoderModel, list[float], int]:
+    """Regression fine-tuning of a copy of `model` with dev early
+    stopping; returns the model, its dev trajectory and its seed."""
+    seed = derive_seed(cfg.run.seed, "supervised", 0)
+    trained, trajectory = train_supervised_with_early_stopping(
+        model.clone(), train_pairs, dev_task, RegressionTargetMap(lower_bound),
+        cfg.supervised, seed=seed)
+    return trained, trajectory, seed
 
 
 def pooling_ablation(models: dict[str, EncoderModel],

@@ -20,6 +20,9 @@ from sedkit.config import (ArchSection, CtSection, DataSection, EvalSection,
                            PretrainSection, RunConfig, RunSection, SedSection,
                            StabilitySection, SupervisedSection, render_config)
 from sedkit.errors import DataError
+from sedkit.evalsts import load_sts_tsv
+from sedkit.experiments import DataBundle, PipelineSpec, run_pipeline
+from sedkit.synthetic import load_nli_tsv
 
 WORLD_ARGS = ["--clusters", "3", "--sentences-per-cluster", "10",
               "--vocab-size", "30", "--sts-pairs", "12",
@@ -227,6 +230,45 @@ def test_train_sed_pipeline_and_arch_mismatch(workspace, tmp_path, capsys):
                "--out", str(tmp_path / "mismatch")])
     assert rc == 1
     assert "does not match" in capsys.readouterr().err
+
+
+def test_cli_stages_match_pipeline_bytes(workspace, tmp_path, capsys):
+    """The training subcommands and run_pipeline build each stage the
+    same way: chained on one corpus and config, their checkpoints are
+    byte-identical."""
+    world, ini, base = workspace["world"], workspace["ini"], workspace["base"]
+    cli_dir = tmp_path / "cli"
+    for kind, data in (("ct", ["--corpus", workspace["corpus"]]),
+                       ("nli", ["--nli", str(world / "nli.tsv")])):
+        for member in ("0", "1"):
+            assert main([f"train-{kind}", "--config", ini, "--base", base,
+                         "--member", member, "--out", str(cli_dir)]
+                        + data) == 0
+    assert main(["train-sed", "--config", ini, "--teachers",
+                 str(cli_dir / "ct_0.ckpt"), str(cli_dir / "ct_1.ckpt"),
+                 "--student-init", base, "--corpus", workspace["corpus"],
+                 "--out", str(cli_dir)]) == 0
+    assert main(["fit-flow", "--config", ini,
+                 "--model", str(cli_dir / "student.ckpt"),
+                 "--corpus", workspace["corpus"], "--out", str(cli_dir)]) == 0
+    capsys.readouterr()
+
+    bundle = DataBundle(read_corpus(workspace["corpus"]),
+                        [load_sts_tsv(world / "sts_test.tsv")],
+                        nli=load_nli_tsv(world / "nli.tsv"))
+    pairs = {"ct": [(base, "base"), (cli_dir / "ct_0.ckpt", "member_0"),
+                    (cli_dir / "ct_1.ckpt", "member_1"),
+                    (cli_dir / "student.ckpt", "student"),
+                    (cli_dir / "flow.ckpt", "flow")],
+             "nli": [(cli_dir / "nli_0.ckpt", "member_0"),
+                     (cli_dir / "nli_1.ckpt", "member_1")]}
+    for kind, stages in (("ct", ("pretrain", "ct", "sed", "flow")),
+                         ("nli", ("pretrain", "nli", "sed"))):
+        pipe_dir = tmp_path / f"pipeline_{kind}"
+        run_pipeline(PipelineSpec(stages, cli_config()), bundle,
+                     out_dir=pipe_dir)
+        for cli_path, key in pairs[kind]:
+            assert sha(cli_path) == sha(pipe_dir / f"{key}.ckpt"), (kind, key)
 
 
 def test_train_supervised_trajectory_file(workspace, tmp_path):

@@ -102,6 +102,20 @@ def test_validation_rules():
         parse_config("[sed]\nmembers = 0\n")
     with pytest.raises(ConfigError, match="student_init"):
         parse_config("[sed]\nstudent_init = teacher\n")
+    for probe, match in (
+        ("[ct]\nsteps = -5\n", "ct.steps"),
+        ("[pretrain]\nbatch = 0\n", "pretrain.batch"),
+        ("[sed]\nbatch = -1\n", "sed.batch"),
+        ("[ct]\nbatch = 10\nnegatives_per_positive = 7\n", "divisible"),
+        ("[sed]\nstudent_init = member:99\n", "student_init"),
+        ("[sed]\nstudent_init = member:x\n", "student_init"),
+        ("[stability]\nruns = 1\n", "stability.runs"),
+    ):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(probe)
+    # zero steps and epochs are legal: the stage leaves its input as is
+    cfg = parse_config("[ct]\nsteps = 0\n[sed]\nepochs = 0\n")
+    assert cfg.ct.steps == 0 and cfg.sed.epochs == 0
     # member:<i> form is allowed
     cfg = parse_config("[sed]\nstudent_init = member:2\n")
     assert cfg.sed.student_init == "member:2"

@@ -325,6 +325,17 @@ def test_metric_applies_without_flow(tiny_model, tiny_world, eval_pool):
         predict_scores(tiny_model, task, eval_pool, metric="manhattan")
 
 
+def test_unknown_metric_fails_before_embedding(tiny_model, tiny_world,
+                                              eval_pool, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("encode_many reached with a bad metric")
+
+    monkeypatch.setattr(ev, "encode_many", never)
+    with pytest.raises(DataError, match="metric"):
+        evaluate_suite(tiny_model, [tiny_world.sts["test"]], eval_pool,
+                       metric="manhattan")
+
+
 def test_non_finite_predictions_fail_the_task(tiny_model, tiny_world,
                                               eval_pool):
     nan = np.full(5, np.nan)

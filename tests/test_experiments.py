@@ -89,6 +89,12 @@ def test_pipeline_spec_orderings():
         PipelineSpec((), cfg)
     with pytest.raises(ConfigError, match="sed needs an ensemble"):
         PipelineSpec(("pretrain", "sed"), cfg)
+    # a config built in code is validated too, so a bad member index
+    # fails here rather than as an IndexError mid-run
+    bad = dataclasses.replace(
+        cfg, sed=dataclasses.replace(TINY_SED, student_init="member:99"))
+    with pytest.raises(ConfigError, match="student_init"):
+        PipelineSpec(("pretrain", "ct", "sed"), bad)
 
 
 def test_pipeline_spec_from_config():
