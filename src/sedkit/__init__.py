@@ -12,7 +12,8 @@ from .encoder import (EncoderArch, EncoderModel, PoolingSpec, PretrainConfig,
                       Vocabulary, encode, encode_batch, init_encoder,
                       pretrain_base, tokenize)
 from .errors import (CheckpointError, CheckpointVersionError, ConfigError,
-                     ConstantInputError, DataError, ShapeMismatchError)
+                     ConstantInputError, DataError, DivergenceError,
+                     ShapeMismatchError)
 from .evalsts import (CorrelationReport, ScoredPair, StsTask, cosine,
                       evaluate_suite, evaluate_task, load_sts_tsv, pearson,
                       spearman, write_report_csv)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import struct
 
 import numpy as np
@@ -94,9 +95,21 @@ def checkpoint_bytes(artifact) -> bytes:
 def save_checkpoint(artifact, path) -> str:
     """Write the artifact to `path`; returns the hex SHA-256 of the file."""
     blob = checkpoint_bytes(artifact)
-    with open(str(path), "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
     return hashlib.sha256(blob).hexdigest()
+
+
+def write_atomic(path, blob: bytes) -> None:
+    """Write `blob` to a temp file beside `path`, then move it over
+    `path`: a failed write leaves any previous file as it was."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, str(path))
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def checkpoint_hash(artifact) -> str:

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
 from .config import RunConfig, default_config, load_config, render_config
 from .encoder import EncoderModel, PoolingSpec
 from .errors import DataError
@@ -194,10 +194,9 @@ def _cmd_train_supervised(args, cfg: RunConfig, out: str) -> None:
              else args.lower_bound)
     trained, trajectory, seed = supervised_stage(
         cfg, model, list(train_task.pairs), dev_task, bound)
-    with open(os.path.join(out, "dev_trajectory.json"), "w") as fh:
-        json.dump({"lower_bound": bound, "dev_spearman_x100": trajectory},
-                  fh, indent=2)
-        fh.write("\n")
+    text = json.dumps({"lower_bound": bound,
+                       "dev_spearman_x100": trajectory}, indent=2) + "\n"
+    write_atomic(os.path.join(out, "dev_trajectory.json"), text.encode("utf-8"))
     path = _save_stage(out, "supervised", cfg, {"supervised": seed},
                        {"train_pairs": _hash_file(args.train_pairs),
                         "dev_task": _hash_file(args.dev_task),
@@ -218,8 +217,7 @@ def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
         cfg=cfg.grid, master_seed=cfg.run.seed,
     )
     path = os.path.join(out, "grid_search.csv")
-    with open(path, "w") as fh:
-        fh.write(grid_csv(result))
+    write_atomic(path, grid_csv(result).encode("utf-8"))
     print(f"selected lower bound: {result.selected_bound}")
     print(f"wrote {path}")
 
@@ -256,8 +254,7 @@ def _cmd_stability(args, cfg: RunConfig, out: str) -> None:
     tasks = _load_tasks(args)
     reports = stability_study(base, corpus, tasks, cfg, runs=args.runs)
     path = os.path.join(out, "stability.csv")
-    with open(path, "w") as fh:
-        fh.write(stability_csv(reports))
+    write_atomic(path, stability_csv(reports).encode("utf-8"))
     for name, rep in reports.items():
         print(f"{name}: max {rep.max:.2f} mean {rep.mean:.2f} "
               f"std {rep.std:.2f} over {rep.count} runs")
@@ -275,8 +272,7 @@ def _cmd_ablate_pooling(args, cfg: RunConfig, out: str) -> None:
     tasks = _load_tasks(args)
     table = pooling_ablation(models, tasks)
     path = os.path.join(out, "pooling_ablation.csv")
-    with open(path, "w") as fh:
-        fh.write(ablation_csv(table))
+    write_atomic(path, ablation_csv(table).encode("utf-8"))
     print(ablation_csv(table), end="")
     print(f"wrote {path}")
 

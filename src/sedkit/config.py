@@ -240,7 +240,9 @@ def validate_config(cfg: RunConfig) -> None:
         "ct.negatives_per_positive": 0, "sed.members": 1, "sed.epochs": 0,
         "flow.epochs": 0, "supervised.max_epochs": 1,
         "supervised.patience": 0, "grid.seeds_per_bound": 1,
-        "grid.steps": 0, "stability.runs": 2,
+        "grid.steps": 0, "stability.runs": 2, "flow.layers": 2,
+        **{f"arch.{k}": 1 for k in ("layers", "hidden", "heads", "ff",
+                                    "max_len")},
         **{f"{s}.batch": 1 for s in ("pretrain", "nli", "ct", "sed", "flow",
                                      "supervised", "grid")},
     }
@@ -248,6 +250,10 @@ def validate_config(cfg: RunConfig) -> None:
         section, key = name.split(".")
         if getattr(getattr(cfg, section), key) < low:
             raise ConfigError(f"{name} must be >= {low}")
+    if cfg.arch.hidden % cfg.arch.heads:
+        raise ConfigError("arch.hidden must be divisible by arch.heads")
+    if cfg.eval.pool_k > cfg.arch.layers + 1:
+        raise ConfigError("eval.pool_k must be <= arch.layers + 1")
     block = cfg.ct.negatives_per_positive + 1
     if cfg.ct.batch % block:
         raise ConfigError(f"ct.batch must be divisible by "

@@ -8,6 +8,14 @@ with a zero gradient, so parameters that a loss never touches report an
 exact zero.
 
 All arithmetic is float64; there is no GPU path and no mixed precision.
+
+Every trainer in the toolkit steps through `train`: one optimizer step
+per batch of an iterable, with a constant learning rate or a schedule
+indexed by the optimizer's step count, and a `DivergenceError` as soon
+as a loss is not finite. Batches come from `sample_batches` (random
+subsets for step-budgeted training) or `epoch_batches` (one fresh
+permutation per epoch). Both are generators, so their draws interleave
+with any draws the loss makes from the same generator.
 """
 
 from __future__ import annotations
@@ -17,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import DivergenceError, ShapeMismatchError
 
 _GRAD_ENABLED = True
 
@@ -542,3 +550,38 @@ class LinearDecay:
 def finite_step_count(n_examples: int, batch_size: int, epochs: int = 1) -> int:
     """Number of optimizer steps for `epochs` passes over `n_examples`."""
     return epochs * math.ceil(n_examples / batch_size)
+
+
+# -- training loop -------------------------------------------------------
+
+
+def train(opt, batches, loss_fn, lr) -> None:
+    """One `opt` step per batch: ``loss_fn(batch)``, backward, step.
+
+    `lr` is a float or a schedule's ``lr`` method, which is called with
+    ``opt.step_count``, so several calls on one optimizer continue one
+    schedule. A non-finite loss raises `DivergenceError` before its step.
+    """
+    for batch in batches:
+        loss = loss_fn(batch)
+        if not math.isfinite(loss.item()):
+            raise DivergenceError(
+                f"loss is {loss.item()} at step {opt.step_count + 1}")
+        opt.zero_grad()
+        loss.backward()
+        opt.step(lr(opt.step_count) if callable(lr) else lr)
+
+
+def sample_batches(rng, n: int, batch: int, steps: int):
+    """`steps` batches of ``min(batch, n)`` distinct indices below `n`."""
+    for _ in range(steps):
+        yield rng.choice(n, size=min(batch, n), replace=False)
+
+
+def epoch_batches(rng, n: int, batch: int, epochs: int = 1):
+    """Per epoch, a fresh permutation of ``range(n)`` cut into batches of
+    `batch`; the last batch of an epoch may be short."""
+    for _ in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch):
+            yield order[start : start + batch]

@@ -310,16 +310,12 @@ def pretrain_base(corpus, arch: EncoderArch, config: PretrainConfig,
         vocab = Vocabulary.build(corpus)
     init_seed, data_seed = _spawn_seeds(config.seed, 2)
     model = init_encoder(arch, vocab, init_seed)
-    if config.steps == 0:
-        return model
     rng = np.random.default_rng(data_seed)
-    opt = dc.Adam(model.parameters())
-    for _ in range(config.steps):
-        idx = rng.choice(len(corpus), size=config.batch, replace=False)
-        loss = _mlm_loss(model, [corpus[i] for i in idx], config.mask_prob, rng)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(config.lr)
+    dc.train(dc.Adam(model.parameters()),
+             dc.sample_batches(rng, len(corpus), config.batch, config.steps),
+             lambda idx: _mlm_loss(model, [corpus[i] for i in idx],
+                                   config.mask_prob, rng),
+             config.lr)
     return model
 
 

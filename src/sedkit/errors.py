@@ -23,3 +23,7 @@ class CheckpointError(ValueError):
 
 class CheckpointVersionError(CheckpointError):
     """Checkpoint was written by an unsupported (newer) format version."""
+
+
+class DivergenceError(ValueError):
+    """Training produced a non-finite loss."""

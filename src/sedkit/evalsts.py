@@ -15,12 +15,14 @@ hidden by it.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .config import METRICS
 from .encoder import EncoderModel, PoolingSpec, encode_many
 from .errors import ConstantInputError, DataError, ShapeMismatchError
@@ -285,21 +287,20 @@ def write_report_csv(report: CorrelationReport, path) -> None:
     Values are rounded to 2 decimals here and only here. A JSON sidecar
     at `path` + ".meta.json" carries the metadata and failure list.
     """
-    path = str(path)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["task", "pearson_x100", "spearman_x100"])
-        for name, res in report.per_task.items():
-            writer.writerow([name, f"{res.pearson_x100:.2f}",
-                             f"{res.spearman_x100:.2f}"])
-        writer.writerow(["Avg.", f"{report.average_pearson_x100:.2f}",
-                         f"{report.average_spearman_x100:.2f}"])
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["task", "pearson_x100", "spearman_x100"])
+    for name, res in report.per_task.items():
+        writer.writerow([name, f"{res.pearson_x100:.2f}",
+                         f"{res.spearman_x100:.2f}"])
+    writer.writerow(["Avg.", f"{report.average_pearson_x100:.2f}",
+                     f"{report.average_spearman_x100:.2f}"])
+    write_atomic(path, buf.getvalue().encode("utf-8"))
     sidecar = {
         "metadata": report.metadata,
         "failed": report.failed,
         "partial": report.partial,
         "n_tasks": len(report.per_task),
     }
-    with open(path + ".meta.json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    write_atomic(f"{path}.meta.json", text.encode("utf-8"))

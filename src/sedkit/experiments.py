@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
-import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -30,11 +30,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .checkpoint import checkpoint_hash, save_checkpoint
+from .checkpoint import checkpoint_hash, save_checkpoint, write_atomic
 from .config import STAGE_NAMES, RunConfig, render_config, validate_config
 from .encoder import (EncoderArch, EncoderModel, PoolingSpec, PretrainConfig,
                       encode_batch, encode_many, pretrain_base)
-from .errors import ConfigError, ConstantInputError, DataError, ShapeMismatchError
+from .errors import (ConfigError, ConstantInputError, DataError,
+                     DivergenceError, ShapeMismatchError)
 from .evalsts import (CorrelationReport, StsTask, evaluate_suite,
                       evaluate_task, score_pairs, score_suite)
 from .flow import CouplingFlow, FlowFitConfig, fit_flow
@@ -130,15 +131,12 @@ def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderMo
     """
     model_a = base.clone()
     model_b = base.clone()
-    opt = dc.RMSProp(model_a.parameters() + model_b.parameters())
-    sched = dc.LinearDecay(cfg.start_lr, cfg.end_lr, cfg.steps)
     batches = sample_ct_batches(corpus, cfg.negatives_per_positive,
                                 cfg.batch, seed=seed)
-    for step in range(cfg.steps):
-        loss = ct_loss(model_a, model_b, next(batches), pool=TRAIN_POOL)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(sched.lr(step))
+    dc.train(dc.RMSProp(model_a.parameters() + model_b.parameters()),
+             itertools.islice(batches, cfg.steps),
+             lambda b: ct_loss(model_a, model_b, b, pool=TRAIN_POOL),
+             dc.LinearDecay(cfg.start_lr, cfg.end_lr, cfg.steps).lr)
     return model_b
 
 
@@ -149,17 +147,13 @@ def train_nli(base: EncoderModel, pairs, cfg, seed: int) -> EncoderModel:
     model = base.clone()
     head_seed, data_seed = derive_seed(seed, "nli", 0), derive_seed(seed, "nli", 1)
     head = NliHead.init(model.arch.hidden, head_seed)
-    opt = dc.Adam(model.parameters() + [head.weight, head.bias])
+    opt = dc.Adam(model.parameters() + head.parameters())
     sched = dc.WarmupThenConstant(cfg.peak_lr, cfg.steps, cfg.warmup_fraction)
     rng = np.random.default_rng(data_seed)
-    for step in range(cfg.steps):
-        take = min(cfg.batch, len(pairs))
-        idx = rng.choice(len(pairs), size=take, replace=False)
-        batch = [pairs[i] for i in idx]
-        loss = nli_siamese_loss(model, head, batch, pool=TRAIN_POOL)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(sched.lr(step))
+    dc.train(opt, dc.sample_batches(rng, len(pairs), cfg.batch, cfg.steps),
+             lambda idx: nli_siamese_loss(model, head, [pairs[i] for i in idx],
+                                          pool=TRAIN_POOL),
+             sched.lr)
     return model
 
 
@@ -178,25 +172,16 @@ def train_sed(ensemble: EnsembleSpec, corpus: list[str], cfg, seed: int,
         )
     if not corpus:
         raise DataError("empty distillation corpus")
-    if cfg.epochs == 0:
-        return student
-    steps_per_epoch = math.ceil(len(corpus) / cfg.batch)
-    total_steps = cfg.epochs * steps_per_epoch
-    opt = dc.Adam(student.parameters())
+    total_steps = dc.finite_step_count(len(corpus), cfg.batch, cfg.epochs)
     sched = dc.WarmupThenConstant(cfg.peak_lr, total_steps, cfg.warmup_fraction)
-    rng = np.random.default_rng(seed)
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(corpus))
-        for start in range(0, len(corpus), cfg.batch):
-            sents = [corpus[i] for i in order[start : start + cfg.batch]]
-            targets = ensemble_mean_embeddings(ensemble, sents)
-            out = encode_batch(student, sents, ensemble.target_pool)
-            loss = sed_loss(targets, out)
-            opt.zero_grad()
-            loss.backward()
-            opt.step(sched.lr(step))
-            step += 1
+    batches = dc.epoch_batches(np.random.default_rng(seed), len(corpus),
+                               cfg.batch, cfg.epochs)
+    dc.train(dc.Adam(student.parameters()),
+             ([corpus[i] for i in idx] for idx in batches),
+             lambda sents: sed_loss(ensemble_mean_embeddings(ensemble, sents),
+                                    encode_batch(student, sents,
+                                                 ensemble.target_pool)),
+             sched.lr)
     return student
 
 
@@ -364,9 +349,8 @@ def _manifest_path(out_dir) -> str:
 
 
 def write_manifest(manifest: dict, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    write_atomic(path, text.encode("utf-8"))
 
 
 @dataclass(frozen=True)
@@ -429,7 +413,7 @@ def stability_study(base: EncoderModel, corpus: list[str],
         try:
             student, _ = distill_stage(cfg, members, corpus, base, r)
             student_scores.append(avg_spearman(evaluate_suite(student, tasks, pool)))
-        except (DataError, ConstantInputError) as exc:
+        except (DataError, ConstantInputError, DivergenceError) as exc:
             warnings.warn(f"stability run {r} failed and was excluded: {exc}")
     return {
         "members": StabilityReport.from_values("members", member_scores),
@@ -461,16 +445,12 @@ class GridSearchResult:
 def _train_regression(model: EncoderModel, pairs, target_map, steps: int,
                       batch: int, lr: float, seed: int,
                       pool: PoolingSpec = TRAIN_POOL) -> EncoderModel:
-    opt = dc.Adam(model.parameters())
-    rng = np.random.default_rng(seed)
-    for _ in range(steps):
-        take = min(batch, len(pairs))
-        idx = rng.choice(len(pairs), size=take, replace=False)
-        loss = sts_regression_loss(model, [pairs[i] for i in idx],
-                                   target_map, pool=pool)
-        opt.zero_grad()
-        loss.backward()
-        opt.step(lr)
+    dc.train(dc.Adam(model.parameters()),
+             dc.sample_batches(np.random.default_rng(seed), len(pairs), batch,
+                               steps),
+             lambda idx: sts_regression_loss(model, [pairs[i] for i in idx],
+                                             target_map, pool=pool),
+             lr)
     return model
 
 
@@ -508,7 +488,7 @@ def grid_search_lower_bound(base: EncoderModel, train_pairs, dev_task: StsTask,
                 )
                 _, dev_s = evaluate_task(model, dev_task, pool)
                 cell_scores.append(dev_s)
-            except (DataError, ConstantInputError) as exc:
+            except (DataError, ConstantInputError, DivergenceError) as exc:
                 warnings.warn(
                     f"grid cell bound={bound} seed#{s} failed: {exc}"
                 )
@@ -574,13 +554,11 @@ def train_supervised_with_early_stopping(
     best_state = [p.data.copy() for p in model.parameters()]
     bad_epochs = 0
     for _ in range(cfg.max_epochs):
-        order = rng.permutation(len(train_pairs))
-        for start in range(0, len(train_pairs), cfg.batch):
-            batch = [train_pairs[i] for i in order[start : start + cfg.batch]]
-            loss = sts_regression_loss(model, batch, target_map, pool=pool)
-            opt.zero_grad()
-            loss.backward()
-            opt.step(cfg.lr)
+        dc.train(opt, dc.epoch_batches(rng, len(train_pairs), cfg.batch),
+                 lambda idx: sts_regression_loss(
+                     model, [train_pairs[i] for i in idx], target_map,
+                     pool=pool),
+                 cfg.lr)
         _, dev_s = evaluate_task(model, dev_task, pool)
         trajectory.append(dev_s)
         if dev_s > best_score:

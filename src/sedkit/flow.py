@@ -172,18 +172,11 @@ def fit_flow(flow: CouplingFlow, embeddings, config: FlowFitConfig) -> CouplingF
 
     best_nll = full_nll()
     best_state = [p.data.copy() for p in flow.parameters()]
-    if config.epochs == 0:
-        return flow
     rng = np.random.default_rng(config.seed)
     opt = dc.Adam(flow.parameters())
     for _ in range(config.epochs):
-        order = rng.permutation(X.shape[0])
-        for start in range(0, X.shape[0], config.batch):
-            idx = order[start : start + config.batch]
-            loss = flow_nll(flow, X[idx])
-            opt.zero_grad()
-            loss.backward()
-            opt.step(config.lr)
+        dc.train(opt, dc.epoch_batches(rng, X.shape[0], config.batch),
+                 lambda idx: flow_nll(flow, X[idx]), config.lr)
         nll = full_nll()
         if nll < best_nll:
             best_nll = nll

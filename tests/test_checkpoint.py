@@ -66,6 +66,41 @@ def test_flow_round_trip(tmp_path):
     assert np.array_equal(ld1, ld2)
 
 
+def test_failed_save_keeps_previous_file(tiny_model, tmp_path, monkeypatch):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model, path)
+    before = path.read_bytes()
+
+    class HalfWriter:
+        """Writes the first half of the blob, then fails like a full disk."""
+
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, blob):
+            self.fh.write(blob[: len(blob) // 2])
+            raise OSError("no space left on device")
+
+    monkeypatch.setattr(cp, "open", lambda p, mode: HalfWriter(open(p, mode)),
+                        raising=False)
+    changed = tiny_model.clone()
+    changed.params["tok_emb"].data += 1.0
+    with pytest.raises(OSError, match="no space"):
+        save_checkpoint(changed, path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+    monkeypatch.undo()
+    assert save_checkpoint(changed, path) == checkpoint_hash(changed)
+    assert load_checkpoint(path).params["tok_emb"].data[0, 0] == (
+        changed.params["tok_emb"].data[0, 0])
+
+
 def test_checkpoint_hash_matches_bytes(tiny_model):
     blob = checkpoint_bytes(tiny_model)
     assert checkpoint_hash(tiny_model) == hashlib.sha256(blob).hexdigest()

@@ -188,6 +188,22 @@ def test_train_ct_member_index_in_artifacts(workspace, tmp_path):
     assert "ct_1" in manifest["checkpoints"]
 
 
+def test_train_ct_on_nan_base_exits_1(workspace, tmp_path, capsys):
+    from sedkit.checkpoint import load_checkpoint, save_checkpoint
+    base = load_checkpoint(workspace["base"])
+    base.params["l0.wq"].data[:] = np.nan
+    nan_base = tmp_path / "nan_base.ckpt"
+    save_checkpoint(base, nan_base)
+    rc = main(["train-ct", "--config", workspace["ini"],
+               "--base", str(nan_base), "--corpus", workspace["corpus"],
+               "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "step 1" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "ct_0.ckpt").exists()
+
+
 def test_train_nli_writes_checkpoint(workspace, tmp_path):
     rc = main(["train-nli", "--config", workspace["ini"],
                "--base", workspace["base"],

@@ -110,12 +110,25 @@ def test_validation_rules():
         ("[sed]\nstudent_init = member:99\n", "student_init"),
         ("[sed]\nstudent_init = member:x\n", "student_init"),
         ("[stability]\nruns = 1\n", "stability.runs"),
+        ("[arch]\nlayers = 0\n", "arch.layers"),
+        ("[arch]\nmax_len = 0\n", "arch.max_len"),
+        ("[arch]\nheads = 0\n", "arch.heads"),
+        ("[arch]\nhidden = 0\n", "arch.hidden"),
+        ("[arch]\nff = -1\n", "arch.ff"),
+        ("[arch]\nhidden = 30\nheads = 4\n", "divisible by arch.heads"),
+        ("[flow]\nlayers = 0\n", "flow.layers"),
+        ("[flow]\nlayers = 1\n", "flow.layers"),
+        ("[arch]\nlayers = 1\n[eval]\npool_k = 3\n", "pool_k"),
     ):
         with pytest.raises(ConfigError, match=match):
             parse_config(probe)
     # zero steps and epochs are legal: the stage leaves its input as is
     cfg = parse_config("[ct]\nsteps = 0\n[sed]\nepochs = 0\n")
     assert cfg.ct.steps == 0 and cfg.sed.epochs == 0
+    # the smallest legal arch and flow, and pool_k up to layers + 1
+    cfg = parse_config("[arch]\nlayers = 1\nhidden = 1\nheads = 1\nff = 1\n"
+                       "max_len = 1\n[flow]\nlayers = 2\n[eval]\npool_k = 2\n")
+    assert cfg.arch.layers == 1 and cfg.flow.layers == 2
     # member:<i> form is allowed
     cfg = parse_config("[sed]\nstudent_init = member:2\n")
     assert cfg.sed.student_init == "member:2"

@@ -1,5 +1,6 @@
 """Autodiff core: gradients against central finite differences, optimizer
-single-step oracles worked by hand, and schedule values."""
+single-step oracles worked by hand, schedule values, and the training
+loop with its batch samplers."""
 
 import math
 
@@ -11,7 +12,7 @@ from sedkit.diffcore import (Adam, LinearDecay, RMSProp, Tensor,
                              WarmupThenConstant, bce_with_logits, concat,
                              finite_step_count, softmax,
                              softmax_cross_entropy, take_rows)
-from sedkit.errors import ShapeMismatchError
+from sedkit.errors import DivergenceError, ShapeMismatchError
 
 FD_H = 1e-6
 TOL = 1e-4
@@ -310,3 +311,107 @@ def test_gradients_deterministic():
     g2 = run()
     assert np.array_equal(g1[0], g2[0])
     assert np.array_equal(g1[1], g2[1])
+
+
+# -- training loop and samplers -------------------------------------------
+
+def quadratic(p):
+    """Loss of one batch of targets: squared distance of `p` to their mean."""
+    return lambda batch: (p - Tensor(np.mean(batch))).square().sum()
+
+
+def test_train_calls_continue_the_schedule():
+    seen = []
+
+    def lr(step):
+        seen.append(step)
+        return 0.1 / (1 + step)
+
+    batches = [np.array([float(i)]) for i in range(5)]
+    p = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    opt = Adam([p])
+    dc.train(opt, batches[:2], quadratic(p), lr)
+    dc.train(opt, batches[2:], quadratic(p), lr)
+    assert seen == [0, 1, 2, 3, 4]
+    assert opt.step_count == 5
+    # the same as one call over all batches
+    q = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    dc.train(Adam([q]), batches, quadratic(q), lambda step: 0.1 / (1 + step))
+    assert np.array_equal(p.data, q.data)
+
+
+def test_train_constant_lr_matches_hand_loop():
+    p = Tensor(np.array([2.0]), requires_grad=True)
+    q = Tensor(np.array([2.0]), requires_grad=True)
+    batches = [np.array([1.0]), np.array([-1.0, 0.5])]
+    dc.train(RMSProp([p]), batches, quadratic(p), 0.05)
+    opt = RMSProp([q])
+    for batch in batches:
+        loss = quadratic(q)(batch)
+        opt.zero_grad()
+        loss.backward()
+        opt.step(0.05)
+    assert np.array_equal(p.data, q.data)
+
+
+def test_train_empty_stream_leaves_parameters():
+    p = Tensor(np.array([1.5, 2.5]), requires_grad=True)
+    opt = Adam([p])
+    dc.train(opt, iter(()), lambda batch: pytest.fail("loss called"), 0.1)
+    dc.train(opt, dc.epoch_batches(np.random.default_rng(0), 4, 2, epochs=0),
+             quadratic(p), 0.1)
+    assert opt.step_count == 0
+    assert np.array_equal(p.data, [1.5, 2.5])
+
+
+def test_train_raises_divergence_naming_the_step():
+    p = Tensor(np.array([1.0]), requires_grad=True)
+    opt = Adam([p])
+    batches = [np.array([0.0]), np.array([np.nan]), np.array([0.0])]
+    with pytest.raises(DivergenceError, match="nan at step 2"):
+        dc.train(opt, batches, quadratic(p), 0.1)
+    # the diverged step was not taken
+    assert opt.step_count == 1
+    assert np.all(np.isfinite(p.data))
+    with pytest.raises(DivergenceError, match="inf"):
+        dc.train(opt, [np.array([np.inf])], quadratic(p), 0.1)
+    assert issubclass(DivergenceError, ValueError)
+
+
+def test_epoch_batches_cover_each_index_once_per_epoch():
+    batches = list(dc.epoch_batches(np.random.default_rng(3), 10, 4,
+                                    epochs=3))
+    assert [len(b) for b in batches] == [4, 4, 2] * 3
+    epochs = [np.concatenate(batches[i : i + 3]) for i in (0, 3, 6)]
+    for order in epochs:
+        assert sorted(order.tolist()) == list(range(10))
+    assert not np.array_equal(epochs[0], epochs[1])  # fresh permutation
+    # default: one epoch
+    assert len(list(dc.epoch_batches(np.random.default_rng(3), 10, 4))) == 3
+
+
+def test_sample_batches_clips_to_n():
+    batches = list(dc.sample_batches(np.random.default_rng(1), 3, 5,
+                                     steps=4))
+    assert len(batches) == 4
+    for b in batches:
+        assert sorted(b.tolist()) == [0, 1, 2]
+    small = list(dc.sample_batches(np.random.default_rng(1), 10, 4, steps=2))
+    for b in small:
+        assert len(b) == 4 and len(set(b.tolist())) == 4
+        assert all(0 <= i < 10 for i in b)
+
+
+def test_samplers_draw_lazily():
+    """Each batch is drawn when the loop asks for it, so draws made by the
+    loss in between land in the same stream order as a hand loop."""
+    rng = np.random.default_rng(5)
+    gen = dc.sample_batches(rng, 10, 3, steps=2)
+    before = rng.bit_generator.state
+    first = next(gen)
+    assert rng.bit_generator.state != before
+    hand = np.random.default_rng(5)
+    assert np.array_equal(first, hand.choice(10, size=3, replace=False))
+    rng.random()
+    hand.random()
+    assert np.array_equal(next(gen), hand.choice(10, size=3, replace=False))

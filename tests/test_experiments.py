@@ -1,6 +1,7 @@
 """Orchestration: seed derivation, stage validation, distillation training
 properties, pipeline determinism and manifests, stability statistics
-against hand loops, grid search selection, and early stopping."""
+against hand loops, grid search selection, early stopping, and the one
+training loop every trainer steps through."""
 
 import dataclasses
 import json
@@ -11,14 +12,16 @@ import numpy as np
 import pytest
 
 import sedkit.diffcore as dc
+import sedkit.experiments as ex
 from sedkit.config import (ArchSection, CtSection, EvalSection, FlowSection,
                            GridSection, NliSection, PretrainSection,
                            RunConfig, RunSection, SedSection,
                            StabilitySection, SupervisedSection, parse_config)
-from sedkit.encoder import (PoolingSpec, encode, encode_batch, encode_many,
-                            init_encoder)
+from sedkit.encoder import (PoolingSpec, PretrainConfig, encode,
+                            encode_batch, encode_many, init_encoder,
+                            pretrain_base)
 from sedkit.errors import (ConfigError, ConstantInputError, DataError,
-                           ShapeMismatchError)
+                           DivergenceError, ShapeMismatchError)
 from sedkit.evalsts import ScoredPair, StsTask, cosine, evaluate_suite, evaluate_task
 from sedkit.experiments import (TRAIN_POOL, DataBundle, GridSearchResult,
                                 PipelineSpec, StabilityReport,
@@ -29,6 +32,7 @@ from sedkit.experiments import (TRAIN_POOL, DataBundle, GridSearchResult,
                                 stability_study, train_ct, train_nli,
                                 train_sed, train_supervised_with_early_stopping,
                                 write_manifest)
+from sedkit.flow import CouplingFlow, FlowFitConfig, fit_flow
 from sedkit.objectives import EnsembleSpec, RegressionTargetMap
 
 from conftest import TINY_ARCH
@@ -321,6 +325,20 @@ def test_pipeline_ct_without_base_fails(pipeline_bundle):
         run_pipeline(PipelineSpec.from_config(cfg), pipeline_bundle)
 
 
+def test_pipeline_divergence_recorded_as_failed_stage(pipeline_bundle,
+                                                     tmp_path, monkeypatch):
+    monkeypatch.setattr(ex, "ct_loss",
+                        lambda *a, **k: dc.Tensor(np.nan))
+    cfg = tiny_run_config(("pretrain", "ct"))
+    with pytest.raises(DivergenceError, match="step 1"):
+        run_pipeline(PipelineSpec.from_config(cfg), pipeline_bundle,
+                     out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "ct"
+    assert manifest["completed_stages"] == ["pretrain"]
+    assert "nan" in manifest["error"]
+
+
 def test_write_manifest_round_trip(tmp_path):
     manifest = {"b": [1, 2], "a": {"x": 0.5}}
     path = tmp_path / "m.json"
@@ -328,6 +346,17 @@ def test_write_manifest_round_trip(tmp_path):
     assert json.loads(path.read_text()) == manifest
     # sorted keys for byte-stable output
     assert path.read_text().index('"a"') < path.read_text().index('"b"')
+
+
+def test_write_manifest_failure_keeps_previous_file(tmp_path):
+    path = tmp_path / "m.json"
+    write_manifest({"a": 1}, path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        # fails part-way through serialization, after the key "a"
+        write_manifest({"a": 1, "b": object()}, path)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["m.json"]
 
 
 # -- stability ------------------------------------------------------------
@@ -360,6 +389,25 @@ def test_stability_study_statistics(tiny_model, tiny_world):
                              / len(rep.values))
         assert abs(rep.std - hand_std) < 1e-12
         assert rep.max >= rep.mean
+
+
+def test_stability_study_drops_diverged_run(tiny_model, tiny_world,
+                                            monkeypatch):
+    real, calls = ex.sed_loss, []
+
+    def first_student_diverges(targets, out):
+        calls.append(1)
+        loss = real(targets, out)
+        return loss * np.nan if len(calls) == 1 else loss
+
+    monkeypatch.setattr(ex, "sed_loss", first_student_diverges)
+    cfg = tiny_run_config(("pretrain", "ct", "sed"))
+    cfg = dataclasses.replace(cfg, stability=StabilitySection(runs=3))
+    with pytest.warns(UserWarning, match="stability run 0 failed.*nan"):
+        groups = stability_study(tiny_model, tiny_world.corpus,
+                                 [tiny_world.sts["test"]], cfg)
+    assert groups["students"].count == 2
+    assert groups["members"].count == cfg.sed.members
 
 
 def test_stability_study_needs_two_runs(tiny_model, tiny_world):
@@ -399,6 +447,24 @@ def test_grid_single_candidate_trivial(tiny_model, tiny_world):
     assert "# selection rule" in text
     assert "ties to the smaller bound" in text
     assert "selected,0.3" in text
+
+
+def test_grid_drops_diverged_cell(tiny_model, tiny_world, monkeypatch):
+    real = ex.sts_regression_loss
+
+    def diverge_at_bound_03(model, batch, target_map, pool):
+        loss = real(model, batch, target_map, pool=pool)
+        return loss * np.nan if target_map.lower_bound == 0.3 else loss
+
+    monkeypatch.setattr(ex, "sts_regression_loss", diverge_at_bound_03)
+    cfg = GridSection(steps=2, batch=4, lr=1e-3)
+    with pytest.warns(UserWarning, match="bound=0.3 seed#0 failed.*nan"):
+        result = grid_search_lower_bound(
+            tiny_model, list(tiny_world.sts["train"].pairs),
+            tiny_world.sts["dev"], (0.0, 0.3), seeds_per_bound=1, cfg=cfg)
+    assert result.scores_by_bound[0.3] == ()
+    assert len(result.scores_by_bound[0.0]) == 1
+    assert result.selected_bound == 0.0
 
 
 def test_grid_argument_guards(tiny_model, tiny_world):
@@ -505,3 +571,57 @@ def test_ablation_rejects_shallow_model(tiny_vocab, tiny_world):
                                        max_len=8), tiny_vocab, seed=0)
     with pytest.raises(DataError, match="too shallow"):
         pooling_ablation({"shallow": shallow}, [tiny_world.sts["test"]])
+
+
+# -- one training loop ----------------------------------------------------
+
+def test_train_ct_from_nan_base_raises_divergence(tiny_model, tiny_corpus):
+    base = tiny_model.clone()
+    base.params["l0.wq"].data[:] = np.nan
+    with pytest.raises(DivergenceError, match="step 1"):
+        train_ct(base, tiny_corpus, TINY_CT, seed=0)
+
+
+def test_every_trainer_steps_through_diffcore_train(tiny_model, tiny_world,
+                                                    monkeypatch):
+    """pretrain, CT, NLI, SED, grid regression, supervised training and
+    the flow fit take all their optimizer steps inside `diffcore.train`."""
+    real, steps = dc.train, []
+
+    def counting(opt, batches, loss_fn, lr):
+        before = opt.step_count
+        real(opt, batches, loss_fn, lr)
+        steps.append(opt.step_count - before)
+
+    monkeypatch.setattr(dc, "train", counting)
+    corpus, train = tiny_world.corpus, list(tiny_world.sts["train"].pairs)
+    dev = tiny_world.sts["dev"]
+    runs = {
+        "pretrain": lambda: pretrain_base(
+            corpus, TINY_ARCH, PretrainConfig(steps=3, batch=8, seed=1)),
+        "ct": lambda: train_ct(tiny_model, corpus, TINY_CT, 0),
+        "nli": lambda: train_nli(
+            tiny_model, tiny_world.nli,
+            NliSection(steps=2, batch=4, peak_lr=2e-4), 0),
+        "sed": lambda: train_sed(EnsembleSpec([tiny_model]), corpus,
+                                 SedSection(epochs=2, batch=16), 0,
+                                 tiny_model.clone()),
+        "grid": lambda: grid_search_lower_bound(
+            tiny_model, train, dev, (0.3,), 2,
+            GridSection(steps=2, batch=4, lr=1e-3)),
+        "supervised": lambda: train_supervised_with_early_stopping(
+            tiny_model.clone(), train, dev, RegressionTargetMap(0.5),
+            SupervisedSection(max_epochs=2, batch=8, patience=5)),
+        "flow": lambda: fit_flow(
+            CouplingFlow(8, 2), encode_many(tiny_model, corpus, TRAIN_POOL),
+            FlowFitConfig(lr=1e-3, epochs=2, batch=8)),
+    }
+    n_sup = math.ceil(len(train) / 8)
+    expected = {"pretrain": [3], "ct": [TINY_CT.steps], "nli": [2],
+                "sed": [2 * math.ceil(len(corpus) / 16)], "grid": [2, 2],
+                "supervised": [n_sup, n_sup],
+                "flow": [math.ceil(len(corpus) / 8)] * 2}
+    for name, run in runs.items():
+        steps.clear()
+        run()
+        assert steps == expected[name], name
