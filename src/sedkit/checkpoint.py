@@ -10,17 +10,23 @@ Layout (all integers little-endian):
     32 bytes  SHA-256 over everything above
 
 The metadata JSON (sorted keys, no whitespace variation) carries the
-artifact kind, architecture, vocabulary, and the ordered tensor names
-and shapes. The checksum is verified before anything is constructed, so
-a corrupt or truncated file never yields a partially loaded model. The
-same save on the same artifact is byte-identical, which makes
-checkpoint hashes meaningful in run manifests.
+artifact kind, the constructor arguments (architecture and vocabulary,
+or flow sizes) and the ordered tensor names and shapes. The checksum is
+verified before anything is constructed, so a corrupt or truncated file
+never yields a partially loaded model. Loading rebuilds the artifact
+through its constructor and requires the listed tensors to be exactly
+the ones that constructor makes, in order, so the constructors are the
+only source of tensor names and shapes. The same save on the same
+artifact is byte-identical, which makes checkpoint hashes meaningful in
+run manifests.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import os
 import struct
@@ -28,7 +34,7 @@ import struct
 import numpy as np
 
 from .diffcore import Tensor
-from .encoder import EncoderArch, EncoderModel, Vocabulary
+from .encoder import EncoderArch, EncoderModel, Vocabulary, init_encoder
 from .errors import CheckpointError, CheckpointVersionError
 from .flow import CouplingFlow
 
@@ -49,44 +55,42 @@ def _tensor_bytes(t: Tensor) -> bytes:
     return np.ascontiguousarray(t.data, dtype="<f8").tobytes()
 
 
+def _header(artifact) -> dict:
+    """The metadata from which `_rebuild` constructs `artifact`'s skeleton."""
+    if isinstance(artifact, EncoderModel):
+        return {"kind": "encoder", "arch": dataclasses.asdict(artifact.arch),
+                "vocab": artifact.vocab.tokens[3:]}  # specials are implicit
+    if isinstance(artifact, CouplingFlow):
+        return {"kind": "flow", "dim": artifact.dim,
+                "n_layers": artifact.n_layers, "hidden": artifact.hidden}
+    raise CheckpointError(f"cannot checkpoint {type(artifact).__name__}")
+
+
+def _rebuild(meta: dict):
+    """A freshly constructed artifact of the kind and sizes `meta` names;
+    its tensors are placeholders that the loader overwrites."""
+    if meta["kind"] == "encoder":
+        return init_encoder(EncoderArch(**meta["arch"]),
+                            Vocabulary(meta["vocab"]), seed=0)
+    if meta["kind"] == "flow":
+        return CouplingFlow(meta["dim"], meta["n_layers"], meta["hidden"],
+                            seed=0)
+    raise CheckpointError(f"unknown artifact kind {meta['kind']!r}")
+
+
+def _tensor_list(artifact) -> list[dict]:
+    return [{"name": n, "shape": list(t.data.shape)}
+            for n, t in artifact.params.items()]
+
+
 def checkpoint_bytes(artifact) -> bytes:
     """Serialized form of an encoder or flow, checksum included."""
-    if isinstance(artifact, EncoderModel):
-        meta = {
-            "kind": "encoder",
-            "arch": {
-                "layers": artifact.arch.layers,
-                "hidden": artifact.arch.hidden,
-                "heads": artifact.arch.heads,
-                "ff": artifact.arch.ff,
-                "max_len": artifact.arch.max_len,
-            },
-            "vocab": artifact.vocab.tokens[3:],  # specials are implicit
-            "tensors": [
-                {"name": n, "shape": list(artifact.params[n].data.shape)}
-                for n in artifact.param_names()
-            ],
-        }
-        tensors = [artifact.params[n] for n in artifact.param_names()]
-    elif isinstance(artifact, CouplingFlow):
-        meta = {
-            "kind": "flow",
-            "dim": artifact.dim,
-            "n_layers": artifact.n_layers,
-            "hidden": artifact.hidden,
-            "tensors": [
-                {"name": n, "shape": list(artifact.params[n].data.shape)}
-                for n in artifact.param_names()
-            ],
-        }
-        tensors = [artifact.params[n] for n in artifact.param_names()]
-    else:
-        raise CheckpointError(f"cannot checkpoint {type(artifact).__name__}")
+    meta = {**_header(artifact), "tensors": _tensor_list(artifact)}
     buf = io.BytesIO()
     buf.write(MAGIC)
     buf.write(struct.pack("<I", VERSION))
     _write_section(buf, _canonical_json(meta))
-    for t in tensors:
+    for t in artifact.params.values():
         _write_section(buf, _tensor_bytes(t))
     body = buf.getvalue()
     return body + hashlib.sha256(body).digest()
@@ -134,7 +138,8 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Load an encoder or flow; refuses corrupt, truncated or newer files."""
+    """Load an encoder or flow; refuses corrupt, truncated or newer files
+    and any whose tensors are not exactly those its metadata implies."""
     with open(str(path), "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 + 32:
@@ -150,36 +155,25 @@ def load_checkpoint(path):
         raise CheckpointVersionError(
             f"checkpoint version {version} is newer than supported {VERSION}"
         )
+    raw_meta = r.section()
     try:
-        meta = json.loads(r.section().decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
-    arrays: dict[str, np.ndarray] = {}
-    for entry in meta["tensors"]:
+        meta = json.loads(raw_meta.decode("utf-8"))
+        artifact = _rebuild(meta)
+        for i, (got, want) in enumerate(itertools.zip_longest(
+                meta["tensors"], _tensor_list(artifact))):
+            if got != want:
+                raise CheckpointError(
+                    f"tensor #{i} is listed as {got}, but a {meta['kind']} "
+                    f"with this metadata has {want}")
+    except (KeyError, TypeError, ValueError, ArithmeticError,
+            MemoryError) as exc:
+        raise CheckpointError(f"invalid checkpoint metadata: {exc}") from exc
+    for name, t in artifact.params.items():
         raw = r.section()
-        shape = tuple(entry["shape"])
-        expect = int(np.prod(shape, dtype=np.int64)) * 8 if shape else 8
-        if len(raw) != expect:
-            raise CheckpointError(
-                f"tensor {entry['name']!r} has {len(raw)} bytes, "
-                f"expected {expect}"
-            )
-        arrays[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if len(raw) != t.data.nbytes:
+            raise CheckpointError(f"tensor {name!r} has {len(raw)} bytes, "
+                                  f"expected {t.data.nbytes}")
+        t.data = np.frombuffer(raw, dtype="<f8").reshape(t.data.shape).copy()
     if r.off != len(body):
         raise CheckpointError("trailing bytes after final tensor section")
-    if meta["kind"] == "encoder":
-        arch = EncoderArch(**meta["arch"])
-        vocab = Vocabulary(meta["vocab"])
-        params = {
-            name: Tensor(arr, requires_grad=True) for name, arr in arrays.items()
-        }
-        return EncoderModel(arch, vocab, params)
-    if meta["kind"] == "flow":
-        flow = CouplingFlow(meta["dim"], n_layers=meta["n_layers"],
-                            hidden=meta["hidden"], seed=0)
-        for name, arr in arrays.items():
-            if name not in flow.params:
-                raise CheckpointError(f"unknown flow tensor {name!r}")
-            flow.params[name].data = arr
-        return flow
-    raise CheckpointError(f"unknown artifact kind {meta['kind']!r}")
+    return artifact

@@ -104,11 +104,13 @@ def _load_tasks(args) -> list:
     return [load_sts_tsv(p) for p in paths]
 
 
-def _require_encoder(path) -> EncoderModel:
-    model = load_checkpoint(path)
-    if not isinstance(model, EncoderModel):
-        raise DataError(f"{path} does not contain an encoder checkpoint")
-    return model
+def _load(path, cls):
+    """The checkpoint at `path`, which must hold a `cls`."""
+    artifact = load_checkpoint(path)
+    if not isinstance(artifact, cls):
+        raise DataError(f"checkpoint {path} holds "
+                        f"{type(artifact).__name__}, expected {cls.__name__}")
+    return artifact
 
 
 def _save_stage(out: str, name: str, cfg: RunConfig, seeds: dict,
@@ -144,7 +146,7 @@ def _cmd_pretrain(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_train_ct(args, cfg: RunConfig, out: str) -> None:
-    base = _require_encoder(args.base)
+    base = _load(args.base, EncoderModel)
     corpus = _resolve_corpus(args, cfg)
     model, seed = member_stage("ct", cfg, base, corpus, args.member)
     name = f"ct_{args.member}"
@@ -155,7 +157,7 @@ def _cmd_train_ct(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_train_nli(args, cfg: RunConfig, out: str) -> None:
-    base = _require_encoder(args.base)
+    base = _load(args.base, EncoderModel)
     pairs = load_nli_tsv(args.nli)
     model, seed = member_stage("nli", cfg, base, pairs, args.member)
     name = f"nli_{args.member}"
@@ -166,8 +168,8 @@ def _cmd_train_nli(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_train_sed(args, cfg: RunConfig, out: str) -> None:
-    teachers = [_require_encoder(p) for p in args.teachers]
-    init = _require_encoder(args.student_init)
+    teachers = [_load(p, EncoderModel) for p in args.teachers]
+    init = _load(args.student_init, EncoderModel)
     corpus = _resolve_corpus(args, cfg)
     model, seed = distill_stage(cfg, teachers, corpus, init)
     path = _save_stage(out, "sed", cfg, {"sed": seed},
@@ -178,7 +180,7 @@ def _cmd_train_sed(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_fit_flow(args, cfg: RunConfig, out: str) -> None:
-    model = _require_encoder(args.model)
+    model = _load(args.model, EncoderModel)
     flow, seeds = flow_stage(cfg, model, _resolve_corpus(args, cfg))
     path = _save_stage(out, "flow", cfg, {"flow": seeds},
                        {"corpus": _hash_file(args.corpus),
@@ -187,7 +189,7 @@ def _cmd_fit_flow(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_train_supervised(args, cfg: RunConfig, out: str) -> None:
-    model = _require_encoder(args.model)
+    model = _load(args.model, EncoderModel)
     train_task = load_sts_tsv(args.train_pairs)
     dev_task = load_sts_tsv(args.dev_task)
     bound = (cfg.supervised.lower_bound if args.lower_bound is None
@@ -206,7 +208,7 @@ def _cmd_train_supervised(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
-    model = _require_encoder(args.model)
+    model = _load(args.model, EncoderModel)
     train_task = load_sts_tsv(args.train_pairs)
     dev_task = load_sts_tsv(args.dev_task)
     bounds = (tuple(float(b) for b in args.bounds.split(","))
@@ -223,13 +225,9 @@ def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
-    model = _require_encoder(args.model)
+    model = _load(args.model, EncoderModel)
     tasks = _load_tasks(args)
-    flow = None
-    if args.flow:
-        flow = load_checkpoint(args.flow)
-        if not isinstance(flow, CouplingFlow):
-            raise DataError(f"{args.flow} does not contain a flow checkpoint")
+    flow = _load(args.flow, CouplingFlow) if args.flow else None
     pool = PoolingSpec(args.pool if args.pool else cfg.eval.pool_k)
     report = evaluate_suite(model, tasks, pool, flow=flow,
                             metric=cfg.eval.metric,
@@ -249,7 +247,7 @@ def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_stability(args, cfg: RunConfig, out: str) -> None:
-    base = _require_encoder(args.base)
+    base = _load(args.base, EncoderModel)
     corpus = _resolve_corpus(args, cfg)
     tasks = _load_tasks(args)
     reports = stability_study(base, corpus, tasks, cfg, runs=args.runs)
@@ -268,7 +266,7 @@ def _cmd_ablate_pooling(args, cfg: RunConfig, out: str) -> None:
             name, path = entry.split("=", 1)
         else:
             name, path = os.path.basename(entry), entry
-        models[name] = _require_encoder(path)
+        models[name] = _load(path, EncoderModel)
     tasks = _load_tasks(args)
     table = pooling_ablation(models, tasks)
     path = os.path.join(out, "pooling_ablation.csv")

@@ -16,8 +16,8 @@ from __future__ import annotations
 import dataclasses
 from configparser import ConfigParser
 from dataclasses import dataclass, field
-from io import StringIO
 
+from .checkpoint import write_atomic
 from .errors import ConfigError
 
 STAGE_NAMES = ("pretrain", "nli", "ct", "sed", "flow")
@@ -154,8 +154,6 @@ _SECTION_TYPES = {
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, tuple):
         return ", ".join(_format_value(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
@@ -170,12 +168,6 @@ def _parse_value(text: str, annotation: str, section: str, key: str):
             return float(text)
         if annotation == "str":
             return text
-        if annotation == "bool":
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
         if annotation.startswith("tuple[str"):
             if not text:
                 return ()
@@ -273,8 +265,7 @@ def load_config(path) -> RunConfig:
 
 
 def save_config(cfg: RunConfig, path) -> None:
-    with open(str(path), "w", encoding="utf-8") as fh:
-        fh.write(render_config(cfg))
+    write_atomic(path, render_config(cfg).encode("utf-8"))
 
 
 def default_config() -> RunConfig:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .checkpoint import write_atomic
 from .errors import DataError
 from .evalsts import ScoredPair, StsTask
 from .objectives import LabeledNliPair
@@ -190,17 +191,12 @@ def gen_synthetic_world(spec: SyntheticWorldSpec, out_dir) -> SyntheticWorld:
     world = build_synthetic_world(spec)
     out_dir = str(out_dir)
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "corpus.txt"), "w", encoding="utf-8") as fh:
-        for sent in world.corpus:
-            fh.write(sent + "\n")
+    files = {"corpus.txt": "".join(sent + "\n" for sent in world.corpus)}
     for split, task in world.sts.items():
-        with open(os.path.join(out_dir, f"sts_{split}.tsv"), "w",
-                  encoding="utf-8") as fh:
-            for p in task.pairs:
-                fh.write(f"{p.sentence_1}\t{p.sentence_2}\t{p.gold:.1f}\n")
-    with open(os.path.join(out_dir, "nli.tsv"), "w", encoding="utf-8") as fh:
-        for p in world.nli:
-            fh.write(f"{p.premise}\t{p.hypothesis}\t{p.label}\n")
+        files[f"sts_{split}.tsv"] = "".join(
+            f"{p.sentence_1}\t{p.sentence_2}\t{p.gold:.1f}\n" for p in task.pairs)
+    files["nli.tsv"] = "".join(
+        f"{p.premise}\t{p.hypothesis}\t{p.label}\n" for p in world.nli)
     mapping = {
         "spec": {
             "clusters": spec.clusters,
@@ -219,9 +215,9 @@ def gen_synthetic_world(spec: SyntheticWorldSpec, out_dir) -> SyntheticWorld:
         "cluster_of": world.cluster_of,
         "splits": {s: world.sentences[s] for s in ("train", "dev", "test")},
     }
-    with open(os.path.join(out_dir, "world.json"), "w", encoding="utf-8") as fh:
-        json.dump(mapping, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    files["world.json"] = json.dumps(mapping, indent=2, sort_keys=True) + "\n"
+    for name, text in files.items():
+        write_atomic(os.path.join(out_dir, name), text.encode("utf-8"))
     return world
 
 

@@ -2,6 +2,7 @@
 refusal of corrupt, truncated, or newer-versioned files."""
 
 import hashlib
+import json
 import struct
 
 import numpy as np
@@ -177,6 +178,104 @@ def test_trailing_bytes_refused(tiny_model, tmp_path):
     bad.write_bytes(signed)
     with pytest.raises(CheckpointError, match="trailing"):
         load_checkpoint(bad)
+
+
+def _resealed(blob: bytes, edit) -> bytes:
+    """A copy of a checkpoint whose metadata dict and list of tensor
+    payloads `edit(meta, payloads)` has changed in place, re-signed so
+    that the checksum passes."""
+    body = blob[:-32]
+    sections, off = [], 8
+    while off < len(body):
+        (length,) = struct.unpack("<Q", body[off:off + 8])
+        sections.append(body[off + 8:off + 8 + length])
+        off += 8 + length
+    meta = json.loads(sections[0])
+    payloads = sections[1:]
+    edit(meta, payloads)
+    meta_json = json.dumps(meta, sort_keys=True, separators=(",", ":"))
+    body = body[:8] + b"".join(struct.pack("<Q", len(s)) + s for s in
+                               [meta_json.encode("utf-8")] + payloads)
+    return body + hashlib.sha256(body).digest()
+
+
+def _drop(meta, payloads):
+    del meta["tensors"][2], payloads[2]
+
+
+def _add(meta, payloads):
+    meta["tensors"].append({"name": "extra", "shape": [2]})
+    payloads.append(np.zeros(2).tobytes())
+
+
+def _rename(meta, payloads):
+    meta["tensors"][0]["name"] = "tok_embedding"
+
+
+def _reshape(meta, payloads):
+    # same byte count, so only the shape check can catch it
+    entry = next(t for t in meta["tensors"] if t["name"] == "l0.w1")
+    entry["shape"] = entry["shape"][::-1]
+
+
+def _reorder(meta, payloads):
+    t = meta["tensors"]
+    t[2], t[3], payloads[2], payloads[3] = t[3], t[2], payloads[3], payloads[2]
+
+
+def _no_tensors(meta, payloads):
+    del meta["tensors"]
+
+
+def _zero_heads(meta, payloads):
+    meta["arch"]["heads"] = 0
+
+
+def _empty_flow(meta, payloads):
+    meta["tensors"], payloads[:] = [], []
+
+
+def _negative_dim(meta, payloads):
+    meta["dim"] = -4
+
+
+def _overflowing_hidden(meta, payloads):
+    meta["hidden"] = 10**30
+
+
+def _unallocatable_hidden(meta, payloads):
+    # 2**62 bytes: beyond any address space, so allocation fails at once
+    meta["hidden"] = 2**56
+
+
+def _unknown_kind(meta, payloads):
+    meta["kind"] = "tokenizer"
+
+
+@pytest.mark.parametrize("artifact,edit", [
+    ("encoder", _drop), ("encoder", _add), ("encoder", _rename),
+    ("encoder", _reshape), ("encoder", _reorder), ("encoder", _no_tensors),
+    ("encoder", _zero_heads), ("flow", _empty_flow), ("flow", _rename),
+    ("flow", _negative_dim), ("flow", _overflowing_hidden),
+    ("flow", _unallocatable_hidden), ("flow", _unknown_kind),
+])
+def test_loader_rejects_metadata_that_disagrees_with_constructor(
+        artifact, edit, tiny_model, tmp_path):
+    """Checksum-valid files whose metadata does not rebuild exactly the
+    tensors they carry raise CheckpointError, never a loaded model or an
+    uncaught KeyError/ZeroDivisionError."""
+    model = tiny_model if artifact == "encoder" else CouplingFlow(8, 2)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_resealed(checkpoint_bytes(model), edit))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+
+def test_resealed_identity_edit_still_loads(tiny_model, tmp_path):
+    path = tmp_path / "same.ckpt"
+    path.write_bytes(_resealed(checkpoint_bytes(tiny_model), lambda m, p: None))
+    assert checkpoint_bytes(load_checkpoint(path)) == checkpoint_bytes(
+        tiny_model)
 
 
 def test_unknown_artifact_rejected():

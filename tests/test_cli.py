@@ -14,6 +14,7 @@ import shutil
 import numpy as np
 import pytest
 
+from sedkit.checkpoint import save_checkpoint
 from sedkit.cli import main, read_corpus, sample_corpus
 from sedkit.config import (ArchSection, CtSection, DataSection, EvalSection,
                            FlowSection, GridSection, NliSection,
@@ -22,6 +23,7 @@ from sedkit.config import (ArchSection, CtSection, DataSection, EvalSection,
 from sedkit.errors import DataError
 from sedkit.evalsts import load_sts_tsv
 from sedkit.experiments import DataBundle, PipelineSpec, run_pipeline
+from sedkit.flow import CouplingFlow
 from sedkit.synthetic import load_nli_tsv
 
 WORLD_ARGS = ["--clusters", "3", "--sentences-per-cluster", "10",
@@ -97,11 +99,29 @@ def test_missing_file_exits_1(tmp_path, capsys):
 
 
 def test_bad_checkpoint_kind_exits_1(workspace, tmp_path, capsys):
-    rc = main(["evaluate", "--model", workspace["corpus"],
-               "--task", str(workspace["world"] / "sts_test.tsv"),
-               "--out", str(tmp_path)])
-    assert rc == 1
-    assert "error:" in capsys.readouterr().err
+    """A file that is no checkpoint, a checkpoint of the wrong kind, and a
+    checksum-valid encoder whose metadata says heads = 0 (which used to
+    escape as a ZeroDivisionError traceback) each exit 1 with a message."""
+    flow_path = tmp_path / "flow.ckpt"
+    save_checkpoint(CouplingFlow(8, 2), flow_path)
+    body = open(workspace["base"], "rb").read()[:-32]
+    assert body.count(b'"heads":2') == 1
+    body = body.replace(b'"heads":2', b'"heads":0')
+    heads0 = tmp_path / "heads0.ckpt"
+    heads0.write_bytes(body + hashlib.sha256(body).digest())
+    base = workspace["base"]
+    for model, flow, message in (
+            (workspace["corpus"], [], "checksum"),
+            (flow_path, [], "expected EncoderModel"),
+            (base, ["--flow", base], "expected CouplingFlow"),
+            (heads0, [], "invalid checkpoint metadata")):
+        rc = main(["evaluate", "--model", str(model),
+                   "--task", str(workspace["world"] / "sts_test.tsv"),
+                   "--out", str(tmp_path)] + flow)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err, err
+    assert not (tmp_path / "report.csv").exists()
 
 
 def test_bad_eval_metric_exits_1(workspace, tmp_path, capsys):
