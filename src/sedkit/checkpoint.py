@@ -19,6 +19,9 @@ the ones that constructor makes, in order, so the constructors are the
 only source of tensor names and shapes. The same save on the same
 artifact is byte-identical, which makes checkpoint hashes meaningful in
 run manifests.
+
+The module also holds the toolkit's plain-file I/O: `write_atomic`, and
+the one text-input reader that the corpus, STS and NLI loaders parse.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ import struct
 import numpy as np
 
 from .diffcore import Tensor
-from .encoder import EncoderArch, EncoderModel, Vocabulary, init_encoder
-from .errors import CheckpointError, CheckpointVersionError
+from .encoder import EncoderArch, EncoderModel, Vocabulary, _build_encoder
+from .errors import CheckpointError, CheckpointVersionError, DataError
 from .flow import CouplingFlow
 
 MAGIC = b"SEDK"
@@ -68,10 +71,11 @@ def _header(artifact) -> dict:
 
 def _rebuild(meta: dict):
     """A freshly constructed artifact of the kind and sizes `meta` names;
-    its tensors are placeholders that the loader overwrites."""
+    its tensors are placeholders that the loader overwrites, so encoder
+    weights are left undrawn."""
     if meta["kind"] == "encoder":
-        return init_encoder(EncoderArch(**meta["arch"]),
-                            Vocabulary(meta["vocab"]), seed=0)
+        return _build_encoder(EncoderArch(**meta["arch"]),
+                              Vocabulary(meta["vocab"]), np.empty)
     if meta["kind"] == "flow":
         return CouplingFlow(meta["dim"], meta["n_layers"], meta["hidden"],
                             seed=0)
@@ -114,6 +118,51 @@ def write_atomic(path, blob: bytes) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line of the UTF-8 file at
+    `path`; CRLF and a lone CR end a line as LF does. A byte that is not
+    UTF-8 raises `DataError` naming the path and its line."""
+    with open(str(path), "rb") as fh:
+        text = fh.read().decode("utf-8", "surrogateescape")
+    lines = []
+    for n, line in enumerate(
+            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"),
+            start=1):
+        if not line.strip():
+            continue
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise DataError(f"{path}: line {n}: byte {byte:#04x} is not "
+                            "UTF-8") from None
+        lines.append((n, line))
+    return lines
+
+
+def read_tsv(path, parse) -> list:
+    """`parse(field_1, field_2, field_3)` of each data line of a 3-field
+    TSV file, in file order. Lines starting with '#' are comments. The
+    first line without exactly 3 tab-separated fields, or that `parse`
+    rejects with a `ValueError`, raises `DataError` naming the path and
+    the line; so does a file without data lines."""
+    rows = []
+    for n, line in read_lines(path):
+        if line.lstrip().startswith("#"):
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(f"{path}: line {n}: expected 3 tab-separated "
+                            f"fields, found {len(fields)}")
+        try:
+            rows.append(parse(*fields))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {n}: {exc}") from exc
+    if not rows:
+        raise DataError(f"{path}: no data lines")
+    return rows
 
 
 def checkpoint_hash(artifact) -> str:

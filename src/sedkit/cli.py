@@ -17,7 +17,8 @@ import sys
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, save_checkpoint, write_atomic
+from .checkpoint import (load_checkpoint, read_lines, save_checkpoint,
+                         write_atomic)
 from .config import RunConfig, default_config, load_config, render_config
 from .encoder import EncoderModel, PoolingSpec
 from .errors import DataError
@@ -34,11 +35,9 @@ from .synthetic import SyntheticWorldSpec, gen_synthetic_world, load_nli_tsv
 
 
 def read_corpus(path) -> list[str]:
-    """Non-empty lines of a UTF-8 text file, order preserved."""
-    with open(str(path), "rb") as fh:
-        text = fh.read().decode("utf-8")
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = [line for line in text.split("\n") if line.strip()]
+    """Non-blank lines of a UTF-8 text file, exactly as written and in
+    order; '#' is not special (see `checkpoint.read_lines`)."""
+    lines = [line for _, line in read_lines(path)]
     if not lines:
         raise DataError(f"no sentences in {path}")
     return lines
@@ -233,6 +232,9 @@ def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
                             metric=cfg.eval.metric,
                             metadata={"model": str(args.model),
                                       "seed": cfg.run.seed})
+    if not report.per_task:
+        raise DataError("no task evaluated: "
+                        + "; ".join(report.failed.values()))
     path = os.path.join(out, "report.csv")
     write_report_csv(report, path)
     for name, res in report.per_task.items():

@@ -26,21 +26,6 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _NEG_BIAS = -1e30  # additive attention bias; exp() underflows to exactly 0
 _LN_EPS = 1e-5
 
-# sentences truncated to max_len since process start or the last
-# reset_truncation_count(), read by truncation_count(); no manifest or
-# report records it yet
-_TRUNCATION_COUNT = 0
-
-
-def truncation_count() -> int:
-    return _TRUNCATION_COUNT
-
-
-def reset_truncation_count() -> None:
-    global _TRUNCATION_COUNT
-    _TRUNCATION_COUNT = 0
-
-
 class Vocabulary:
     """Dense token-to-id map with pad/unk/mask specials at ids 0/1/2."""
 
@@ -193,16 +178,18 @@ def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 def init_encoder(arch: EncoderArch, vocab: Vocabulary, seed: int) -> EncoderModel:
     """Deterministic scaled-normal initialization (std 0.02, BERT-style)."""
     rng = np.random.default_rng(seed)
+    return _build_encoder(arch, vocab,
+                          lambda shape: rng.normal(0.0, 0.02, size=shape))
+
+
+def _build_encoder(arch: EncoderArch, vocab: Vocabulary,
+                   weight) -> EncoderModel:
+    """The one table of encoder tensor names and shapes: each weight
+    matrix is `weight(shape)`, biases are zero, layer-norm gains one."""
     params: dict[str, Tensor] = {}
 
-    def add(name, shape, zero=False, one=False):
-        if one:
-            data = np.ones(shape)
-        elif zero:
-            data = np.zeros(shape)
-        else:
-            data = rng.normal(0.0, 0.02, size=shape)
-        params[name] = Tensor(data, requires_grad=True)
+    def add(name, shape, fill=weight):
+        params[name] = Tensor(fill(shape), requires_grad=True)
 
     D, F = arch.hidden, arch.ff
     add("tok_emb", (vocab.size, D))
@@ -212,30 +199,26 @@ def init_encoder(arch: EncoderArch, vocab: Vocabulary, seed: int) -> EncoderMode
         for w in ("wq", "wk", "wv", "wo"):
             add(pre + w, (D, D))
         for b in ("bq", "bk", "bv", "bo"):
-            add(pre + b, (D,), zero=True)
+            add(pre + b, (D,), np.zeros)
         add(pre + "w1", (D, F))
-        add(pre + "c1", (F,), zero=True)
+        add(pre + "c1", (F,), np.zeros)
         add(pre + "w2", (F, D))
-        add(pre + "c2", (D,), zero=True)
-        add(pre + "ln1_g", (D,), one=True)
-        add(pre + "ln1_b", (D,), zero=True)
-        add(pre + "ln2_g", (D,), one=True)
-        add(pre + "ln2_b", (D,), zero=True)
+        add(pre + "c2", (D,), np.zeros)
+        add(pre + "ln1_g", (D,), np.ones)
+        add(pre + "ln1_b", (D,), np.zeros)
+        add(pre + "ln2_g", (D,), np.ones)
+        add(pre + "ln2_b", (D,), np.zeros)
     return EncoderModel(arch, vocab, params)
 
 
 def batch_ids(model: EncoderModel, sentences) -> tuple[np.ndarray, np.ndarray]:
     """Tokenize, truncate to max_len and pad a list of sentences."""
-    global _TRUNCATION_COUNT
     T = model.arch.max_len
     B = len(sentences)
     ids = np.full((B, T), model.vocab.pad_id, dtype=np.intp)
     mask = np.zeros((B, T))
     for i, sentence in enumerate(sentences):
-        toks = tokenize(sentence, model.vocab)
-        if len(toks) > T:
-            toks = toks[:T]
-            _TRUNCATION_COUNT += 1
+        toks = tokenize(sentence, model.vocab)[:T]
         ids[i, : len(toks)] = toks
         mask[i, : len(toks)] = 1.0
     return ids, mask

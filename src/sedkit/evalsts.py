@@ -17,29 +17,17 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import read_tsv, write_atomic
 from .config import METRICS
 from .encoder import EncoderModel, PoolingSpec, encode_many
 from .errors import ConstantInputError, DataError, ShapeMismatchError
 from .flow import flow_forward
-
-_zero_norm_count = 0
-
-
-def zero_norm_count() -> int:
-    """How many cosine calls hit a zero-norm vector since the last reset."""
-    return _zero_norm_count
-
-
-def reset_zero_norm_count() -> None:
-    global _zero_norm_count
-    _zero_norm_count = 0
-
 
 @dataclass(frozen=True)
 class ScoredPair:
@@ -99,8 +87,6 @@ def cosine(u, v) -> float:
         raise ShapeMismatchError(f"cosine shapes {u.shape} vs {v.shape}")
     nu, nv = np.linalg.norm(u), np.linalg.norm(v)
     if nu == 0.0 or nv == 0.0:
-        global _zero_norm_count
-        _zero_norm_count += 1
         warnings.warn("zero-norm vector in cosine; returning 0")
         return 0.0
     return float(np.dot(u, v) / (nu * nv))
@@ -238,47 +224,13 @@ def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
 
 
 def load_sts_tsv(path) -> StsTask:
-    """Parse sentence1 TAB sentence2 TAB gold lines into a task.
-
-    Lines starting with '#' and blank lines are skipped. Malformed or
-    out-of-range lines are collected and reported in the raised error
-    only when no line at all is usable; otherwise they are attached to
-    the returned task via the module-level `last_load_errors` list.
-    """
-    path = str(path)
-    with open(path, "rb") as fh:
-        text = fh.read().decode("utf-8")
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    pairs: list[ScoredPair] = []
-    bad: list[str] = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        cells = line.split("\t")
-        if len(cells) != 3:
-            bad.append(f"line {lineno}: expected 3 tab-separated fields")
-            continue
-        s1, s2, g = cells
-        try:
-            gold = float(g)
-        except ValueError:
-            bad.append(f"line {lineno}: gold {g!r} is not a number")
-            continue
-        if not (0.0 <= gold <= 5.0):
-            bad.append(f"line {lineno}: gold {gold} outside [0, 5]")
-            continue
-        pairs.append(ScoredPair(s1, s2, gold))
-    global last_load_errors
-    last_load_errors = bad
-    if not pairs:
-        detail = "; ".join(bad) if bad else "file is empty"
-        raise DataError(f"no valid lines in {path}: {detail}")
-    import os
-    name = os.path.splitext(os.path.basename(path))[0]
+    """The task in a sentence1 TAB sentence2 TAB gold file, named after
+    the file's stem. Blank and '#' lines are skipped; the first line that
+    is not 3 fields with a gold number in [0, 5] raises `DataError`
+    naming the path and the line (see `checkpoint.read_tsv`)."""
+    pairs = read_tsv(path, lambda s1, s2, g: ScoredPair(s1, s2, float(g)))
+    name = os.path.splitext(os.path.basename(str(path)))[0]
     return StsTask(name=name, pairs=tuple(pairs))
-
-
-last_load_errors: list[str] = []
 
 
 def write_report_csv(report: CorrelationReport, path) -> None:

@@ -52,13 +52,10 @@ class RegressionTargetMap:
     """Affine map from gold similarity [0, 5] onto [lower_bound, 1]."""
 
     lower_bound: float = 0.0
-    upper_bound: float = 1.0
 
     def __post_init__(self):
         if not 0.0 <= self.lower_bound <= 0.95:
             raise DataError("lower_bound must lie in [0, 0.95]")
-        if self.upper_bound != 1.0:
-            raise DataError("target upper bound is fixed at 1")
 
     def target(self, gold: float) -> float:
         if not 0.0 <= gold <= 5.0:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import write_atomic
+from .checkpoint import read_tsv, write_atomic
 from .errors import DataError
 from .evalsts import ScoredPair, StsTask
 from .objectives import LabeledNliPair
@@ -222,18 +222,6 @@ def gen_synthetic_world(spec: SyntheticWorldSpec, out_dir) -> SyntheticWorld:
 
 
 def load_nli_tsv(path) -> list[LabeledNliPair]:
-    """premise TAB hypothesis TAB label lines; blank lines skipped."""
-    pairs = []
-    with open(str(path), "rb") as fh:
-        text = fh.read().decode("utf-8")
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        cells = line.split("\t")
-        if len(cells) != 3:
-            raise DataError(f"{path}: line {lineno} is not 3 tab fields")
-        pairs.append(LabeledNliPair(cells[0], cells[1], cells[2]))
-    if not pairs:
-        raise DataError(f"no NLI pairs in {path}")
-    return pairs
+    """premise TAB hypothesis TAB label lines, read like an STS file:
+    blank and '#' lines skipped, the first bad line or label rejected."""
+    return read_tsv(path, LabeledNliPair)

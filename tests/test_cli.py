@@ -225,12 +225,16 @@ def test_train_ct_on_nan_base_exits_1(workspace, tmp_path, capsys):
 
 
 def test_train_nli_writes_checkpoint(workspace, tmp_path):
-    rc = main(["train-nli", "--config", workspace["ini"],
-               "--base", workspace["base"],
-               "--nli", str(workspace["world"] / "nli.tsv"),
-               "--out", str(tmp_path)])
-    assert rc == 0
-    assert (tmp_path / "nli_0.ckpt").exists()
+    """A leading '#' line is a comment: it trains the same member."""
+    nli = workspace["world"] / "nli.tsv"
+    commented = tmp_path / "commented.tsv"
+    commented.write_text("# premise\thypothesis\tlabel\n" + nli.read_text())
+    for path, out in ((nli, tmp_path / "plain"), (commented, tmp_path)):
+        rc = main(["train-nli", "--config", workspace["ini"],
+                   "--base", workspace["base"], "--nli", str(path),
+                   "--out", str(out)])
+        assert rc == 0
+    assert sha(tmp_path / "nli_0.ckpt") == sha(tmp_path / "plain/nli_0.ckpt")
 
 
 def test_train_sed_pipeline_and_arch_mismatch(workspace, tmp_path, capsys):
@@ -390,6 +394,64 @@ def test_evaluate_pool_flag_changes_scores(workspace, tmp_path):
     assert texts[0] != texts[1]
 
 
+def test_malformed_input_exits_1_naming_file_and_line(workspace, tmp_path,
+                                                      capsys):
+    """A bad STS line, an unknown NLI label and a byte that is not UTF-8
+    each stop the command with the file and line; nothing is written."""
+    world = workspace["world"]
+    sts = (world / "sts_test.tsv").read_bytes().splitlines(keepends=True)
+    nli = (world / "nli.tsv").read_bytes().splitlines(keepends=True)
+    bad_sts = tmp_path / "bad_sts.tsv"
+    bad_sts.write_bytes(b"".join(sts[:5] + [b"a\tb\n"] + sts[5:]))
+    bad_label = tmp_path / "bad_label.tsv"
+    bad_label.write_bytes(b"".join(nli[:2] + [b"a\tb\tmaybe\n"] + nli[2:]))
+    latin1_sts = tmp_path / "latin1.tsv"
+    latin1_sts.write_bytes(b"".join(sts[:2] + [b"caf\xe9\tb\t1.0\n"]))
+    latin1_corpus = tmp_path / "latin1.txt"
+    latin1_corpus.write_bytes(b"alpha\r\rbeta\r\n\t\ncaf\xe9\n\xff\n")
+    out = tmp_path / "out"
+    common = ["--config", workspace["ini"], "--out", str(out)]
+    for argv, path, where in (
+            (["evaluate", "--model", workspace["base"], "--task"], bad_sts,
+             "line 6: expected 3 tab-separated fields, found 2"),
+            (["train-nli", "--base", workspace["base"], "--nli"], bad_label,
+             "line 3: unknown NLI label: 'maybe'"),
+            (["evaluate", "--model", workspace["base"], "--task"], latin1_sts,
+             "line 3: byte 0xe9 is not UTF-8"),
+            (["pretrain", "--corpus"], latin1_corpus,
+             "line 5: byte 0xe9 is not UTF-8")):
+        assert main(argv + [str(path)] + common) == 1
+        assert capsys.readouterr().err == f"error: {path}: {where}\n"
+    assert os.listdir(out) == []
+
+
+def test_evaluate_exits_1_when_no_task_evaluates(workspace, tmp_path,
+                                                 capsys):
+    """Constant gold leaves no correlation: exit 1 naming the task and no
+    report. With one good task beside it the report is partial: exit 0,
+    the failure noted on stderr and recorded in the sidecar."""
+    constant = tmp_path / "constant.tsv"
+    constant.write_text("".join(
+        line.rsplit("\t", 1)[0] + "\t2.0\n" for line in
+        (workspace["world"] / "sts_test.tsv").read_text().splitlines()))
+    argv = ["evaluate", "--config", workspace["ini"],
+            "--model", workspace["base"], "--task", str(constant),
+            "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: no task evaluated: task 'constant':")
+    assert "constant input" in err
+    assert not (tmp_path / "report.csv").exists()
+    good = str(workspace["world"] / "sts_test.tsv")
+    assert main(argv + ["--task", good]) == 0
+    captured = capsys.readouterr()
+    assert "partial report; failed tasks: ['constant']" in captured.err
+    assert "sts_test:" in captured.out
+    sidecar = json.loads((tmp_path / "report.csv.meta.json").read_text())
+    assert sidecar["partial"] is True and sidecar["n_tasks"] == 1
+    assert list(sidecar["failed"]) == ["constant"]
+
+
 def test_evaluate_requires_some_task(workspace, tmp_path, capsys):
     rc = main(["evaluate", "--config", workspace["ini"],
                "--model", workspace["base"], "--out", str(tmp_path)])
@@ -433,8 +495,10 @@ def test_env_out_dir_fallback(tmp_path, monkeypatch):
 
 def test_read_corpus_normalizes_newlines(tmp_path):
     path = tmp_path / "c.txt"
-    path.write_bytes(b"alpha beta\r\n\r\ngamma\rdelta\n\n")
-    assert read_corpus(path) == ["alpha beta", "gamma", "delta"]
+    path.write_bytes(b"alpha beta\r\n\r\ngamma\rdelta\n\n# kept \t\n"
+                     b"caf\xc3\xa9\n")
+    assert read_corpus(path) == ["alpha beta", "gamma", "delta", "# kept \t",
+                                 "caf\u00e9"]
     (tmp_path / "empty.txt").write_text("\n\n")
     with pytest.raises(DataError):
         read_corpus(tmp_path / "empty.txt")

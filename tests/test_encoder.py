@@ -73,15 +73,14 @@ def test_batch_ids_pads_to_max_len(tiny_model):
     assert (ids[1, 1:] == tiny_model.vocab.pad_id).all()
 
 
-def test_truncation_counter(tiny_model):
-    enc.reset_truncation_count()
-    long = " ".join(["w000"] * (tiny_model.arch.max_len + 5))
-    batch_ids(tiny_model, [long, "w000"])
-    assert enc.truncation_count() == 1
-    batch_ids(tiny_model, [long, long])
-    assert enc.truncation_count() == 3
-    enc.reset_truncation_count()
-    assert enc.truncation_count() == 0
+def test_truncation_keeps_first_max_len_ids(tiny_model):
+    vocab, T = tiny_model.vocab, tiny_model.arch.max_len
+    words = vocab.tokens[3 : 3 + T + 5]
+    assert len(set(words)) == T + 5
+    ids, mask = batch_ids(tiny_model, [" ".join(words), words[0]])
+    assert ids[0].tolist() == [vocab.token_to_id[w] for w in words[:T]]
+    assert (mask[0] == 1.0).all()
+    assert mask[1].tolist() == [1.0] + [0.0] * (T - 1)
 
 
 def test_padding_invariance_bitwise(tiny_model, tiny_corpus):

@@ -6,6 +6,8 @@ import csv
 import functools
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -124,14 +126,14 @@ def test_cosine_values():
 
 
 def test_cosine_zero_norm_counter():
-    ev.reset_zero_norm_count()
-    with pytest.warns(UserWarning, match="zero-norm"):
+    """Every zero-norm cosine warns once, and no other cosine warns."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert cosine([0.0, 0.0], [1.0, 2.0]) == 0.0
-    with pytest.warns(UserWarning):
-        cosine([1.0, 2.0], [0.0, 0.0])
-    assert ev.zero_norm_count() == 2
-    ev.reset_zero_norm_count()
-    assert ev.zero_norm_count() == 0
+        assert cosine([1.0, 2.0], [0.0, 0.0]) == 0.0
+        cosine([1.0, 2.0], [2.0, 1.0])
+    assert [(w.category, str(w.message)) for w in caught] == 2 * [
+        (UserWarning, "zero-norm vector in cosine; returning 0")]
 
 
 # -- task evaluation ------------------------------------------------------
@@ -362,9 +364,8 @@ def test_load_sts_tsv_basic(tmp_path):
                  "g h\ti j\t0\n")
     task = load_sts_tsv(f)
     assert task.name == "mytask"
-    assert len(task.pairs) == 2
-    assert task.pairs[0] == ScoredPair("a b c", "d e f", 3.5)
-    assert ev.last_load_errors == []
+    assert task.pairs == (ScoredPair("a b c", "d e f", 3.5),
+                          ScoredPair("g h", "i j", 0.0))
 
 
 def test_load_sts_tsv_crlf_equivalent(tmp_path):
@@ -377,30 +378,35 @@ def test_load_sts_tsv_crlf_equivalent(tmp_path):
     assert t1.pairs == t2.pairs
 
 
-def test_load_sts_tsv_records_bad_lines(tmp_path):
+def test_load_sts_tsv_rejects_first_bad_line(tmp_path):
+    """One malformed line rejects the whole file, naming the path and the
+    physical line (comments, blank lines and CR endings count)."""
     f = tmp_path / "messy.tsv"
-    f.write_text("a\tb\t1.0\n"
-                 "only two\tfields\n"
-                 "a\tb\tseven\n"
-                 "a\tb\t7.0\n"
-                 "c\td\t4.0\n")
-    task = load_sts_tsv(f)
-    assert len(task.pairs) == 2
-    assert len(ev.last_load_errors) == 3
-    assert any("3 tab-separated" in e for e in ev.last_load_errors)
-    assert any("not a number" in e for e in ev.last_load_errors)
-    assert any("outside [0, 5]" in e for e in ev.last_load_errors)
+    fields = "expected 3 tab-separated fields, found"
+    for bad, reason in (("only two\tfields", f"{fields} 2"),
+                        ("a\tb\tc\t1.0", f"{fields} 4"),
+                        ("a\tb\tseven", "could not convert .*'seven'"),
+                        ("a\tb\t7.0", r"gold score 7.0 outside \[0, 5\]"),
+                        ("a\tb\tnan", r"gold score nan outside \[0, 5\]")):
+        f.write_bytes(("# c\r\na\tb\t1.0\r\n\r\n" + bad
+                       + "\r\na\tb\tworse\r\nc\td\t4.0\r\n").encode())
+        where = re.escape(f"{f}: line 4: ")
+        with pytest.raises(DataError, match=f"^{where}{reason}$"):
+            load_sts_tsv(f)
 
 
 def test_load_sts_tsv_no_valid_lines(tmp_path):
     f = tmp_path / "broken.tsv"
     f.write_text("bad line\nworse\t9.0\n")
-    with pytest.raises(DataError, match="no valid lines"):
+    with pytest.raises(DataError, match="line 1: expected 3"):
         load_sts_tsv(f)
-    empty = tmp_path / "empty.tsv"
-    empty.write_text("")
-    with pytest.raises(DataError):
-        load_sts_tsv(empty)
+    for name, text in (("empty", ""), ("blank", "\n \n"),
+                       ("comments", "# a\tb\t1.0\n\n#\n")):
+        path = tmp_path / f"{name}.tsv"
+        path.write_text(text)
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}: no data lines$"):
+            load_sts_tsv(path)
 
 
 # -- CSV reporting --------------------------------------------------------

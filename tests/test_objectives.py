@@ -251,8 +251,6 @@ def test_target_map_validation():
     with pytest.raises(DataError):
         RegressionTargetMap(-0.01)
     with pytest.raises(DataError):
-        RegressionTargetMap(0.5, upper_bound=0.9)
-    with pytest.raises(DataError):
         RegressionTargetMap(0.0).target(5.1)
 
 

@@ -4,11 +4,13 @@ the emitted mapping file, byte-identical regeneration, and NLI labels."""
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from sedkit.errors import DataError
+from sedkit.objectives import LabeledNliPair
 from sedkit.synthetic import (GOLD_MIN_TARGET, SyntheticWorldSpec,
                               build_synthetic_world, gen_synthetic_world,
                               load_nli_tsv, quantize_gold)
@@ -174,14 +176,20 @@ def test_emitted_files_parse_back(tmp_path):
 
 
 def test_load_nli_tsv_guards(tmp_path):
-    bad = tmp_path / "bad.tsv"
-    bad.write_text("just one field\n")
-    with pytest.raises(DataError):
-        load_nli_tsv(bad)
-    empty = tmp_path / "empty.tsv"
-    empty.write_text("\n\n")
-    with pytest.raises(DataError):
-        load_nli_tsv(empty)
+    path = tmp_path / "nli.tsv"
+    for text, message in (
+            ("just one field\n",
+             "line 1: expected 3 tab-separated fields, found 1"),
+            ("a\tb\tneutral\na\tb\tmaybe\n",
+             "line 2: unknown NLI label: 'maybe'"),
+            ("\n\n", "no data lines"),
+            ("# premise\thypothesis\tlabel\n", "no data lines")):
+        path.write_text(text)
+        with pytest.raises(DataError,
+                           match=f"^{re.escape(str(path))}: {message}$"):
+            load_nli_tsv(path)
+    path.write_text("# premise\thypothesis\tlabel\n\na\tb\tentailment\n")
+    assert load_nli_tsv(path) == [LabeledNliPair("a", "b", "entailment")]
 
 
 def test_lexical_signal_present():
