@@ -3,8 +3,9 @@ grids: k pools the token-mean vectors of the final k hidden states."""
 
 import numpy as np
 
-from sedkit.encoder import (EncoderArch, PoolingSpec, PretrainConfig, encode,
-                            encode_batch, pretrain_base)
+from sedkit.config import PretrainSection
+from sedkit.encoder import (EncoderArch, PoolingSpec, encode, encode_batch,
+                            pretrain_base)
 from sedkit.synthetic import SyntheticWorldSpec, build_synthetic_world
 import sedkit.diffcore as dc
 
@@ -15,8 +16,8 @@ print(f"corpus: {len(world.corpus)} sentences, e.g. {world.corpus[0]!r}")
 
 arch = EncoderArch(layers=2, hidden=32, heads=2, ff=64, max_len=32)
 model = pretrain_base(world.corpus, arch,
-                      PretrainConfig(steps=120, batch=16, lr=1e-3,
-                                     mask_prob=0.15, seed=0))
+                      PretrainSection(steps=120, batch=16, lr=1e-3,
+                                      mask_prob=0.15), seed=0)
 
 s = world.corpus[0]
 for k in (1, 2, 3):

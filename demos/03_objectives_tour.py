@@ -4,7 +4,8 @@ regression toward remapped gold scores."""
 
 import numpy as np
 
-from sedkit.encoder import EncoderArch, PoolingSpec, PretrainConfig, pretrain_base
+from sedkit.config import PretrainSection
+from sedkit.encoder import EncoderArch, PoolingSpec, pretrain_base
 from sedkit.evalsts import ScoredPair
 from sedkit.objectives import (EnsembleSpec, NliHead, RegressionTargetMap,
                                ct_loss, ensemble_mean_embeddings,
@@ -18,8 +19,8 @@ world = build_synthetic_world(
                        sts_pairs=20, nli_pairs=30, seed=2))
 arch = EncoderArch(layers=2, hidden=16, heads=2, ff=32, max_len=16)
 model = pretrain_base(world.corpus, arch,
-                      PretrainConfig(steps=80, batch=16, lr=1e-3,
-                                     mask_prob=0.15, seed=0))
+                      PretrainSection(steps=80, batch=16, lr=1e-3,
+                                      mask_prob=0.15), seed=0)
 pool = PoolingSpec(1)
 
 # contrastive tension: blocks of one identical pair and 7 negatives

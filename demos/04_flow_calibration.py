@@ -4,15 +4,16 @@ a brute-force Jacobian."""
 
 import numpy as np
 
-from sedkit.flow import (CouplingFlow, FlowFitConfig, fit_flow, flow_forward,
-                         flow_inverse, flow_nll_value, flow_score)
+from sedkit.config import FlowSection
+from sedkit.flow import (CouplingFlow, fit_flow, flow_forward, flow_inverse,
+                         flow_nll_value, flow_score)
 
 rng = np.random.default_rng(4)
 X = rng.normal(5.0, 1.0, size=(400, 8))
 
 flow = CouplingFlow(8, n_layers=3, seed=0)
 print(f"NLL under the fresh (identity) flow: {flow_nll_value(flow, X):.4f}")
-fit_flow(flow, X, FlowFitConfig(lr=5e-3, epochs=50, batch=64, seed=1))
+fit_flow(flow, X, FlowSection(lr=5e-3, epochs=50, batch=64), seed=1)
 print(f"NLL after fitting:                   {flow_nll_value(flow, X):.4f}")
 
 z, log_det = flow_forward(flow, X[:32])

@@ -8,17 +8,17 @@ self-contained reverse-mode autodiff core.
 
 from .diffcore import (Adam, LinearDecay, RMSProp, Tensor,
                        WarmupThenConstant, no_grad)
-from .encoder import (EncoderArch, EncoderModel, PoolingSpec, PretrainConfig,
-                      Vocabulary, encode, encode_batch, init_encoder,
-                      pretrain_base, tokenize)
+from .encoder import (EncoderArch, EncoderModel, PoolingSpec, Vocabulary,
+                      encode, encode_batch, init_encoder, pretrain_base,
+                      tokenize)
 from .errors import (CheckpointError, CheckpointVersionError, ConfigError,
                      ConstantInputError, DataError, DivergenceError,
                      ShapeMismatchError)
 from .evalsts import (CorrelationReport, ScoredPair, StsTask, cosine,
                       evaluate_suite, evaluate_task, load_sts_tsv, pearson,
                       spearman, write_report_csv)
-from .flow import (CouplingFlow, FlowFitConfig, fit_flow, flow_forward,
-                   flow_inverse, flow_nll, flow_score)
+from .flow import (CouplingFlow, fit_flow, flow_forward, flow_inverse,
+                   flow_nll, flow_score)
 from .objectives import (CtPair, EnsembleSpec, LabeledNliPair, NliHead,
                          RegressionTargetMap, ct_loss,
                          ensemble_mean_embedding, ensemble_mean_embeddings,

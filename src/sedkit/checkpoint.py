@@ -122,10 +122,11 @@ def write_atomic(path, blob: bytes) -> None:
 
 def read_lines(path) -> list[tuple[int, str]]:
     """(line number, text) of each non-blank line of the UTF-8 file at
-    `path`; CRLF and a lone CR end a line as LF does. A byte that is not
-    UTF-8 raises `DataError` naming the path and its line."""
+    `path`; a leading byte-order mark is dropped, and CRLF and a lone CR
+    end a line as LF does. A byte that is not UTF-8 raises `DataError`
+    naming the path and its line."""
     with open(str(path), "rb") as fh:
-        text = fh.read().decode("utf-8", "surrogateescape")
+        text = fh.read().decode("utf-8-sig", "surrogateescape")
     lines = []
     for n, line in enumerate(
             text.replace("\r\n", "\n").replace("\r", "\n").split("\n"),

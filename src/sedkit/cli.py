@@ -11,22 +11,23 @@ directory before it dispatches to the subcommand.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 
-import numpy as np
-
 from .checkpoint import (load_checkpoint, read_lines, save_checkpoint,
                          write_atomic)
-from .config import RunConfig, default_config, load_config, render_config
+from .config import (RunConfig, _parse_value, default_config, load_config,
+                     render_config, validate_config)
 from .encoder import EncoderModel, PoolingSpec
 from .errors import DataError
 from .evalsts import evaluate_suite, load_sts_tsv, write_report_csv
-from .experiments import (ablation_csv, distill_stage, flow_stage, grid_csv,
-                          grid_search_lower_bound, member_stage,
-                          pooling_ablation, pretrain_stage, stability_csv,
-                          stability_study, supervised_stage, write_manifest)
+from .experiments import (_sized_corpus, ablation_csv, distill_stage,
+                          flow_stage, grid_csv, grid_search_lower_bound,
+                          member_stage, pooling_ablation, pretrain_stage,
+                          stability_csv, stability_study, supervised_stage,
+                          write_manifest)
 # Not called here: perfbench/test_perfbench.py checks that the tracer
 # rebinds and restores this module's `train_ct` binding.
 from .experiments import train_ct  # noqa: F401
@@ -43,42 +44,29 @@ def read_corpus(path) -> list[str]:
     return lines
 
 
-def sample_corpus(path, count: int, seed: int,
-                  with_replacement: bool = False) -> list[str]:
-    """Uniform sentence sample; without replacement unless asked.
-
-    Sentence text is preserved exactly as it appears in the file.
-    """
-    lines = read_corpus(path)
-    if count <= 0:
-        raise DataError("sample count must be positive")
-    rng = np.random.default_rng(seed)
-    if with_replacement:
-        idx = rng.integers(0, len(lines), size=count)
-    else:
-        if count > len(lines):
-            raise DataError(
-                f"asked for {count} of {len(lines)} lines without replacement"
-            )
-        idx = rng.choice(len(lines), size=count, replace=False)
-    return [lines[int(i)] for i in idx]
-
-
 def _resolve_corpus(args, cfg: RunConfig) -> list[str]:
-    lines = read_corpus(args.corpus)
-    size = cfg.data.corpus_size
-    if size and size < len(lines):
-        return sample_corpus(args.corpus, size, cfg.run.seed)
-    return lines
+    return _sized_corpus(cfg, read_corpus(args.corpus))
+
+
+# Each setting flag's argparse dest is the key it overrides in a section.
+_SETTING_FLAGS = {"seed": "run", "bounds": "grid", "seeds_per_bound": "grid",
+                  "lower_bound": "supervised", "runs": "stability",
+                  "pool_k": "eval"}
 
 
 def _load_cfg(args) -> RunConfig:
+    """The --config file (or the defaults) with each given setting flag
+    parsed as its key's INI value and put in its place, validated once."""
     cfg = load_config(args.config) if args.config else default_config()
-    if getattr(args, "seed", None) is not None:
-        import dataclasses
-        cfg = dataclasses.replace(
-            cfg, run=dataclasses.replace(cfg.run, seed=args.seed)
-        )
+    for key, name in _SETTING_FLAGS.items():
+        text = getattr(args, key, None)
+        if text is not None:
+            section = getattr(cfg, name)
+            kind = type(section).__annotations__[key]
+            section = dataclasses.replace(
+                section, **{key: _parse_value(text, kind, name, key)})
+            cfg = dataclasses.replace(cfg, **{name: section})
+    validate_config(cfg)
     return cfg
 
 
@@ -191,11 +179,9 @@ def _cmd_train_supervised(args, cfg: RunConfig, out: str) -> None:
     model = _load(args.model, EncoderModel)
     train_task = load_sts_tsv(args.train_pairs)
     dev_task = load_sts_tsv(args.dev_task)
-    bound = (cfg.supervised.lower_bound if args.lower_bound is None
-             else args.lower_bound)
     trained, trajectory, seed = supervised_stage(
-        cfg, model, list(train_task.pairs), dev_task, bound)
-    text = json.dumps({"lower_bound": bound,
+        cfg, model, list(train_task.pairs), dev_task)
+    text = json.dumps({"lower_bound": cfg.supervised.lower_bound,
                        "dev_spearman_x100": trajectory}, indent=2) + "\n"
     write_atomic(os.path.join(out, "dev_trajectory.json"), text.encode("utf-8"))
     path = _save_stage(out, "supervised", cfg, {"supervised": seed},
@@ -210,12 +196,9 @@ def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
     model = _load(args.model, EncoderModel)
     train_task = load_sts_tsv(args.train_pairs)
     dev_task = load_sts_tsv(args.dev_task)
-    bounds = (tuple(float(b) for b in args.bounds.split(","))
-              if args.bounds else cfg.grid.bounds)
     result = grid_search_lower_bound(
-        model, list(train_task.pairs), dev_task, bounds,
-        args.seeds_per_bound or cfg.grid.seeds_per_bound,
-        cfg=cfg.grid, master_seed=cfg.run.seed,
+        model, list(train_task.pairs), dev_task, cfg.grid.bounds,
+        cfg.grid.seeds_per_bound, cfg=cfg.grid, master_seed=cfg.run.seed,
     )
     path = os.path.join(out, "grid_search.csv")
     write_atomic(path, grid_csv(result).encode("utf-8"))
@@ -227,9 +210,8 @@ def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
     model = _load(args.model, EncoderModel)
     tasks = _load_tasks(args)
     flow = _load(args.flow, CouplingFlow) if args.flow else None
-    pool = PoolingSpec(args.pool if args.pool else cfg.eval.pool_k)
-    report = evaluate_suite(model, tasks, pool, flow=flow,
-                            metric=cfg.eval.metric,
+    report = evaluate_suite(model, tasks, PoolingSpec(cfg.eval.pool_k),
+                            flow=flow, metric=cfg.eval.metric,
                             metadata={"model": str(args.model),
                                       "seed": cfg.run.seed})
     if not report.per_task:
@@ -252,7 +234,7 @@ def _cmd_stability(args, cfg: RunConfig, out: str) -> None:
     base = _load(args.base, EncoderModel)
     corpus = _resolve_corpus(args, cfg)
     tasks = _load_tasks(args)
-    reports = stability_study(base, corpus, tasks, cfg, runs=args.runs)
+    reports = stability_study(base, corpus, tasks, cfg)
     path = os.path.join(out, "stability.csv")
     write_atomic(path, stability_csv(reports).encode("utf-8"))
     for name, rep in reports.items():
@@ -281,7 +263,7 @@ def _cmd_gen_synthetic(args, cfg: RunConfig, out: str) -> None:
     spec = SyntheticWorldSpec(
         clusters=args.clusters, sentences_per_cluster=args.sentences_per_cluster,
         vocab_size=args.vocab_size, sts_pairs=args.sts_pairs,
-        nli_pairs=args.nli_pairs, seed=args.seed if args.seed is not None else 0,
+        nli_pairs=args.nli_pairs, seed=cfg.run.seed,
     )
     gen_synthetic_world(spec, out)
     print(f"wrote synthetic world to {out}")
@@ -299,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--config", help="INI run configuration")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="master seed override")
+        p.add_argument("--seed", help="[run] seed")
         return p
 
     p = add("pretrain", _cmd_pretrain, help="masked-token pretraining")
@@ -330,20 +312,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--train-pairs", required=True)
     p.add_argument("--dev-task", required=True)
-    p.add_argument("--lower-bound", type=float)
+    p.add_argument("--lower-bound", help="[supervised] lower_bound")
 
     p = add("grid-search", _cmd_grid_search, help="lower-bound sweep")
     p.add_argument("--model", required=True)
     p.add_argument("--train-pairs", required=True)
     p.add_argument("--dev-task", required=True)
-    p.add_argument("--bounds", help="comma-separated candidate bounds")
-    p.add_argument("--seeds-per-bound", type=int)
+    p.add_argument("--bounds", help="[grid] bounds, comma-separated")
+    p.add_argument("--seeds-per-bound", help="[grid] seeds_per_bound")
 
     p = add("evaluate", _cmd_evaluate, help="STS correlation report")
     p.add_argument("--model", required=True)
     p.add_argument("--tasks", help="directory of task .tsv files")
     p.add_argument("--task", action="append", help="one task file")
-    p.add_argument("--pool", type=int, choices=(1, 2, 3))
+    p.add_argument("--pool", dest="pool_k", help="[eval] pool_k")
     p.add_argument("--flow", help="flow checkpoint for latent scoring")
 
     p = add("stability", _cmd_stability, help="member/ensemble/student spread")
@@ -351,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--tasks", help="directory of task .tsv files")
     p.add_argument("--task", action="append")
-    p.add_argument("--runs", type=int)
+    p.add_argument("--runs", help="[stability] runs")
 
     p = add("ablate-pooling", _cmd_ablate_pooling, help="k in {1,2,3} grid")
     p.add_argument("--model", action="append", required=True,

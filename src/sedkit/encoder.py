@@ -19,7 +19,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .errors import DataError, ShapeMismatchError
+from .errors import ConfigError, DataError, ShapeMismatchError
 
 _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
@@ -84,8 +84,12 @@ class EncoderArch:
     max_len: int = 32
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 1:
+                raise ConfigError(f"arch.{name} must be >= 1")
         if self.hidden % self.heads != 0:
-            raise ShapeMismatchError("hidden must be divisible by heads")
+            raise ShapeMismatchError(
+                "arch.hidden must be divisible by arch.heads")
 
 
 @dataclass(frozen=True)
@@ -265,40 +269,32 @@ def encode_many(model: EncoderModel, sentences, pool: PoolingSpec,
     return np.concatenate(chunks, axis=0)
 
 
-@dataclass(frozen=True)
-class PretrainConfig:
-    steps: int = 300
-    batch: int = 16
-    lr: float = 1e-3
-    mask_prob: float = 0.15
-    seed: int = 0
-
-
-def pretrain_base(corpus, arch: EncoderArch, config: PretrainConfig,
+def pretrain_base(corpus, arch: EncoderArch, cfg, seed: int,
                   vocab: Vocabulary | None = None) -> EncoderModel:
-    """Masked-token reconstruction pretraining of a fresh encoder.
+    """Masked-token reconstruction pretraining of a fresh encoder; `cfg`
+    is a `[pretrain]` section (steps, batch, lr, mask_prob).
 
     Stand-in for large pre-trained weights: a few hundred steps on the
     corpus produce a non-degenerate base checkpoint. Deterministic given
-    the config seed; zero steps returns the initialized weights unchanged.
+    `seed`; zero steps returns the initialized weights unchanged.
     """
     corpus = list(corpus)
     if not corpus:
         raise DataError("pretraining corpus is empty")
-    if len(corpus) < config.batch:
+    if len(corpus) < cfg.batch:
         raise DataError(
-            f"corpus has {len(corpus)} sentences, batch size is {config.batch}"
+            f"corpus has {len(corpus)} sentences, batch size is {cfg.batch}"
         )
     if vocab is None:
         vocab = Vocabulary.build(corpus)
-    init_seed, data_seed = _spawn_seeds(config.seed, 2)
+    init_seed, data_seed = _spawn_seeds(seed, 2)
     model = init_encoder(arch, vocab, init_seed)
     rng = np.random.default_rng(data_seed)
     dc.train(dc.Adam(model.parameters()),
-             dc.sample_batches(rng, len(corpus), config.batch, config.steps),
+             dc.sample_batches(rng, len(corpus), cfg.batch, cfg.steps),
              lambda idx: _mlm_loss(model, [corpus[i] for i in idx],
-                                   config.mask_prob, rng),
-             config.lr)
+                                   cfg.mask_prob, rng),
+             cfg.lr)
     return model
 
 

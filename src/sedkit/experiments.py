@@ -12,9 +12,10 @@ and checkpoint hashes) sufficient to reproduce it bit-identically.
 
 Each stage has one function (`pretrain_stage`, `member_stage`,
 `distill_stage`, `flow_stage`, `supervised_stage`) that derives its
-seeds from `cfg.run.seed`, builds its runtime configs, trains without
+seeds from `cfg.run.seed`, trains from its config section without
 touching its inputs, and returns the artifact with the seeds a manifest
 records; `run_pipeline`, the CLI and `stability_study` all use them.
+The first two train on the same `[data] corpus_size` corpus sample.
 """
 
 from __future__ import annotations
@@ -31,14 +32,15 @@ import numpy as np
 
 from . import diffcore as dc
 from .checkpoint import checkpoint_hash, save_checkpoint, write_atomic
-from .config import STAGE_NAMES, RunConfig, render_config, validate_config
-from .encoder import (EncoderArch, EncoderModel, PoolingSpec, PretrainConfig,
-                      encode_batch, encode_many, pretrain_base)
+from .config import (STAGE_NAMES, GridSection, RunConfig, render_config,
+                     validate_config)
+from .encoder import (EncoderModel, PoolingSpec, encode_batch, encode_many,
+                      pretrain_base)
 from .errors import (ConfigError, ConstantInputError, DataError,
                      DivergenceError, ShapeMismatchError)
 from .evalsts import (CorrelationReport, StsTask, evaluate_suite,
                       evaluate_task, score_pairs, score_suite)
-from .flow import CouplingFlow, FlowFitConfig, fit_flow
+from .flow import CouplingFlow, fit_flow
 from .objectives import (EnsembleSpec, NliHead, RegressionTargetMap,
                          ensemble_mean_embeddings, nli_siamese_loss,
                          sample_ct_batches, sed_loss, ct_loss,
@@ -199,13 +201,7 @@ def full_ensemble_predict(ensemble: EnsembleSpec, tasks: list[StsTask],
 def pretrain_stage(cfg: RunConfig, corpus: list[str]) -> tuple[EncoderModel, int]:
     """Stage `pretrain`: a base encoder of the configured arch."""
     seed = derive_seed(cfg.run.seed, "pretrain", 0)
-    a, p = cfg.arch, cfg.pretrain
-    model = pretrain_base(corpus,
-                          EncoderArch(a.layers, a.hidden, a.heads, a.ff,
-                                      a.max_len),
-                          PretrainConfig(p.steps, p.batch, p.lr, p.mask_prob,
-                                         seed))
-    return model, seed
+    return pretrain_base(corpus, cfg.arch, cfg.pretrain, seed), seed
 
 
 def member_stage(kind: str, cfg: RunConfig, base: EncoderModel, data,
@@ -236,9 +232,34 @@ def flow_stage(cfg: RunConfig, model: EncoderModel,
              derive_seed(cfg.run.seed, "flow", 1)]
     embs = encode_many(model, corpus, PoolingSpec(cfg.eval.pool_k))
     flow = CouplingFlow(model.arch.hidden, cfg.flow.layers, seed=seeds[0])
-    fit_flow(flow, embs, FlowFitConfig(cfg.flow.lr, cfg.flow.epochs,
-                                       cfg.flow.batch, seeds[1]))
-    return flow, seeds
+    return fit_flow(flow, embs, cfg.flow, seeds[1]), seeds
+
+
+def sample_corpus(lines: list[str], count: int, seed: int,
+                  with_replacement: bool = False) -> list[str]:
+    """A uniform sample of `count` of `lines`, drawn by `seed`; without
+    replacement unless asked. Sentence text is kept exactly."""
+    if count <= 0:
+        raise DataError("sample count must be positive")
+    rng = np.random.default_rng(seed)
+    if with_replacement:
+        idx = rng.integers(0, len(lines), size=count)
+    else:
+        if count > len(lines):
+            raise DataError(
+                f"asked for {count} of {len(lines)} lines without replacement"
+            )
+        idx = rng.choice(len(lines), size=count, replace=False)
+    return [lines[int(i)] for i in idx]
+
+
+def _sized_corpus(cfg: RunConfig, lines: list[str]) -> list[str]:
+    """A `[data] corpus_size` sample of `lines` drawn by `run.seed`, or
+    all of them when that size is 0 or not below their number."""
+    size = cfg.data.corpus_size
+    if size and size < len(lines):
+        return sample_corpus(lines, size, cfg.run.seed)
+    return lines
 
 
 def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
@@ -250,6 +271,7 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
     """
     cfg = spec.config
     master = cfg.run.seed
+    corpus = _sized_corpus(cfg, bundle.corpus)
     n_members = cfg.sed.members if "sed" in spec.stages else 1
     seeds: dict = {}
     checkpoints: dict = {}
@@ -279,14 +301,14 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
     try:
         for current in spec.stages:
             if current == "pretrain":
-                base, seeds["pretrain"] = pretrain_stage(cfg, bundle.corpus)
+                base, seeds["pretrain"] = pretrain_stage(cfg, corpus)
                 keep("base", base)
             elif current in ("nli", "ct"):
                 if base is None and not members:
                     raise ConfigError(f"{current} stage needs a base model")
                 if current == "nli" and bundle.nli is None:
                     raise DataError("nli stage needs NLI pairs in the bundle")
-                data = bundle.corpus if current == "ct" else bundle.nli
+                data = corpus if current == "ct" else bundle.nli
                 sources = members if members else [base] * n_members
                 trained = [member_stage(current, cfg, src, data, i)
                            for i, src in enumerate(sources)]
@@ -302,15 +324,14 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
                     source = base
                 else:
                     source = members[int(init.split(":", 1)[1])]
-                student, seeds["sed"] = distill_stage(cfg, members,
-                                                      bundle.corpus, source)
+                student, seeds["sed"] = distill_stage(cfg, members, corpus,
+                                                      source)
                 keep("student", student)
             elif current == "flow":
                 target = student or (members[0] if members else base)
                 if target is None:
                     raise ConfigError("flow stage has no model to calibrate")
-                flow_model, seeds["flow"] = flow_stage(cfg, target,
-                                                       bundle.corpus)
+                flow_model, seeds["flow"] = flow_stage(cfg, target, corpus)
                 keep("flow", flow_model)
             manifest["completed_stages"].append(current)
     except Exception as exc:
@@ -379,17 +400,16 @@ class StabilityReport:
 
 
 def stability_study(base: EncoderModel, corpus: list[str],
-                    tasks: list[StsTask], cfg: RunConfig,
-                    runs: int | None = None) -> dict[str, StabilityReport]:
+                    tasks: list[StsTask],
+                    cfg: RunConfig) -> dict[str, StabilityReport]:
     """Members vs full ensemble vs repeated distillation runs.
 
-    Trains the configured number of contrastive members from `base`,
-    then `runs` distillation students over fresh seeds from one master
-    seed. Failed runs are excluded with a warning; statistics cover the
-    completed runs only. Returns the three groups keyed by name.
+    Trains `sed.members` contrastive members from `base`, then
+    `stability.runs` distillation students over fresh seeds from one
+    master seed. Failed runs are excluded with a warning; statistics
+    cover the completed runs only. Returns the three groups keyed by name.
     """
-    runs = cfg.stability.runs if runs is None else runs
-    if runs < 2:
+    if cfg.stability.runs < 2:
         raise ConfigError("stability study needs at least 2 runs")
     pool = PoolingSpec(cfg.eval.pool_k)
 
@@ -409,7 +429,7 @@ def stability_study(base: EncoderModel, corpus: list[str],
     ensemble_score = avg_spearman(
         full_ensemble_predict(EnsembleSpec(members), tasks, pool))
     student_scores = []
-    for r in range(runs):
+    for r in range(cfg.stability.runs):
         try:
             student, _ = distill_stage(cfg, members, corpus, base, r)
             student_scores.append(avg_spearman(evaluate_suite(student, tasks, pool)))
@@ -463,27 +483,25 @@ def grid_search_lower_bound(base: EncoderModel, train_pairs, dev_task: StsTask,
     Per bound, `seeds_per_bound` models are fine-tuned from `base` and
     scored on the dev task; the bound with the highest mean wins, ties
     going to the smaller bound. Failed cells are excluded; a bound with
-    no completed cells drops out of the selection.
+    no completed cells drops out of the selection; an out-of-range bound
+    fails before any cell trains.
     """
-    from .config import GridSection
     cfg = cfg or GridSection()
     bounds = tuple(bounds)
     if not bounds:
         raise ConfigError("no candidate bounds")
-    for b in bounds:
-        if not (0.0 <= b < 1.0):
-            raise ConfigError(f"bound {b} outside [0, 1)")
+    target_maps = [RegressionTargetMap(b) for b in bounds]
     if not train_pairs:
         raise DataError("no training pairs")
     scores: dict[float, tuple] = {}
     means: dict[float, float] = {}
-    for bi, bound in enumerate(bounds):
+    for bi, (bound, target_map) in enumerate(zip(bounds, target_maps)):
         cell_scores = []
         for s in range(seeds_per_bound):
             seed = derive_seed(master_seed, "grid", bi * seeds_per_bound + s)
             try:
                 model = _train_regression(
-                    base.clone(), train_pairs, RegressionTargetMap(bound),
+                    base.clone(), train_pairs, target_map,
                     cfg.steps, cfg.batch, cfg.lr, seed, pool=pool,
                 )
                 _, dev_s = evaluate_task(model, dev_task, pool)
@@ -575,14 +593,15 @@ def train_supervised_with_early_stopping(
 
 
 def supervised_stage(cfg: RunConfig, model: EncoderModel, train_pairs,
-                     dev_task: StsTask, lower_bound: float
+                     dev_task: StsTask
                      ) -> tuple[EncoderModel, list[float], int]:
     """Regression fine-tuning of a copy of `model` with dev early
     stopping; returns the model, its dev trajectory and its seed."""
     seed = derive_seed(cfg.run.seed, "supervised", 0)
     trained, trajectory = train_supervised_with_early_stopping(
-        model.clone(), train_pairs, dev_task, RegressionTargetMap(lower_bound),
-        cfg.supervised, seed=seed)
+        model.clone(), train_pairs, dev_task,
+        RegressionTargetMap(cfg.supervised.lower_bound), cfg.supervised,
+        seed=seed)
     return trained, trajectory, seed
 
 

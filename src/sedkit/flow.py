@@ -15,7 +15,6 @@ never touched.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -141,16 +140,9 @@ def flow_nll(flow: CouplingFlow, embeddings) -> Tensor:
     return (quad + const - log_det).mean()
 
 
-@dataclass(frozen=True)
-class FlowFitConfig:
-    lr: float = 1e-3
-    epochs: int = 1
-    batch: int = 32
-    seed: int = 0
-
-
-def fit_flow(flow: CouplingFlow, embeddings, config: FlowFitConfig) -> CouplingFlow:
-    """Maximum-likelihood fit by Adam; the flow is trained in place.
+def fit_flow(flow: CouplingFlow, embeddings, cfg, seed: int) -> CouplingFlow:
+    """Maximum-likelihood fit by Adam with a `[flow]` section's lr,
+    epochs and batch; the flow is trained in place, `seed` orders batches.
 
     Keeps the per-epoch snapshot with the lowest full-data NLL (the
     initial state included), so the returned flow's training NLL never
@@ -159,9 +151,9 @@ def fit_flow(flow: CouplingFlow, embeddings, config: FlowFitConfig) -> CouplingF
     X = np.asarray(embeddings, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != flow.dim:
         raise ShapeMismatchError(f"expected embeddings (N, {flow.dim})")
-    if X.shape[0] < 2 * config.batch:
+    if X.shape[0] < 2 * cfg.batch:
         raise DataError(
-            f"need >= {2 * config.batch} embeddings, got {X.shape[0]}"
+            f"need >= {2 * cfg.batch} embeddings, got {X.shape[0]}"
         )
     if np.allclose(X, X[0]):
         warnings.warn("all embeddings identical; flow fit is degenerate")
@@ -172,11 +164,11 @@ def fit_flow(flow: CouplingFlow, embeddings, config: FlowFitConfig) -> CouplingF
 
     best_nll = full_nll()
     best_state = [p.data.copy() for p in flow.parameters()]
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     opt = dc.Adam(flow.parameters())
-    for _ in range(config.epochs):
-        dc.train(opt, dc.epoch_batches(rng, X.shape[0], config.batch),
-                 lambda idx: flow_nll(flow, X[idx]), config.lr)
+    for _ in range(cfg.epochs):
+        dc.train(opt, dc.epoch_batches(rng, X.shape[0], cfg.batch),
+                 lambda idx: flow_nll(flow, X[idx]), cfg.lr)
         nll = full_nll()
         if nll < best_nll:
             best_nll = nll

@@ -18,7 +18,7 @@ from . import diffcore as dc
 from . import encoder as enc
 from .diffcore import Tensor
 from .encoder import EncoderModel, PoolingSpec
-from .errors import DataError, ShapeMismatchError
+from .errors import ConfigError, DataError, ShapeMismatchError
 
 NLI_LABELS = ("entailment", "neutral", "contradiction")
 
@@ -55,7 +55,8 @@ class RegressionTargetMap:
 
     def __post_init__(self):
         if not 0.0 <= self.lower_bound <= 0.95:
-            raise DataError("lower_bound must lie in [0, 0.95]")
+            raise ConfigError(
+                f"lower_bound {self.lower_bound} outside [0, 0.95]")
 
     def target(self, gold: float) -> float:
         if not 0.0 <= gold <= 5.0:

@@ -9,8 +9,9 @@ test_acceptance.py.
 import numpy as np
 import pytest
 
+from sedkit.config import PretrainSection
 from sedkit.encoder import (EncoderArch, EncoderModel, PoolingSpec,
-                            PretrainConfig, Vocabulary, pretrain_base)
+                            Vocabulary, pretrain_base)
 from sedkit.synthetic import SyntheticWorldSpec, build_synthetic_world
 
 TINY_ARCH = EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=8)
@@ -41,8 +42,8 @@ def tiny_vocab(tiny_corpus):
 
 @pytest.fixture(scope="session")
 def tiny_model(tiny_corpus) -> EncoderModel:
-    cfg = PretrainConfig(steps=40, batch=8, lr=1e-3, mask_prob=0.15, seed=5)
-    return pretrain_base(tiny_corpus, TINY_ARCH, cfg)
+    cfg = PretrainSection(steps=40, batch=8, lr=1e-3, mask_prob=0.15)
+    return pretrain_base(tiny_corpus, TINY_ARCH, cfg, 5)
 
 
 @pytest.fixture()

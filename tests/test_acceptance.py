@@ -16,20 +16,19 @@ import numpy as np
 import pytest
 
 import sedkit.diffcore as dc
-from sedkit.config import (ArchSection, CtSection, EvalSection, FlowSection,
-                           GridSection, PretrainSection, RunConfig,
-                           RunSection, SedSection)
+from sedkit.config import (CtSection, EvalSection, FlowSection, GridSection,
+                           PretrainSection, RunConfig, RunSection, SedSection)
 from sedkit.diffcore import Tensor
-from sedkit.encoder import (EncoderArch, PoolingSpec, PretrainConfig,
-                            Vocabulary, encode, encode_batch, encode_many,
-                            init_encoder, pretrain_base)
+from sedkit.encoder import (EncoderArch, PoolingSpec, Vocabulary, encode,
+                            encode_batch, encode_many, init_encoder,
+                            pretrain_base)
 from sedkit.evalsts import ScoredPair, StsTask, evaluate_suite, pearson, spearman
 from sedkit.experiments import (TRAIN_POOL, DataBundle, PipelineSpec,
                                 derive_seed,
                                 full_ensemble_predict,
                                 grid_search_lower_bound, pooling_ablation,
                                 run_pipeline, train_ct, train_sed)
-from sedkit.flow import (CouplingFlow, FlowFitConfig, fit_flow, flow_forward,
+from sedkit.flow import (CouplingFlow, fit_flow, flow_forward,
                          flow_inverse, flow_nll, flow_nll_value)
 from sedkit.objectives import (CtPair, EnsembleSpec, LabeledNliPair, NliHead,
                                RegressionTargetMap, ct_loss,
@@ -55,8 +54,8 @@ def base(world):
     t0 = time.monotonic()
     model = pretrain_base(
         world.corpus, DESK_ARCH,
-        PretrainConfig(steps=300, batch=32, lr=1e-3, mask_prob=0.15,
-                       seed=derive_seed(MASTER_SEED, "pretrain", 0)))
+        PretrainSection(steps=300, batch=32, lr=1e-3, mask_prob=0.15),
+        derive_seed(MASTER_SEED, "pretrain", 0))
     return {"model": model, "elapsed": time.monotonic() - t0}
 
 
@@ -303,7 +302,7 @@ def test_criterion_04_flow_suite():
     X = rng.normal(5.0, 1.0, size=(256, 8))
     flow = CouplingFlow(8, 3, seed=0)
     nll_identity = flow_nll_value(flow, X)
-    fit_flow(flow, X, FlowFitConfig(5e-3, 40, 64, 0))
+    fit_flow(flow, X, FlowSection(lr=5e-3, epochs=40, batch=64), 0)
     nll_fitted = flow_nll_value(flow, X)
     assert nll_fitted < nll_identity, (
         f"NLL {nll_identity:.4f} -> {nll_fitted:.4f}")
@@ -403,7 +402,7 @@ def test_criterion_08_pipeline_determinism(world, tmp_path):
     cfg = RunConfig(
         run=RunSection(stages=("pretrain", "ct", "sed", "flow"), seed=21,
                        out_dir="runs"),
-        arch=ArchSection(layers=2, hidden=8, heads=2, ff=16, max_len=8),
+        arch=EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=8),
         pretrain=PretrainSection(steps=60, batch=8, lr=1e-3,
                                  mask_prob=0.15),
         ct=CtSection(steps=30, batch=8, start_lr=1e-4, end_lr=1e-5,

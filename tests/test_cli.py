@@ -15,14 +15,16 @@ import numpy as np
 import pytest
 
 from sedkit.checkpoint import save_checkpoint
-from sedkit.cli import main, read_corpus, sample_corpus
-from sedkit.config import (ArchSection, CtSection, DataSection, EvalSection,
-                           FlowSection, GridSection, NliSection,
-                           PretrainSection, RunConfig, RunSection, SedSection,
+from sedkit.cli import main, read_corpus
+from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
+                           GridSection, NliSection, PretrainSection,
+                           RunConfig, RunSection, SedSection,
                            StabilitySection, SupervisedSection, render_config)
+from sedkit.encoder import EncoderArch
 from sedkit.errors import DataError
 from sedkit.evalsts import load_sts_tsv
-from sedkit.experiments import DataBundle, PipelineSpec, run_pipeline
+from sedkit.experiments import (DataBundle, PipelineSpec, run_pipeline,
+                                sample_corpus)
 from sedkit.flow import CouplingFlow
 from sedkit.synthetic import load_nli_tsv
 
@@ -40,7 +42,7 @@ def cli_config() -> RunConfig:
     return RunConfig(
         run=RunSection(stages=("pretrain", "ct", "sed"), seed=13,
                        out_dir="runs"),
-        arch=ArchSection(layers=2, hidden=8, heads=2, ff=16, max_len=8),
+        arch=EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=8),
         data=DataSection(corpus_size=0),
         pretrain=PretrainSection(steps=30, batch=8, lr=1e-3, mask_prob=0.15),
         nli=NliSection(steps=6, batch=8, peak_lr=2e-4, warmup_fraction=0.1),
@@ -186,6 +188,8 @@ def test_pretrain_leaves_inputs_untouched(workspace, tmp_path):
 
 
 def test_corpus_subsampling_is_deterministic(workspace, tmp_path):
+    """`[data] corpus_size` below the corpus size trains on one sample,
+    the same in the CLI and in run_pipeline."""
     cfg = dataclasses.replace(cli_config(),
                               data=DataSection(corpus_size=10))
     ini = tmp_path / "sub.ini"
@@ -194,8 +198,14 @@ def test_corpus_subsampling_is_deterministic(workspace, tmp_path):
             "--corpus", workspace["corpus"]]
     assert main(args + ["--out", str(tmp_path / "s1")]) == 0
     assert main(args + ["--out", str(tmp_path / "s2")]) == 0
-    assert (sha(tmp_path / "s1" / "base.ckpt")
-            == sha(tmp_path / "s2" / "base.ckpt"))
+    sampled = sha(tmp_path / "s1" / "base.ckpt")
+    assert sampled == sha(tmp_path / "s2" / "base.ckpt")
+    assert sampled != sha(workspace["base"])
+    bundle = DataBundle(read_corpus(workspace["corpus"]),
+                        [load_sts_tsv(workspace["world"] / "sts_test.tsv")])
+    run_pipeline(PipelineSpec(("pretrain",), cfg), bundle,
+                 out_dir=tmp_path / "pipeline")
+    assert sampled == sha(tmp_path / "pipeline" / "base.ckpt")
 
 
 def test_train_ct_member_index_in_artifacts(workspace, tmp_path):
@@ -255,7 +265,7 @@ def test_train_sed_pipeline_and_arch_mismatch(workspace, tmp_path, capsys):
     capsys.readouterr()
 
     wide_cfg = dataclasses.replace(
-        cli_config(), arch=ArchSection(layers=2, hidden=16, heads=2, ff=16,
+        cli_config(), arch=EncoderArch(layers=2, hidden=16, heads=2, ff=16,
                                        max_len=8))
     wide_ini = tmp_path / "wide.ini"
     wide_ini.write_text(render_config(wide_cfg))
@@ -322,6 +332,8 @@ def test_train_supervised_trajectory_file(workspace, tmp_path):
     assert traj["lower_bound"] == 0.3
     assert 1 <= len(traj["dev_spearman_x100"]) <= 2
     assert (tmp_path / "supervised.ckpt").exists()
+    manifest = json.loads((tmp_path / "supervised_manifest.json").read_text())
+    assert "\nlower_bound = 0.3\n" in manifest["config_text"]
 
 
 def test_grid_search_command(workspace, tmp_path, capsys):
@@ -334,6 +346,39 @@ def test_grid_search_command(workspace, tmp_path, capsys):
     assert rc == 0
     assert "selected lower bound: 0.3" in capsys.readouterr().out
     assert "selected,0.3" in (tmp_path / "grid_search.csv").read_text()
+
+
+def test_setting_flags_are_validated_like_their_keys(workspace, tmp_path,
+                                                     capsys, monkeypatch):
+    """A setting flag is parsed and range-checked as its INI key is: a
+    bad value exits 1 with the key's message before anything trains or
+    is written."""
+    import sedkit.experiments as ex
+    trained = []
+    monkeypatch.setattr(ex, "_train_regression",
+                        lambda *a, **k: trained.append(a))
+    world, base = workspace["world"], workspace["base"]
+    grid = ["grid-search", "--model", base,
+            "--train-pairs", str(world / "sts_train.tsv"),
+            "--dev-task", str(world / "sts_dev.tsv")]
+    stability = ["stability", "--base", base, "--corpus", workspace["corpus"],
+                 "--task", str(world / "sts_test.tsv")]
+    out = tmp_path / "out"
+    for argv, message in (
+            (grid + ["--bounds", "0.3,0.97"], "lower_bound 0.97 outside"),
+            (grid + ["--bounds", "0.3,x"], "[grid] bounds = '0.3,x'"),
+            (grid + ["--seeds-per-bound", "0"], "grid.seeds_per_bound"),
+            (stability + ["--runs", "1"], "stability.runs"),
+            (["evaluate", "--model", base, "--task",
+              str(world / "sts_test.tsv"), "--pool", "4"], "eval.pool_k"),
+            (["pretrain", "--corpus", workspace["corpus"], "--seed", "1.5"],
+             "[run] seed = '1.5': expected int")):
+        assert main(argv + ["--config", workspace["ini"],
+                            "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err, err
+    assert trained == []
+    assert not out.exists()
 
 
 def test_fit_flow_then_evaluate_with_flow(workspace, tmp_path, capsys):
@@ -494,41 +539,39 @@ def test_env_out_dir_fallback(tmp_path, monkeypatch):
 # -- corpus reading and sampling ------------------------------------------
 
 def test_read_corpus_normalizes_newlines(tmp_path):
+    """A leading byte-order mark is not part of the first sentence."""
     path = tmp_path / "c.txt"
-    path.write_bytes(b"alpha beta\r\n\r\ngamma\rdelta\n\n# kept \t\n"
-                     b"caf\xc3\xa9\n")
-    assert read_corpus(path) == ["alpha beta", "gamma", "delta", "# kept \t",
-                                 "caf\u00e9"]
+    for head in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(head + b"alpha beta\r\n\r\ngamma\rdelta\n\n"
+                         b"# kept \t\ncaf\xc3\xa9\n")
+        assert read_corpus(path) == ["alpha beta", "gamma", "delta",
+                                     "# kept \t", "caf\u00e9"]
     (tmp_path / "empty.txt").write_text("\n\n")
     with pytest.raises(DataError):
         read_corpus(tmp_path / "empty.txt")
 
 
-def test_sample_corpus_permutation_and_determinism(tmp_path):
-    path = tmp_path / "c.txt"
+def test_sample_corpus_permutation_and_determinism():
     lines = [f"line {i}" for i in range(20)]
-    path.write_text("\n".join(lines) + "\n")
-    s1 = sample_corpus(path, 20, seed=4)
-    s2 = sample_corpus(path, 20, seed=4)
+    s1 = sample_corpus(lines, 20, seed=4)
+    s2 = sample_corpus(lines, 20, seed=4)
     assert s1 == s2
     assert sorted(s1) == sorted(lines)  # full draw without replacement
-    assert len(set(sample_corpus(path, 10, seed=4))) == 10
+    assert len(set(sample_corpus(lines, 10, seed=4))) == 10
 
 
-def test_sample_corpus_guards(tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("a\nb\nc\n")
+def test_sample_corpus_guards():
+    lines = ["a", "b", "c"]
     with pytest.raises(DataError, match="without replacement"):
-        sample_corpus(path, 4, seed=0)
+        sample_corpus(lines, 4, seed=0)
     with pytest.raises(DataError):
-        sample_corpus(path, 0, seed=0)
-    assert len(sample_corpus(path, 4, seed=0, with_replacement=True)) == 4
+        sample_corpus(lines, 0, seed=0)
+    assert len(sample_corpus(lines, 4, seed=0, with_replacement=True)) == 4
 
 
-def test_sample_corpus_with_replacement_is_uniform(tmp_path):
-    path = tmp_path / "c.txt"
-    path.write_text("\n".join(str(i) for i in range(10)) + "\n")
-    draws = sample_corpus(path, 10000, seed=123, with_replacement=True)
+def test_sample_corpus_with_replacement_is_uniform():
+    lines = [str(i) for i in range(10)]
+    draws = sample_corpus(lines, 10000, seed=123, with_replacement=True)
     counts = np.bincount([int(d) for d in draws], minlength=10)
     # 4 sigma of Binomial(10000, 0.1) is about 120
     assert np.all(np.abs(counts - 1000) < 120), counts.tolist()

@@ -119,6 +119,8 @@ def test_validation_rules():
         ("[flow]\nlayers = 0\n", "flow.layers"),
         ("[flow]\nlayers = 1\n", "flow.layers"),
         ("[arch]\nlayers = 1\n[eval]\npool_k = 3\n", "pool_k"),
+        ("[grid]\nbounds = 0.97\n", "lower_bound 0.97 outside"),
+        ("[supervised]\nlower_bound = -0.1\n", "lower_bound -0.1 outside"),
     ):
         with pytest.raises(ConfigError, match=match):
             parse_config(probe)

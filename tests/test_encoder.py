@@ -6,9 +6,10 @@ import pytest
 
 import sedkit.diffcore as dc
 import sedkit.encoder as enc
-from sedkit.encoder import (EncoderArch, PoolingSpec, PretrainConfig,
-                            Vocabulary, batch_ids, encode, encode_batch,
-                            init_encoder, pretrain_base, tokenize)
+from sedkit.config import PretrainSection
+from sedkit.encoder import (EncoderArch, PoolingSpec, Vocabulary, batch_ids,
+                            encode, encode_batch, init_encoder, pretrain_base,
+                            tokenize)
 from sedkit.errors import DataError, ShapeMismatchError
 
 from conftest import TINY_ARCH
@@ -161,16 +162,16 @@ def test_clone_is_deep(tiny_model):
 
 
 def test_pretrain_deterministic(tiny_corpus):
-    cfg = PretrainConfig(steps=10, batch=8, seed=9)
-    m1 = pretrain_base(tiny_corpus, TINY_ARCH, cfg)
-    m2 = pretrain_base(tiny_corpus, TINY_ARCH, cfg)
+    cfg = PretrainSection(steps=10, batch=8)
+    m1 = pretrain_base(tiny_corpus, TINY_ARCH, cfg, 9)
+    m2 = pretrain_base(tiny_corpus, TINY_ARCH, cfg, 9)
     for a, b in zip(m1.parameters(), m2.parameters()):
         assert np.array_equal(a.data, b.data)
 
 
 def test_pretrain_zero_steps_returns_init(tiny_corpus, tiny_vocab):
-    cfg = PretrainConfig(steps=0, batch=8, seed=9)
-    model = pretrain_base(tiny_corpus, TINY_ARCH, cfg, vocab=tiny_vocab)
+    cfg = PretrainSection(steps=0, batch=8)
+    model = pretrain_base(tiny_corpus, TINY_ARCH, cfg, 9, vocab=tiny_vocab)
     init_seed, _ = enc._spawn_seeds(9, 2)
     fresh = init_encoder(TINY_ARCH, tiny_vocab, init_seed)
     for a, b in zip(model.parameters(), fresh.parameters()):
@@ -179,9 +180,10 @@ def test_pretrain_zero_steps_returns_init(tiny_corpus, tiny_vocab):
 
 def test_pretrain_rejects_bad_corpus():
     with pytest.raises(DataError):
-        pretrain_base([], TINY_ARCH, PretrainConfig(steps=1))
+        pretrain_base([], TINY_ARCH, PretrainSection(steps=1), 0)
     with pytest.raises(DataError):
-        pretrain_base(["a b"], TINY_ARCH, PretrainConfig(steps=1, batch=8))
+        pretrain_base(["a b"], TINY_ARCH, PretrainSection(steps=1, batch=8),
+                      0)
 
 
 def test_pretrained_embeddings_not_collapsed(tiny_model, tiny_corpus):
@@ -196,10 +198,10 @@ def test_pretrained_embeddings_not_collapsed(tiny_model, tiny_corpus):
 
 def test_pretrain_changes_weights(tiny_corpus, tiny_vocab):
     before = pretrain_base(tiny_corpus, TINY_ARCH,
-                           PretrainConfig(steps=0, batch=8, seed=9),
+                           PretrainSection(steps=0, batch=8), 9,
                            vocab=tiny_vocab)
     after = pretrain_base(tiny_corpus, TINY_ARCH,
-                          PretrainConfig(steps=5, batch=8, seed=9),
+                          PretrainSection(steps=5, batch=8), 9,
                           vocab=tiny_vocab)
     assert any(not np.array_equal(a.data, b.data)
                for a, b in zip(before.parameters(), after.parameters()))

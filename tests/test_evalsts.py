@@ -357,15 +357,15 @@ def test_non_finite_predictions_fail_the_task(tiny_model, tiny_world,
 # -- TSV loading ----------------------------------------------------------
 
 def test_load_sts_tsv_basic(tmp_path):
-    f = tmp_path / "mytask.tsv"
-    f.write_text("# header comment\n"
-                 "a b c\td e f\t3.5\n"
-                 "\n"
-                 "g h\ti j\t0\n")
-    task = load_sts_tsv(f)
-    assert task.name == "mytask"
-    assert task.pairs == (ScoredPair("a b c", "d e f", 3.5),
-                          ScoredPair("g h", "i j", 0.0))
+    """A leading byte-order mark does not hide the '#' of the header."""
+    text = "# header comment\na b c\td e f\t3.5\n\ng h\ti j\t0\n"
+    for name, head in (("mytask", b""), ("bom", b"\xef\xbb\xbf")):
+        f = tmp_path / f"{name}.tsv"
+        f.write_bytes(head + text.encode("utf-8"))
+        task = load_sts_tsv(f)
+        assert task.name == name
+        assert task.pairs == (ScoredPair("a b c", "d e f", 3.5),
+                              ScoredPair("g h", "i j", 0.0))
 
 
 def test_load_sts_tsv_crlf_equivalent(tmp_path):

@@ -13,13 +13,12 @@ import pytest
 
 import sedkit.diffcore as dc
 import sedkit.experiments as ex
-from sedkit.config import (ArchSection, CtSection, EvalSection, FlowSection,
-                           GridSection, NliSection, PretrainSection,
-                           RunConfig, RunSection, SedSection,
-                           StabilitySection, SupervisedSection, parse_config)
-from sedkit.encoder import (PoolingSpec, PretrainConfig, encode,
-                            encode_batch, encode_many, init_encoder,
-                            pretrain_base)
+from sedkit.config import (CtSection, EvalSection, FlowSection, GridSection,
+                           NliSection, PretrainSection, RunConfig,
+                           RunSection, SedSection, StabilitySection,
+                           SupervisedSection, parse_config)
+from sedkit.encoder import (EncoderArch, PoolingSpec, encode, encode_batch,
+                            encode_many, init_encoder, pretrain_base)
 from sedkit.errors import (ConfigError, ConstantInputError, DataError,
                            DivergenceError, ShapeMismatchError)
 from sedkit.evalsts import ScoredPair, StsTask, cosine, evaluate_suite, evaluate_task
@@ -32,7 +31,7 @@ from sedkit.experiments import (TRAIN_POOL, DataBundle, GridSearchResult,
                                 stability_study, train_ct, train_nli,
                                 train_sed, train_supervised_with_early_stopping,
                                 write_manifest)
-from sedkit.flow import CouplingFlow, FlowFitConfig, fit_flow
+from sedkit.flow import CouplingFlow, fit_flow
 from sedkit.objectives import EnsembleSpec, RegressionTargetMap
 
 from conftest import TINY_ARCH
@@ -46,7 +45,7 @@ TINY_SED = SedSection(members=2, epochs=2, batch=8, peak_lr=1e-3,
 def tiny_run_config(stages):
     return RunConfig(
         run=RunSection(stages=tuple(stages), seed=13, out_dir="runs"),
-        arch=ArchSection(layers=2, hidden=8, heads=2, ff=16, max_len=8),
+        arch=EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=8),
         pretrain=PretrainSection(steps=30, batch=8, lr=1e-3, mask_prob=0.15),
         nli=NliSection(steps=6, batch=8, peak_lr=2e-4, warmup_fraction=0.1),
         ct=TINY_CT,
@@ -154,7 +153,6 @@ def test_train_sed_zero_epochs_identity(tiny_model, tiny_corpus):
 
 
 def test_train_sed_arch_mismatch_names_both(tiny_model, tiny_vocab):
-    from sedkit.encoder import EncoderArch
     other_arch = EncoderArch(layers=2, hidden=16, heads=2, ff=16, max_len=8)
     student = init_encoder(other_arch, tiny_vocab, seed=0)
     ens = EnsembleSpec([tiny_model])
@@ -412,9 +410,10 @@ def test_stability_study_drops_diverged_run(tiny_model, tiny_world,
 
 def test_stability_study_needs_two_runs(tiny_model, tiny_world):
     cfg = tiny_run_config(("pretrain", "ct", "sed"))
+    cfg = dataclasses.replace(cfg, stability=StabilitySection(runs=1))
     with pytest.raises(ConfigError):
         stability_study(tiny_model, tiny_world.corpus,
-                        [tiny_world.sts["test"]], cfg, runs=1)
+                        [tiny_world.sts["test"]], cfg)
 
 
 def test_stability_csv_states_estimator():
@@ -474,6 +473,8 @@ def test_grid_argument_guards(tiny_model, tiny_world):
         grid_search_lower_bound(tiny_model, pairs, dev, (), 1)
     with pytest.raises(ConfigError):
         grid_search_lower_bound(tiny_model, pairs, dev, (1.0,), 1)
+    with pytest.raises(ConfigError, match="0.97 outside"):
+        grid_search_lower_bound(tiny_model, pairs, dev, (0.3, 0.97), 1)
     with pytest.raises(DataError):
         grid_search_lower_bound(tiny_model, [], dev, (0.1,), 1)
 
@@ -566,7 +567,6 @@ def test_ablation_matches_standalone_eval(tiny_model, tiny_world):
 
 
 def test_ablation_rejects_shallow_model(tiny_vocab, tiny_world):
-    from sedkit.encoder import EncoderArch
     shallow = init_encoder(EncoderArch(layers=1, hidden=8, heads=2, ff=16,
                                        max_len=8), tiny_vocab, seed=0)
     with pytest.raises(DataError, match="too shallow"):
@@ -598,7 +598,7 @@ def test_every_trainer_steps_through_diffcore_train(tiny_model, tiny_world,
     dev = tiny_world.sts["dev"]
     runs = {
         "pretrain": lambda: pretrain_base(
-            corpus, TINY_ARCH, PretrainConfig(steps=3, batch=8, seed=1)),
+            corpus, TINY_ARCH, PretrainSection(steps=3, batch=8), 1),
         "ct": lambda: train_ct(tiny_model, corpus, TINY_CT, 0),
         "nli": lambda: train_nli(
             tiny_model, tiny_world.nli,
@@ -614,7 +614,7 @@ def test_every_trainer_steps_through_diffcore_train(tiny_model, tiny_world,
             SupervisedSection(max_epochs=2, batch=8, patience=5)),
         "flow": lambda: fit_flow(
             CouplingFlow(8, 2), encode_many(tiny_model, corpus, TRAIN_POOL),
-            FlowFitConfig(lr=1e-3, epochs=2, batch=8)),
+            FlowSection(lr=1e-3, epochs=2, batch=8), 0),
     }
     n_sup = math.ceil(len(train) / 8)
     expected = {"pretrain": [3], "ct": [TINY_CT.steps], "nli": [2],

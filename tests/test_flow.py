@@ -10,8 +10,9 @@ import pytest
 
 from sedkit.diffcore import Tensor
 from sedkit.errors import DataError, ShapeMismatchError
-from sedkit.flow import (CouplingFlow, FlowFitConfig, fit_flow, flow_forward,
-                         flow_inverse, flow_nll, flow_nll_value, flow_score)
+from sedkit.config import FlowSection
+from sedkit.flow import (CouplingFlow, fit_flow, flow_forward, flow_inverse,
+                         flow_nll, flow_nll_value, flow_score)
 
 
 def perturbed_flow(dim, n_layers=4, seed=0, scale=0.3):
@@ -132,7 +133,7 @@ def test_fit_reduces_nll_on_shifted_data():
     X = rng.normal(loc=5.0, scale=1.0, size=(256, 8))
     flow = CouplingFlow(dim=8, n_layers=4, seed=0)
     before = flow_nll_value(flow, X)
-    fit_flow(flow, X, FlowFitConfig(lr=5e-3, epochs=40, batch=64, seed=0))
+    fit_flow(flow, X, FlowSection(lr=5e-3, epochs=40, batch=64), 0)
     after = flow_nll_value(flow, X)
     assert after < before - 1.0, f"{before:.3f} -> {after:.3f}"
 
@@ -144,7 +145,7 @@ def test_fit_never_worse_than_initial():
     X = rng.normal(size=(128, 4))
     flow = CouplingFlow(dim=4, n_layers=2, seed=0)
     before = flow_nll_value(flow, X)
-    fit_flow(flow, X, FlowFitConfig(lr=5.0, epochs=3, batch=32, seed=0))
+    fit_flow(flow, X, FlowSection(lr=5.0, epochs=3, batch=32), 0)
     assert flow_nll_value(flow, X) <= before + 1e-12
 
 
@@ -153,7 +154,7 @@ def test_fit_zero_epochs_unchanged():
     X = rng.normal(size=(128, 4))
     flow = perturbed_flow(4, seed=4)
     snapshot = [p.data.copy() for p in flow.parameters()]
-    fit_flow(flow, X, FlowFitConfig(epochs=0, batch=32))
+    fit_flow(flow, X, FlowSection(epochs=0, batch=32), 0)
     for p, s in zip(flow.parameters(), snapshot):
         assert np.array_equal(p.data, s)
 
@@ -162,7 +163,7 @@ def test_fit_does_not_mutate_embeddings():
     rng = np.random.default_rng(19)
     X = rng.normal(size=(130, 4))
     before = X.copy()
-    fit_flow(CouplingFlow(4, 2), X, FlowFitConfig(epochs=2, batch=32))
+    fit_flow(CouplingFlow(4, 2), X, FlowSection(epochs=2, batch=32), 0)
     assert np.array_equal(X, before)
 
 
@@ -170,12 +171,12 @@ def test_fit_preconditions():
     flow = CouplingFlow(dim=4, n_layers=2)
     with pytest.raises(DataError):
         fit_flow(flow, np.zeros((10, 4)) + np.arange(4),
-                 FlowFitConfig(batch=32))  # 10 < 2 * 32
+                 FlowSection(batch=32), 0)  # 10 < 2 * 32
     with pytest.raises(ShapeMismatchError):
-        fit_flow(flow, np.zeros((100, 5)), FlowFitConfig(batch=32))
+        fit_flow(flow, np.zeros((100, 5)), FlowSection(batch=32), 0)
     with pytest.warns(UserWarning, match="identical"):
         fit_flow(CouplingFlow(4, 2), np.ones((64, 4)),
-                 FlowFitConfig(epochs=1, batch=32))
+                 FlowSection(epochs=1, batch=32), 0)
 
 
 def test_flow_constructor_guards():

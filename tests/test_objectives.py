@@ -10,7 +10,7 @@ import sedkit.diffcore as dc
 import sedkit.encoder as enc
 from sedkit.diffcore import Tensor
 from sedkit.encoder import PoolingSpec, encode_batch, init_encoder
-from sedkit.errors import DataError, ShapeMismatchError
+from sedkit.errors import ConfigError, DataError, ShapeMismatchError
 from sedkit.objectives import (CtBatchSampler, CtPair, EnsembleSpec,
                                LabeledNliPair, NliHead, RegressionTargetMap,
                                cosine_tensor, ct_loss,
@@ -246,9 +246,9 @@ def test_target_map_values():
 
 def test_target_map_validation():
     RegressionTargetMap(0.95)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         RegressionTargetMap(0.96)
-    with pytest.raises(DataError):
+    with pytest.raises(ConfigError):
         RegressionTargetMap(-0.01)
     with pytest.raises(DataError):
         RegressionTargetMap(0.0).target(5.1)
