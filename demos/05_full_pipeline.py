@@ -12,8 +12,8 @@ import numpy as np
 from sedkit.config import default_config, RunSection
 from sedkit.encoder import PoolingSpec
 from sedkit.evalsts import evaluate_suite
-from sedkit.experiments import (DataBundle, PipelineSpec,
-                                full_ensemble_predict, run_pipeline)
+from sedkit.experiments import (DataBundle, full_ensemble_predict,
+                                run_pipeline)
 from sedkit.objectives import EnsembleSpec
 from sedkit.synthetic import SyntheticWorldSpec, build_synthetic_world
 
@@ -24,8 +24,8 @@ cfg = default_config()
 cfg = dataclasses.replace(
     cfg, run=RunSection(stages=("pretrain", "ct", "sed", "flow"), seed=7,
                         out_dir="runs"))
-result = run_pipeline(PipelineSpec.from_config(cfg),
-                      DataBundle(world.corpus, tasks, nli=world.nli))
+# The config is the whole description of the run, its stage list included.
+result = run_pipeline(cfg, DataBundle(world.corpus, tasks, nli=world.nli))
 
 print("completed stages:", result.manifest["completed_stages"])
 print("checkpoints:", sorted(result.manifest["checkpoints"]))

@@ -26,8 +26,8 @@ from .objectives import (CtPair, EnsembleSpec, LabeledNliPair, NliHead,
                          sts_regression_loss)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, default_config, load_config, parse_config, render_config
-from .experiments import (DataBundle, GridSearchResult, PipelineSpec,
-                          PipelineResult, StabilityReport, derive_seed,
+from .experiments import (DataBundle, GridSearchResult, PipelineResult,
+                          StabilityReport, derive_seed,
                           full_ensemble_predict, grid_search_lower_bound,
                           pooling_ablation, run_pipeline, select_bound,
                           stability_study, train_ct, train_nli, train_sed,

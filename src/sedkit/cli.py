@@ -19,11 +19,12 @@ import sys
 from .checkpoint import (load_checkpoint, read_lines, save_checkpoint,
                          write_atomic)
 from .config import (RunConfig, _parse_value, default_config, load_config,
-                     render_config, validate_config)
+                     render_config)
 from .encoder import EncoderModel, PoolingSpec
 from .errors import DataError
 from .evalsts import evaluate_suite, load_sts_tsv, write_report_csv
-from .experiments import (_sized_corpus, ablation_csv, distill_stage,
+from .experiments import (_hash_lines, _hash_task, _sized_corpus,
+                          ablation_csv, distill_stage,
                           flow_stage, grid_csv, grid_search_lower_bound,
                           member_stage, pooling_ablation, pretrain_stage,
                           stability_csv, stability_study, supervised_stage,
@@ -44,8 +45,11 @@ def read_corpus(path) -> list[str]:
     return lines
 
 
-def _resolve_corpus(args, cfg: RunConfig) -> list[str]:
-    return _sized_corpus(cfg, read_corpus(args.corpus))
+def _resolve_corpus(args, cfg: RunConfig) -> tuple[list[str], str]:
+    """The `[data] corpus_size` sample of --corpus, and the hash of all
+    its lines as `run_pipeline` records it."""
+    lines = read_corpus(args.corpus)
+    return _sized_corpus(cfg, lines), _hash_lines(lines)
 
 
 # Each setting flag's argparse dest is the key it overrides in a section.
@@ -56,7 +60,8 @@ _SETTING_FLAGS = {"seed": "run", "bounds": "grid", "seeds_per_bound": "grid",
 
 def _load_cfg(args) -> RunConfig:
     """The --config file (or the defaults) with each given setting flag
-    parsed as its key's INI value and put in its place, validated once."""
+    parsed as its key's INI value and put in its place; the rebuilt
+    section checks the value as it checks the key."""
     cfg = load_config(args.config) if args.config else default_config()
     for key, name in _SETTING_FLAGS.items():
         text = getattr(args, key, None)
@@ -66,7 +71,6 @@ def _load_cfg(args) -> RunConfig:
             section = dataclasses.replace(
                 section, **{key: _parse_value(text, kind, name, key)})
             cfg = dataclasses.replace(cfg, **{name: section})
-    validate_config(cfg)
     return cfg
 
 
@@ -100,22 +104,22 @@ def _load(path, cls):
     return artifact
 
 
+def _write_manifest(out: str, name: str, cfg: RunConfig, seeds: dict,
+                    inputs: dict, checkpoints: dict) -> None:
+    """`{name}_manifest.json`: what the subcommand ran with and wrote."""
+    write_manifest({"stage": name, "config_text": render_config(cfg),
+                    "derived_seeds": seeds, "input_hashes": inputs,
+                    "checkpoints": checkpoints},
+                   os.path.join(out, f"{name}_manifest.json"))
+
+
 def _save_stage(out: str, name: str, cfg: RunConfig, seeds: dict,
                 inputs: dict, key: str, artifact) -> str:
     """Save `artifact` as `{key}.ckpt` beside `{name}_manifest.json`,
     which records its digest; returns the checkpoint path."""
     path = os.path.join(out, f"{key}.ckpt")
-    digest = save_checkpoint(artifact, path)
-    write_manifest(
-        {
-            "stage": name,
-            "config_text": render_config(cfg),
-            "derived_seeds": seeds,
-            "input_hashes": inputs,
-            "checkpoints": {key: digest},
-        },
-        os.path.join(out, f"{name}_manifest.json"),
-    )
+    _write_manifest(out, name, cfg, seeds, inputs,
+                    {key: save_checkpoint(artifact, path)})
     return path
 
 
@@ -126,19 +130,20 @@ def _hash_file(path) -> str:
 
 
 def _cmd_pretrain(args, cfg: RunConfig, out: str) -> None:
-    model, seed = pretrain_stage(cfg, _resolve_corpus(args, cfg))
+    corpus, corpus_hash = _resolve_corpus(args, cfg)
+    model, seed = pretrain_stage(cfg, corpus)
     path = _save_stage(out, "pretrain", cfg, {"pretrain": seed},
-                       {"corpus": _hash_file(args.corpus)}, "base", model)
+                       {"corpus": corpus_hash}, "base", model)
     print(f"wrote {path}")
 
 
 def _cmd_train_ct(args, cfg: RunConfig, out: str) -> None:
     base = _load(args.base, EncoderModel)
-    corpus = _resolve_corpus(args, cfg)
+    corpus, corpus_hash = _resolve_corpus(args, cfg)
     model, seed = member_stage("ct", cfg, base, corpus, args.member)
     name = f"ct_{args.member}"
     path = _save_stage(out, name, cfg, {"ct": seed},
-                       {"corpus": _hash_file(args.corpus),
+                       {"corpus": corpus_hash,
                         "base": _hash_file(args.base)}, name, model)
     print(f"wrote {path}")
 
@@ -157,10 +162,10 @@ def _cmd_train_nli(args, cfg: RunConfig, out: str) -> None:
 def _cmd_train_sed(args, cfg: RunConfig, out: str) -> None:
     teachers = [_load(p, EncoderModel) for p in args.teachers]
     init = _load(args.student_init, EncoderModel)
-    corpus = _resolve_corpus(args, cfg)
+    corpus, corpus_hash = _resolve_corpus(args, cfg)
     model, seed = distill_stage(cfg, teachers, corpus, init)
     path = _save_stage(out, "sed", cfg, {"sed": seed},
-                       {"corpus": _hash_file(args.corpus),
+                       {"corpus": corpus_hash,
                         "teachers": [_hash_file(p) for p in args.teachers]},
                        "student", model)
     print(f"wrote {path}")
@@ -168,9 +173,10 @@ def _cmd_train_sed(args, cfg: RunConfig, out: str) -> None:
 
 def _cmd_fit_flow(args, cfg: RunConfig, out: str) -> None:
     model = _load(args.model, EncoderModel)
-    flow, seeds = flow_stage(cfg, model, _resolve_corpus(args, cfg))
+    corpus, corpus_hash = _resolve_corpus(args, cfg)
+    flow, seeds = flow_stage(cfg, model, corpus)
     path = _save_stage(out, "flow", cfg, {"flow": seeds},
-                       {"corpus": _hash_file(args.corpus),
+                       {"corpus": corpus_hash,
                         "model": _hash_file(args.model)}, "flow", flow)
     print(f"wrote {path}")
 
@@ -202,6 +208,10 @@ def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
     )
     path = os.path.join(out, "grid_search.csv")
     write_atomic(path, grid_csv(result).encode("utf-8"))
+    _write_manifest(out, "grid_search", cfg, {},
+                    {"train_pairs": _hash_file(args.train_pairs),
+                     "dev_task": _hash_file(args.dev_task),
+                     "model": _hash_file(args.model)}, {})
     print(f"selected lower bound: {result.selected_bound}")
     print(f"wrote {path}")
 
@@ -232,11 +242,14 @@ def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
 
 def _cmd_stability(args, cfg: RunConfig, out: str) -> None:
     base = _load(args.base, EncoderModel)
-    corpus = _resolve_corpus(args, cfg)
+    corpus, corpus_hash = _resolve_corpus(args, cfg)
     tasks = _load_tasks(args)
     reports = stability_study(base, corpus, tasks, cfg)
     path = os.path.join(out, "stability.csv")
     write_atomic(path, stability_csv(reports).encode("utf-8"))
+    _write_manifest(out, "stability", cfg, {},
+                    {"corpus": corpus_hash, "base": _hash_file(args.base),
+                     "tasks": {t.name: _hash_task(t) for t in tasks}}, {})
     for name, rep in reports.items():
         print(f"{name}: max {rep.max:.2f} mean {rep.mean:.2f} "
               f"std {rep.std:.2f} over {rep.count} runs")

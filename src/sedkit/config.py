@@ -5,9 +5,9 @@ pipeline stage, so a run manifest can embed the resolved text verbatim.
 Every key has a default; unknown sections or keys are rejected rather
 than silently ignored, and render -> parse is an exact round trip.
 
-A section is what its trainer takes (`[arch]` is the `EncoderArch`).
-`EncoderArch` checks the arch sizes, `RegressionTargetMap` the lower
-bounds (`supervised.lower_bound`, `grid.bounds`), `validate_config` the rest.
+A section is what its trainer takes (`[arch]` is the `EncoderArch`) and
+checks its own keys when built, so a config that exists, parsed or built
+in code, is valid; `RunConfig` checks `eval.pool_k <= arch.layers + 1`.
 
 Desk-scale defaults (4 ensemble members, 5 000-sentence corpus, 3
 stability runs) keep full pipelines in the minutes range. Reference
@@ -18,6 +18,7 @@ values for full-scale runs (10 members, 100k sentences, 10 runs, the
 from __future__ import annotations
 
 import dataclasses
+import typing
 from configparser import ConfigParser
 from dataclasses import dataclass, field
 
@@ -30,11 +31,33 @@ STAGE_NAMES = ("pretrain", "nli", "ct", "sed", "flow")
 METRICS = ("cosine", "neg_euclidean")
 
 
+def _at_least(section: str, values, **minimums) -> None:
+    for key, low in minimums.items():
+        if getattr(values, key) < low:
+            raise ConfigError(f"{section}.{key} must be >= {low}")
+
+
 @dataclass(frozen=True)
 class RunSection:
     stages: tuple[str, ...] = ("pretrain", "ct", "sed")
     seed: int = 0
     out_dir: str = "runs"
+
+    def __post_init__(self):
+        stages = self.stages
+        for stage in stages:
+            if stage not in STAGE_NAMES:
+                raise ConfigError(f"unknown stage {stage!r} in run.stages")
+        if not stages or stages[0] != "pretrain":
+            raise ConfigError("run.stages must start with pretrain")
+        if len(set(stages)) != len(stages):
+            raise ConfigError("duplicate pipeline stages")
+        if "flow" in stages and stages[-1] != "flow":
+            raise ConfigError("flow must be the last stage")
+        if "sed" in stages and not {"nli", "ct"} & set(
+                stages[:stages.index("sed")]):
+            raise ConfigError(
+                "sed needs an ensemble from a preceding nli or ct stage")
 
 
 @dataclass(frozen=True)
@@ -49,6 +72,9 @@ class PretrainSection:
     lr: float = 1e-3
     mask_prob: float = 0.15
 
+    def __post_init__(self):
+        _at_least("pretrain", self, steps=0, batch=1)
+
 
 @dataclass(frozen=True)
 class NliSection:
@@ -56,6 +82,9 @@ class NliSection:
     batch: int = 16
     peak_lr: float = 2e-4
     warmup_fraction: float = 0.1
+
+    def __post_init__(self):
+        _at_least("nli", self, steps=0, batch=1)
 
 
 @dataclass(frozen=True)
@@ -65,6 +94,13 @@ class CtSection:
     start_lr: float = 3e-5
     end_lr: float = 6e-6
     negatives_per_positive: int = 7
+
+    def __post_init__(self):
+        _at_least("ct", self, steps=0, batch=1, negatives_per_positive=0)
+        block = self.negatives_per_positive + 1
+        if self.batch % block:
+            raise ConfigError(f"ct.batch must be divisible by "
+                              f"ct.negatives_per_positive + 1 = {block}")
 
 
 @dataclass(frozen=True)
@@ -76,6 +112,15 @@ class SedSection:
     warmup_fraction: float = 0.1
     student_init: str = "base"
 
+    def __post_init__(self):
+        _at_least("sed", self, members=1, epochs=0, batch=1)
+        kind, _, index = self.student_init.partition(":")
+        if self.student_init != "base" and (
+                kind != "member" or not index.isdecimal()
+                or int(index) >= self.members):
+            raise ConfigError("sed.student_init must be 'base' or "
+                              "'member:<i>' with 0 <= i < sed.members")
+
 
 @dataclass(frozen=True)
 class FlowSection:
@@ -83,6 +128,9 @@ class FlowSection:
     lr: float = 1e-3
     epochs: int = 1
     batch: int = 32
+
+    def __post_init__(self):
+        _at_least("flow", self, layers=2, epochs=0, batch=1)
 
 
 @dataclass(frozen=True)
@@ -92,6 +140,10 @@ class SupervisedSection:
     lr: float = 1e-3
     patience: int = 2
     lower_bound: float = 0.5
+
+    def __post_init__(self):
+        _at_least("supervised", self, max_epochs=1, batch=1, patience=0)
+        RegressionTargetMap(self.lower_bound)  # raises ConfigError out of range
 
 
 def _default_bounds() -> tuple[float, ...]:
@@ -106,16 +158,31 @@ class GridSection:
     batch: int = 16
     lr: float = 1e-4
 
+    def __post_init__(self):
+        _at_least("grid", self, seeds_per_bound=1, steps=0, batch=1)
+        for bound in self.bounds:
+            RegressionTargetMap(bound)  # raises ConfigError out of range
+
 
 @dataclass(frozen=True)
 class StabilitySection:
     runs: int = 3
+
+    def __post_init__(self):
+        _at_least("stability", self, runs=2)
 
 
 @dataclass(frozen=True)
 class EvalSection:
     pool_k: int = 2
     metric: str = "cosine"
+
+    def __post_init__(self):
+        if self.pool_k not in (1, 2, 3):
+            raise ConfigError("eval.pool_k must be 1, 2 or 3")
+        if self.metric not in METRICS:
+            raise ConfigError(
+                f"eval.metric must be one of {', '.join(METRICS)}")
 
 
 @dataclass(frozen=True)
@@ -133,21 +200,13 @@ class RunConfig:
     stability: StabilitySection = field(default_factory=StabilitySection)
     eval: EvalSection = field(default_factory=EvalSection)
 
+    def __post_init__(self):
+        if self.eval.pool_k > self.arch.layers + 1:
+            raise ConfigError("eval.pool_k must be <= arch.layers + 1")
 
-_SECTION_TYPES = {
-    "run": RunSection,
-    "arch": EncoderArch,
-    "data": DataSection,
-    "pretrain": PretrainSection,
-    "nli": NliSection,
-    "ct": CtSection,
-    "sed": SedSection,
-    "flow": FlowSection,
-    "supervised": SupervisedSection,
-    "grid": GridSection,
-    "stability": StabilitySection,
-    "eval": EvalSection,
-}
+
+# Section name -> section type, in INI order.
+_SECTION_TYPES = typing.get_type_hints(RunConfig)
 
 
 def _format_value(value) -> str:
@@ -210,47 +269,7 @@ def parse_config(text: str) -> RunConfig:
             sections[section_name] = cls(**kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    cfg = RunConfig(**sections)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    for stage in cfg.run.stages:
-        if stage not in STAGE_NAMES:
-            raise ConfigError(f"unknown pipeline stage {stage!r}")
-    if cfg.eval.pool_k not in (1, 2, 3):
-        raise ConfigError("eval.pool_k must be 1, 2 or 3")
-    if cfg.eval.metric not in METRICS:
-        raise ConfigError(f"eval.metric must be one of {', '.join(METRICS)}")
-    for bound in (cfg.supervised.lower_bound, *cfg.grid.bounds):
-        RegressionTargetMap(bound)  # raises ConfigError out of range
-    minimums = {
-        "pretrain.steps": 0, "nli.steps": 0, "ct.steps": 0,
-        "ct.negatives_per_positive": 0, "sed.members": 1, "sed.epochs": 0,
-        "flow.epochs": 0, "supervised.max_epochs": 1,
-        "supervised.patience": 0, "grid.seeds_per_bound": 1,
-        "grid.steps": 0, "stability.runs": 2, "flow.layers": 2,
-        **{f"{s}.batch": 1 for s in ("pretrain", "nli", "ct", "sed", "flow",
-                                     "supervised", "grid")},
-    }
-    for name, low in minimums.items():
-        section, key = name.split(".")
-        if getattr(getattr(cfg, section), key) < low:
-            raise ConfigError(f"{name} must be >= {low}")
-    if cfg.eval.pool_k > cfg.arch.layers + 1:
-        raise ConfigError("eval.pool_k must be <= arch.layers + 1")
-    block = cfg.ct.negatives_per_positive + 1
-    if cfg.ct.batch % block:
-        raise ConfigError(f"ct.batch must be divisible by "
-                          f"ct.negatives_per_positive + 1 = {block}")
-    init = cfg.sed.student_init
-    if init != "base":
-        kind, _, index = init.partition(":")
-        if (kind != "member" or not index.isdecimal()
-                or int(index) >= cfg.sed.members):
-            raise ConfigError("sed.student_init must be 'base' or "
-                              "'member:<i>' with 0 <= i < sed.members")
+    return RunConfig(**sections)
 
 
 def load_config(path) -> RunConfig:

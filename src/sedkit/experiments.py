@@ -1,6 +1,8 @@
 """Experiment orchestration: pipelines, distillation, stability, search.
 
-A pipeline is an ordered stage list over {pretrain, nli, ct, sed, flow}.
+`run_pipeline(cfg, bundle)` runs the config's `[run] stages`, an ordered
+list over {pretrain, nli, ct, sed, flow} that starts with pretrain
+(`RunSection` checks the order), so the config alone describes a run.
 The base encoder is shared; ensemble members differ only in the seed of
 their objective stage (data order plus any stage-specific init). Target
 generation for distillation pools the final layer (k=1) while evaluation
@@ -8,7 +10,9 @@ defaults to pooling the final two layers (k=2).
 
 Every run derives its stage seeds from one master seed through
 SeedSequence spawn keys, and emits a manifest (config text, seeds, input
-and checkpoint hashes) sufficient to reproduce it bit-identically.
+and checkpoint hashes) sufficient to reproduce it bit-identically. The
+corpus hash is that of its lines as read (`_hash_lines`), the same in
+`run_pipeline` and the CLI.
 
 Each stage has one function (`pretrain_stage`, `member_stage`,
 `distill_stage`, `flow_stage`, `supervised_stage`) that derives its
@@ -32,8 +36,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .checkpoint import checkpoint_hash, save_checkpoint, write_atomic
-from .config import (STAGE_NAMES, GridSection, RunConfig, render_config,
-                     validate_config)
+from .config import GridSection, RunConfig, render_config
 from .encoder import (EncoderModel, PoolingSpec, encode_batch, encode_many,
                       pretrain_base)
 from .errors import (ConfigError, ConstantInputError, DataError,
@@ -66,36 +69,6 @@ def derive_seed(master: int, role: str, index: int = 0) -> int:
     return int(ss.generate_state(1)[0])
 
 
-@dataclass(frozen=True)
-class PipelineSpec:
-    stages: tuple[str, ...]
-    config: RunConfig
-
-    def __post_init__(self):
-        if not self.stages:
-            raise ConfigError("pipeline needs at least one stage")
-        for s in self.stages:
-            if s not in STAGE_NAMES:
-                raise ConfigError(f"unknown stage {s!r}")
-        if len(set(self.stages)) != len(self.stages):
-            raise ConfigError("duplicate pipeline stages")
-        if "flow" in self.stages and self.stages[-1] != "flow":
-            raise ConfigError("flow must be the last stage")
-        if "pretrain" in self.stages and self.stages[0] != "pretrain":
-            raise ConfigError("pretrain must come first")
-        if "sed" in self.stages:
-            before = self.stages[: self.stages.index("sed")]
-            if not any(s in ("nli", "ct") for s in before):
-                raise ConfigError(
-                    "sed needs an ensemble from a preceding nli or ct stage"
-                )
-        validate_config(self.config)
-
-    @classmethod
-    def from_config(cls, cfg: RunConfig) -> "PipelineSpec":
-        return cls(tuple(cfg.run.stages), cfg)
-
-
 @dataclass
 class DataBundle:
     corpus: list[str]
@@ -116,13 +89,13 @@ class PipelineResult:
     manifest: dict
 
 
-def _hash_text(text: str) -> str:
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+def _hash_lines(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
 def _hash_task(task: StsTask) -> str:
-    lines = [f"{p.sentence_1}\t{p.sentence_2}\t{p.gold!r}" for p in task.pairs]
-    return _hash_text(task.name + "\n" + "\n".join(lines))
+    return _hash_lines([task.name] + [f"{p.sentence_1}\t{p.sentence_2}\t"
+                                      f"{p.gold!r}" for p in task.pairs])
 
 
 def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderModel:
@@ -262,33 +235,31 @@ def _sized_corpus(cfg: RunConfig, lines: list[str]) -> list[str]:
     return lines
 
 
-def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
+def run_pipeline(cfg: RunConfig, bundle: DataBundle,
                  out_dir=None) -> PipelineResult:
-    """Execute the stages in order and evaluate the final model.
+    """Execute `cfg.run.stages` in order and evaluate the final model.
 
     On a stage failure the manifest of completed stages is still written
     (when `out_dir` is given) before the error propagates.
     """
-    cfg = spec.config
-    master = cfg.run.seed
+    master, stages = cfg.run.seed, cfg.run.stages
     corpus = _sized_corpus(cfg, bundle.corpus)
-    n_members = cfg.sed.members if "sed" in spec.stages else 1
+    n_members = cfg.sed.members if "sed" in stages else 1
     seeds: dict = {}
     checkpoints: dict = {}
     manifest: dict = {
-        "stages": list(spec.stages),
+        "stages": list(stages),
         "config_text": render_config(cfg),
         "master_seed": master,
         "derived_seeds": seeds,
         "input_hashes": {
-            "corpus": _hash_text("\n".join(bundle.corpus)),
+            "corpus": _hash_lines(bundle.corpus),
             "tasks": {t.name: _hash_task(t) for t in bundle.tasks},
         },
         "checkpoints": checkpoints,
         "completed_stages": [],
     }
-    models: dict = {"base": None}
-    base = None
+    models: dict = {}
     members: list[EncoderModel] = []
     student = None
     flow_model = None
@@ -299,13 +270,11 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
         checkpoints[key] = checkpoint_hash(model)
 
     try:
-        for current in spec.stages:
+        for current in stages:
             if current == "pretrain":
                 base, seeds["pretrain"] = pretrain_stage(cfg, corpus)
                 keep("base", base)
             elif current in ("nli", "ct"):
-                if base is None and not members:
-                    raise ConfigError(f"{current} stage needs a base model")
                 if current == "nli" and bundle.nli is None:
                     raise DataError("nli stage needs NLI pairs in the bundle")
                 data = corpus if current == "ct" else bundle.nli
@@ -318,19 +287,13 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
                     keep(f"member_{i}", m)
             elif current == "sed":
                 init = cfg.sed.student_init
-                if init == "base":
-                    if base is None:
-                        raise ConfigError("student_init 'base' without pretrain")
-                    source = base
-                else:
-                    source = members[int(init.split(":", 1)[1])]
+                source = (base if init == "base"
+                          else members[int(init.split(":", 1)[1])])
                 student, seeds["sed"] = distill_stage(cfg, members, corpus,
                                                       source)
                 keep("student", student)
             elif current == "flow":
                 target = student or (members[0] if members else base)
-                if target is None:
-                    raise ConfigError("flow stage has no model to calibrate")
                 flow_model, seeds["flow"] = flow_stage(cfg, target, corpus)
                 keep("flow", flow_model)
             manifest["completed_stages"].append(current)
@@ -344,7 +307,7 @@ def run_pipeline(spec: PipelineSpec, bundle: DataBundle,
     report = evaluate_suite(
         final, bundle.tasks, PoolingSpec(cfg.eval.pool_k), flow=flow_model,
         metric=cfg.eval.metric,
-        metadata={"stages": "-".join(spec.stages), "seed": master},
+        metadata={"stages": "-".join(stages), "seed": master},
     )
     manifest["report"] = {
         "average_pearson_x100": report.average_pearson_x100,
@@ -409,8 +372,6 @@ def stability_study(base: EncoderModel, corpus: list[str],
     master seed. Failed runs are excluded with a warning; statistics
     cover the completed runs only. Returns the three groups keyed by name.
     """
-    if cfg.stability.runs < 2:
-        raise ConfigError("stability study needs at least 2 runs")
     pool = PoolingSpec(cfg.eval.pool_k)
 
     def avg_spearman(report: CorrelationReport) -> float:
@@ -551,8 +512,6 @@ def train_supervised_with_early_stopping(
     consecutive epochs and restores the best-dev parameters, so the
     returned model matches the maximum of the returned trajectory.
     """
-    if cfg.max_epochs == 0:
-        raise ConfigError("max_epochs must be positive")
     if not train_pairs:
         raise DataError("no training pairs")
     train_texts = {(p.sentence_1, p.sentence_2) for p in train_pairs}

@@ -23,7 +23,7 @@ from sedkit.encoder import (EncoderArch, PoolingSpec, Vocabulary, encode,
                             encode_batch, encode_many, init_encoder,
                             pretrain_base)
 from sedkit.evalsts import ScoredPair, StsTask, evaluate_suite, pearson, spearman
-from sedkit.experiments import (TRAIN_POOL, DataBundle, PipelineSpec,
+from sedkit.experiments import (TRAIN_POOL, DataBundle,
                                 derive_seed,
                                 full_ensemble_predict,
                                 grid_search_lower_bound, pooling_ablation,
@@ -414,8 +414,7 @@ def test_criterion_08_pipeline_determinism(world, tmp_path):
     )
     bundle = DataBundle(world.corpus, [world.sts["test"]])
     out = [tmp_path / "r1", tmp_path / "r2"]
-    results = [run_pipeline(PipelineSpec.from_config(cfg), bundle,
-                            out_dir=d) for d in out]
+    results = [run_pipeline(cfg, bundle, out_dir=d) for d in out]
     r1, r2 = results
     assert r1.manifest == r2.manifest
     assert r1.manifest["checkpoints"] == r2.manifest["checkpoints"]

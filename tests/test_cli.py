@@ -19,12 +19,12 @@ from sedkit.cli import main, read_corpus
 from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
                            GridSection, NliSection, PretrainSection,
                            RunConfig, RunSection, SedSection,
-                           StabilitySection, SupervisedSection, render_config)
+                           StabilitySection, SupervisedSection, parse_config,
+                           render_config)
 from sedkit.encoder import EncoderArch
 from sedkit.errors import DataError
 from sedkit.evalsts import load_sts_tsv
-from sedkit.experiments import (DataBundle, PipelineSpec, run_pipeline,
-                                sample_corpus)
+from sedkit.experiments import DataBundle, run_pipeline, sample_corpus
 from sedkit.flow import CouplingFlow
 from sedkit.synthetic import load_nli_tsv
 
@@ -58,6 +58,11 @@ def cli_config() -> RunConfig:
         stability=StabilitySection(runs=2),
         eval=EvalSection(pool_k=2),
     )
+
+
+def with_stages(cfg: RunConfig, stages) -> RunConfig:
+    return dataclasses.replace(cfg, run=dataclasses.replace(cfg.run,
+                                                            stages=stages))
 
 
 @pytest.fixture(autouse=True)
@@ -203,9 +208,23 @@ def test_corpus_subsampling_is_deterministic(workspace, tmp_path):
     assert sampled != sha(workspace["base"])
     bundle = DataBundle(read_corpus(workspace["corpus"]),
                         [load_sts_tsv(workspace["world"] / "sts_test.tsv")])
-    run_pipeline(PipelineSpec(("pretrain",), cfg), bundle,
+    run_pipeline(with_stages(cfg, ("pretrain",)), bundle,
                  out_dir=tmp_path / "pipeline")
     assert sampled == sha(tmp_path / "pipeline" / "base.ckpt")
+
+
+def test_cli_and_pipeline_record_one_corpus_hash(workspace):
+    """`pretrain` and run_pipeline hash one corpus alike: the lines read
+    from it, not the bytes of the file."""
+    world = workspace["world"]
+    cli = json.loads((workspace["runs"] / "pretrain_manifest.json")
+                     .read_text())
+    bundle = DataBundle(read_corpus(workspace["corpus"]),
+                        [load_sts_tsv(world / "sts_test.tsv")])
+    pipeline = run_pipeline(with_stages(cli_config(), ("pretrain",)),
+                            bundle).manifest
+    assert cli["input_hashes"] == {"corpus": pipeline["input_hashes"]["corpus"]}
+    assert cli["checkpoints"]["base"] == pipeline["checkpoints"]["base"]
 
 
 def test_train_ct_member_index_in_artifacts(workspace, tmp_path):
@@ -315,7 +334,7 @@ def test_cli_stages_match_pipeline_bytes(workspace, tmp_path, capsys):
     for kind, stages in (("ct", ("pretrain", "ct", "sed", "flow")),
                          ("nli", ("pretrain", "nli", "sed"))):
         pipe_dir = tmp_path / f"pipeline_{kind}"
-        run_pipeline(PipelineSpec(stages, cli_config()), bundle,
+        run_pipeline(with_stages(cli_config(), stages), bundle,
                      out_dir=pipe_dir)
         for cli_path, key in pairs[kind]:
             assert sha(cli_path) == sha(pipe_dir / f"{key}.ckpt"), (kind, key)
@@ -346,6 +365,53 @@ def test_grid_search_command(workspace, tmp_path, capsys):
     assert rc == 0
     assert "selected lower bound: 0.3" in capsys.readouterr().out
     assert "selected,0.3" in (tmp_path / "grid_search.csv").read_text()
+
+
+def test_grid_search_and_stability_write_manifests(workspace, tmp_path,
+                                                   capsys):
+    """grid-search and stability record the config they ran with, flag
+    overrides included, and hashes of their inputs; they save no
+    checkpoint."""
+    cfg = cli_config()
+    cfg = dataclasses.replace(
+        cfg, grid=dataclasses.replace(cfg.grid, seeds_per_bound=2),
+        stability=StabilitySection(runs=3))
+    ini = tmp_path / "other.ini"
+    ini.write_text(render_config(cfg))
+    world, base = workspace["world"], workspace["base"]
+    grid_dir, stability_dir = tmp_path / "grid", tmp_path / "stability"
+    assert main(["grid-search", "--config", str(ini), "--model", base,
+                 "--train-pairs", str(world / "sts_train.tsv"),
+                 "--dev-task", str(world / "sts_dev.tsv"),
+                 "--seeds-per-bound", "1", "--bounds", "0.0,0.3",
+                 "--out", str(grid_dir)]) == 0
+    assert main(["stability", "--config", str(ini), "--base", base,
+                 "--corpus", workspace["corpus"],
+                 "--task", str(world / "sts_test.tsv"), "--runs", "2",
+                 "--out", str(stability_dir)]) == 0
+    capsys.readouterr()
+
+    grid = json.loads((grid_dir / "grid_search_manifest.json").read_text())
+    assert grid["stage"] == "grid_search" and grid["checkpoints"] == {}
+    ran = parse_config(grid["config_text"])
+    assert ran.grid.bounds == (0.0, 0.3) and ran.grid.seeds_per_bound == 1
+    assert ran == dataclasses.replace(cfg, grid=ran.grid)
+    assert grid["input_hashes"] == {
+        "train_pairs": sha(world / "sts_train.tsv"),
+        "dev_task": sha(world / "sts_dev.tsv"), "model": sha(base)}
+
+    stability = json.loads(
+        (stability_dir / "stability_manifest.json").read_text())
+    assert stability["stage"] == "stability"
+    assert stability["checkpoints"] == {}
+    ran = parse_config(stability["config_text"])
+    assert ran == dataclasses.replace(cfg, stability=StabilitySection(runs=2))
+    hashes = stability["input_hashes"]
+    pretrain = json.loads((workspace["runs"] / "pretrain_manifest.json")
+                          .read_text())
+    assert hashes["corpus"] == pretrain["input_hashes"]["corpus"]
+    assert hashes["base"] == sha(base)
+    assert set(hashes["tasks"]) == {"sts_test"}
 
 
 def test_setting_flags_are_validated_like_their_keys(workspace, tmp_path,

@@ -4,9 +4,11 @@ import dataclasses
 
 import pytest
 
-from sedkit.config import (GridSection, RunConfig, default_config,
-                           load_config, parse_config, render_config,
-                           save_config, validate_config)
+from sedkit.config import (CtSection, EvalSection, GridSection, RunConfig,
+                           StabilitySection, SupervisedSection,
+                           default_config, load_config, parse_config,
+                           render_config, save_config)
+from sedkit.encoder import EncoderArch
 from sedkit.errors import ConfigError
 
 
@@ -136,8 +138,44 @@ def test_validation_rules():
     assert cfg.sed.student_init == "member:2"
 
 
-def test_validate_config_accepts_defaults():
-    validate_config(default_config())
+def test_stage_list_rules():
+    """[run] stages starts with pretrain, names each stage once, puts
+    sed after ct or nli, and flow last."""
+    for stages, match in (("sed, pretrain", "start with pretrain"),
+                          ("ct", "start with pretrain"),
+                          ("", "start with pretrain"),
+                          ("pretrain, ct, ct", "duplicate pipeline stages"),
+                          ("pretrain, flow, ct", "flow must be the last"),
+                          ("pretrain, sed, ct", "sed needs an ensemble")):
+        with pytest.raises(ConfigError, match=match):
+            parse_config(f"[run]\nstages = {stages}\n")
+    cfg = parse_config("[run]\nstages = pretrain, nli, ct, sed, flow\n")
+    assert cfg.run.stages == ("pretrain", "nli", "ct", "sed", "flow")
+
+
+def test_sections_check_themselves_when_built():
+    """A section built in code is checked as a parsed one is."""
+    for build, match in (
+            (lambda: SupervisedSection(max_epochs=-1),
+             "supervised.max_epochs must be >= 1"),
+            (lambda: StabilitySection(runs=1), "stability.runs must be >= 2"),
+            (lambda: CtSection(batch=10), "ct.batch must be divisible"),
+            (lambda: GridSection(bounds=(0.3, 0.97)),
+             "lower_bound 0.97 outside"),
+            (lambda: EvalSection(pool_k=0), "eval.pool_k must be 1, 2 or 3"),
+            (lambda: RunConfig(arch=EncoderArch(layers=1),
+                               eval=EvalSection(pool_k=3)),
+             "eval.pool_k must be <= arch.layers \\+ 1")):
+        with pytest.raises(ConfigError, match=match):
+            build()
+    # the checks run again when a valid section is copied with a change
+    with pytest.raises(ConfigError, match="stability.runs"):
+        dataclasses.replace(StabilitySection(), runs=0)
+
+
+def test_default_config_is_valid():
+    # every section checks its keys when built: the defaults pass
+    assert default_config() == RunConfig()
 
 
 def test_save_load_file_round_trip(tmp_path):

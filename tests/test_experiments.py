@@ -23,7 +23,7 @@ from sedkit.errors import (ConfigError, ConstantInputError, DataError,
                            DivergenceError, ShapeMismatchError)
 from sedkit.evalsts import ScoredPair, StsTask, cosine, evaluate_suite, evaluate_task
 from sedkit.experiments import (TRAIN_POOL, DataBundle, GridSearchResult,
-                                PipelineSpec, StabilityReport,
+                                StabilityReport,
                                 ablation_csv, derive_seed,
                                 full_ensemble_predict, grid_csv,
                                 grid_search_lower_bound, pooling_ablation,
@@ -73,38 +73,28 @@ def test_derive_seed_unknown_role():
         derive_seed(0, "finetune", 0)
 
 
-# -- pipeline spec validation ---------------------------------------------
+# -- stage list validation ------------------------------------------------
 
 def test_pipeline_spec_orderings():
-    cfg = tiny_run_config(("pretrain", "ct", "sed"))
-    PipelineSpec(("pretrain", "ct", "sed", "flow"), cfg)
-    PipelineSpec(("pretrain",), cfg)
-    PipelineSpec(("pretrain", "nli", "sed"), cfg)
+    tiny_run_config(("pretrain", "ct", "sed", "flow"))
+    tiny_run_config(("pretrain",))
+    tiny_run_config(("pretrain", "nli", "sed"))
     with pytest.raises(ConfigError, match="flow must be the last"):
-        PipelineSpec(("pretrain", "flow", "ct"), cfg)
-    with pytest.raises(ConfigError, match="pretrain must come first"):
-        PipelineSpec(("ct", "pretrain"), cfg)
+        tiny_run_config(("pretrain", "flow", "ct"))
+    with pytest.raises(ConfigError, match="start with pretrain"):
+        tiny_run_config(("ct", "pretrain"))
     with pytest.raises(ConfigError, match="duplicate"):
-        PipelineSpec(("pretrain", "ct", "ct"), cfg)
+        tiny_run_config(("pretrain", "ct", "ct"))
     with pytest.raises(ConfigError, match="unknown stage"):
-        PipelineSpec(("pretrain", "distill"), cfg)
-    with pytest.raises(ConfigError, match="at least one"):
-        PipelineSpec((), cfg)
+        tiny_run_config(("pretrain", "distill"))
+    with pytest.raises(ConfigError, match="start with pretrain"):
+        tiny_run_config(())
     with pytest.raises(ConfigError, match="sed needs an ensemble"):
-        PipelineSpec(("pretrain", "sed"), cfg)
+        tiny_run_config(("pretrain", "sed"))
     # a config built in code is validated too, so a bad member index
     # fails here rather than as an IndexError mid-run
-    bad = dataclasses.replace(
-        cfg, sed=dataclasses.replace(TINY_SED, student_init="member:99"))
     with pytest.raises(ConfigError, match="student_init"):
-        PipelineSpec(("pretrain", "ct", "sed"), bad)
-
-
-def test_pipeline_spec_from_config():
-    cfg = tiny_run_config(("pretrain", "ct"))
-    spec = PipelineSpec.from_config(cfg)
-    assert spec.stages == ("pretrain", "ct")
-    assert spec.config == cfg
+        dataclasses.replace(TINY_SED, student_init="member:99")
 
 
 def test_data_bundle_validation(tiny_world):
@@ -256,9 +246,8 @@ def pipeline_bundle(tiny_world):
 
 def test_pipeline_deterministic(pipeline_bundle):
     cfg = tiny_run_config(("pretrain", "ct", "sed", "flow"))
-    spec = PipelineSpec.from_config(cfg)
-    r1 = run_pipeline(spec, pipeline_bundle)
-    r2 = run_pipeline(spec, pipeline_bundle)
+    r1 = run_pipeline(cfg, pipeline_bundle)
+    r2 = run_pipeline(cfg, pipeline_bundle)
     assert r1.manifest == r2.manifest
     assert r1.manifest["checkpoints"] == r2.manifest["checkpoints"]
     assert (r1.report.average_spearman_x100
@@ -271,17 +260,30 @@ def test_pipeline_deterministic(pipeline_bundle):
 
 def test_pipeline_manifest_config_round_trips(pipeline_bundle):
     cfg = tiny_run_config(("pretrain", "ct"))
-    result = run_pipeline(PipelineSpec.from_config(cfg), pipeline_bundle)
+    result = run_pipeline(cfg, pipeline_bundle)
     assert parse_config(result.manifest["config_text"]) == cfg
     hashes = result.manifest["input_hashes"]
     assert set(hashes["tasks"]) == {"sts_test"}
     assert len(hashes["corpus"]) == 64
 
 
+def test_pipeline_runs_the_config_stages(pipeline_bundle):
+    """run_pipeline runs `[run] stages`, and the manifest's config text
+    gives back the config that ran, stage list included."""
+    cfg = tiny_run_config(("pretrain",))
+    result = run_pipeline(cfg, pipeline_bundle)
+    assert result.manifest["stages"] == ["pretrain"]
+    assert result.manifest["completed_stages"] == ["pretrain"]
+    assert set(result.manifest["checkpoints"]) == {"base"}
+    back = parse_config(result.manifest["config_text"])
+    assert back == cfg
+    assert back.run.stages == ("pretrain",)
+
+
 def test_pipeline_writes_artifacts(pipeline_bundle, tmp_path):
     from sedkit.checkpoint import load_checkpoint
     cfg = tiny_run_config(("pretrain", "ct"))
-    result = run_pipeline(PipelineSpec.from_config(cfg), pipeline_bundle,
+    result = run_pipeline(cfg, pipeline_bundle,
                           out_dir=tmp_path)
     names = sorted(os.listdir(tmp_path))
     assert names == ["base.ckpt", "manifest.json", "member_0.ckpt"]
@@ -298,7 +300,7 @@ def test_pipeline_student_init_from_member(pipeline_bundle):
     cfg = dataclasses.replace(
         cfg, sed=dataclasses.replace(TINY_SED, epochs=0,
                                      student_init="member:0"))
-    result = run_pipeline(PipelineSpec.from_config(cfg), pipeline_bundle)
+    result = run_pipeline(cfg, pipeline_bundle)
     # zero distillation epochs: the student is exactly its init, member 0
     assert (result.manifest["checkpoints"]["student"]
             == result.manifest["checkpoints"]["member_0"])
@@ -309,7 +311,7 @@ def test_pipeline_failure_preserves_manifest(pipeline_bundle, tmp_path):
     bundle = DataBundle(pipeline_bundle.corpus, pipeline_bundle.tasks,
                         nli=None)
     with pytest.raises(DataError, match="NLI pairs"):
-        run_pipeline(PipelineSpec.from_config(cfg), bundle,
+        run_pipeline(cfg, bundle,
                      out_dir=tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["failed_stage"] == "nli"
@@ -317,10 +319,9 @@ def test_pipeline_failure_preserves_manifest(pipeline_bundle, tmp_path):
     assert "NLI pairs" in manifest["error"]
 
 
-def test_pipeline_ct_without_base_fails(pipeline_bundle):
-    cfg = tiny_run_config(("ct",))
-    with pytest.raises(ConfigError, match="needs a base model"):
-        run_pipeline(PipelineSpec.from_config(cfg), pipeline_bundle)
+def test_pipeline_ct_without_base_fails():
+    with pytest.raises(ConfigError, match="start with pretrain"):
+        tiny_run_config(("ct",))
 
 
 def test_pipeline_divergence_recorded_as_failed_stage(pipeline_bundle,
@@ -329,7 +330,7 @@ def test_pipeline_divergence_recorded_as_failed_stage(pipeline_bundle,
                         lambda *a, **k: dc.Tensor(np.nan))
     cfg = tiny_run_config(("pretrain", "ct"))
     with pytest.raises(DivergenceError, match="step 1"):
-        run_pipeline(PipelineSpec.from_config(cfg), pipeline_bundle,
+        run_pipeline(cfg, pipeline_bundle,
                      out_dir=tmp_path)
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["failed_stage"] == "ct"
@@ -408,12 +409,9 @@ def test_stability_study_drops_diverged_run(tiny_model, tiny_world,
     assert groups["members"].count == cfg.sed.members
 
 
-def test_stability_study_needs_two_runs(tiny_model, tiny_world):
-    cfg = tiny_run_config(("pretrain", "ct", "sed"))
-    cfg = dataclasses.replace(cfg, stability=StabilitySection(runs=1))
+def test_stability_study_needs_two_runs():
     with pytest.raises(ConfigError):
-        stability_study(tiny_model, tiny_world.corpus,
-                        [tiny_world.sts["test"]], cfg)
+        StabilitySection(runs=1)
 
 
 def test_stability_csv_states_estimator():
@@ -526,14 +524,12 @@ def test_returned_model_matches_trajectory_max(tiny_model, tiny_world):
 
 
 def test_supervised_guards(tiny_model, tiny_world):
-    cfg = SupervisedSection(max_epochs=0, batch=4, lr=1e-3, patience=1,
+    with pytest.raises(ConfigError):
+        SupervisedSection(max_epochs=0, batch=4, lr=1e-3, patience=1,
+                          lower_bound=0.0)
+    cfg = SupervisedSection(max_epochs=2, batch=4, lr=1e-3, patience=1,
                             lower_bound=0.0)
     pairs = list(tiny_world.sts["train"].pairs)
-    with pytest.raises(ConfigError):
-        train_supervised_with_early_stopping(
-            tiny_model.clone(), pairs, tiny_world.sts["dev"],
-            RegressionTargetMap(0.0), cfg)
-    cfg = dataclasses.replace(cfg, max_epochs=2)
     with pytest.raises(DataError):
         train_supervised_with_early_stopping(
             tiny_model.clone(), [], tiny_world.sts["dev"],
