@@ -24,8 +24,8 @@ for k in (1, 2, 3):
     e = encode(model, s, PoolingSpec(k))
     print(f"pool k={k}: ||e|| = {np.linalg.norm(e.data):.4f}")
 
-# sequences are always padded to max_len, so batch composition cannot
-# change anyone's embedding
+# each sentence is padded to the bucket of its own length (8, 16, 32),
+# so batch composition cannot change anyone's embedding
 with dc.no_grad():
     alone = encode_batch(model, [s], PoolingSpec(2)).data[0]
     crowd = encode_batch(model, [world.corpus[5], s, world.corpus[9]],

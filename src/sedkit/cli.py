@@ -208,7 +208,7 @@ def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
     )
     path = os.path.join(out, "grid_search.csv")
     write_atomic(path, grid_csv(result).encode("utf-8"))
-    _write_manifest(out, "grid_search", cfg, {},
+    _write_manifest(out, "grid_search", cfg, {"grid": list(result.seeds)},
                     {"train_pairs": _hash_file(args.train_pairs),
                      "dev_task": _hash_file(args.dev_task),
                      "model": _hash_file(args.model)}, {})
@@ -244,10 +244,10 @@ def _cmd_stability(args, cfg: RunConfig, out: str) -> None:
     base = _load(args.base, EncoderModel)
     corpus, corpus_hash = _resolve_corpus(args, cfg)
     tasks = _load_tasks(args)
-    reports = stability_study(base, corpus, tasks, cfg)
+    reports, seeds = stability_study(base, corpus, tasks, cfg)
     path = os.path.join(out, "stability.csv")
     write_atomic(path, stability_csv(reports).encode("utf-8"))
-    _write_manifest(out, "stability", cfg, {},
+    _write_manifest(out, "stability", cfg, seeds,
                     {"corpus": corpus_hash, "base": _hash_file(args.base),
                      "tasks": {t.name: _hash_task(t) for t in tasks}}, {})
     for name, rep in reports.items():

@@ -18,6 +18,7 @@ values for full-scale runs (10 members, 100k sentences, 10 runs, the
 from __future__ import annotations
 
 import dataclasses
+import math
 import typing
 from configparser import ConfigParser
 from dataclasses import dataclass, field
@@ -35,6 +36,19 @@ def _at_least(section: str, values, **minimums) -> None:
     for key, low in minimums.items():
         if getattr(values, key) < low:
             raise ConfigError(f"{section}.{key} must be >= {low}")
+
+
+def _positive(section: str, values, *keys) -> None:
+    for key in keys:
+        value = getattr(values, key)
+        if not (math.isfinite(value) and value > 0):
+            raise ConfigError(f"{section}.{key} must be finite and > 0")
+
+
+def _fraction(section: str, values, *keys) -> None:
+    for key in keys:
+        if not 0.0 <= getattr(values, key) <= 1.0:
+            raise ConfigError(f"{section}.{key} must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -62,7 +76,10 @@ class RunSection:
 
 @dataclass(frozen=True)
 class DataSection:
-    corpus_size: int = 5000
+    corpus_size: int = 5000  # 0 means every line
+
+    def __post_init__(self):
+        _at_least("data", self, corpus_size=0)
 
 
 @dataclass(frozen=True)
@@ -74,6 +91,8 @@ class PretrainSection:
 
     def __post_init__(self):
         _at_least("pretrain", self, steps=0, batch=1)
+        _positive("pretrain", self, "lr")
+        _fraction("pretrain", self, "mask_prob")
 
 
 @dataclass(frozen=True)
@@ -85,6 +104,8 @@ class NliSection:
 
     def __post_init__(self):
         _at_least("nli", self, steps=0, batch=1)
+        _positive("nli", self, "peak_lr")
+        _fraction("nli", self, "warmup_fraction")
 
 
 @dataclass(frozen=True)
@@ -97,6 +118,7 @@ class CtSection:
 
     def __post_init__(self):
         _at_least("ct", self, steps=0, batch=1, negatives_per_positive=0)
+        _positive("ct", self, "start_lr", "end_lr")
         block = self.negatives_per_positive + 1
         if self.batch % block:
             raise ConfigError(f"ct.batch must be divisible by "
@@ -114,6 +136,8 @@ class SedSection:
 
     def __post_init__(self):
         _at_least("sed", self, members=1, epochs=0, batch=1)
+        _positive("sed", self, "peak_lr")
+        _fraction("sed", self, "warmup_fraction")
         kind, _, index = self.student_init.partition(":")
         if self.student_init != "base" and (
                 kind != "member" or not index.isdecimal()
@@ -131,6 +155,7 @@ class FlowSection:
 
     def __post_init__(self):
         _at_least("flow", self, layers=2, epochs=0, batch=1)
+        _positive("flow", self, "lr")
 
 
 @dataclass(frozen=True)
@@ -143,6 +168,7 @@ class SupervisedSection:
 
     def __post_init__(self):
         _at_least("supervised", self, max_epochs=1, batch=1, patience=0)
+        _positive("supervised", self, "lr")
         RegressionTargetMap(self.lower_bound)  # raises ConfigError out of range
 
 
@@ -160,6 +186,7 @@ class GridSection:
 
     def __post_init__(self):
         _at_least("grid", self, seeds_per_bound=1, steps=0, batch=1)
+        _positive("grid", self, "lr")
         for bound in self.bounds:
             RegressionTargetMap(bound)  # raises ConfigError out of range
 

@@ -5,9 +5,15 @@ each transformer block), which is what the layer-pooling rules consume:
 a sentence embedding is the token mean of each of the final k layers,
 then the mean of those k pooled vectors, in that order.
 
-Every forward pass pads to the model's fixed maximum length, so a sentence
-produces bit-identical embeddings whether encoded alone or inside any
-batch: batching only stacks identical per-sentence computations.
+A sentence is padded to the bucket set by its own length: the smallest
+of 8, 16, 32, ... that holds it, capped at `max_len`. `encode_batch` runs
+one forward per bucket present, so a sentence runs at the same padded
+length whatever it is batched with, and its embedding is bit-identical
+alone or inside any batch. Padding to the batch's longest sentence would
+break that: the sums over token positions (softmax, `attn @ v`, token
+mean) round differently at different lengths. Padded positions add exact
+zeros and numpy's pairwise sum runs 8 lanes, so padding a sentence past
+its bucket leaves its embedding unchanged.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 
 _NEG_BIAS = -1e30  # additive attention bias; exp() underflows to exactly 0
 _LN_EPS = 1e-5
+_MIN_BUCKET = 8  # numpy's pairwise sum runs 8 lanes
 
 class Vocabulary:
     """Dense token-to-id map with pad/unk/mask specials at ids 0/1/2."""
@@ -131,18 +138,19 @@ class EncoderModel:
         return EncoderModel(self.arch, self.vocab, params)
 
     def forward_ids(self, ids: np.ndarray, mask: np.ndarray) -> list[Tensor]:
-        """Hidden states for padded id batch (B, max_len).
+        """Hidden states for a padded id batch of shape (B, T), T <= max_len.
 
-        Returns layers+1 grids of shape (B, max_len, hidden): the embedding
+        Returns layers+1 grids of shape (B, T, hidden): the embedding
         layer first, then each transformer block. `mask` is 1.0 at real
         tokens and 0.0 at padding; padded key positions get an additive
         -1e30 attention bias so their softmax weight underflows to exact 0.
         """
         arch, p = self.arch, self.params
         B, T = ids.shape
-        if T != arch.max_len:
-            raise ShapeMismatchError("ids must be padded to max_len")
-        h = dc.take_rows(p["tok_emb"], ids) + p["pos_emb"]
+        if T > arch.max_len:
+            raise ShapeMismatchError(
+                f"ids have {T} positions, max_len is {arch.max_len}")
+        h = dc.take_rows(p["tok_emb"], ids) + p["pos_emb"][:T]
         key_bias = Tensor((1.0 - mask)[:, None, None, :] * _NEG_BIAS)
         hiddens = [h]
         for layer in range(arch.layers):
@@ -215,40 +223,73 @@ def _build_encoder(arch: EncoderArch, vocab: Vocabulary,
     return EncoderModel(arch, vocab, params)
 
 
-def batch_ids(model: EncoderModel, sentences) -> tuple[np.ndarray, np.ndarray]:
-    """Tokenize, truncate to max_len and pad a list of sentences."""
-    T = model.arch.max_len
-    B = len(sentences)
-    ids = np.full((B, T), model.vocab.pad_id, dtype=np.intp)
-    mask = np.zeros((B, T))
-    for i, sentence in enumerate(sentences):
-        toks = tokenize(sentence, model.vocab)[:T]
+def _bucket_len(n: int, max_len: int) -> int:
+    """Padded length for a sentence of `n` tokens: the smallest of 8, 16,
+    32, ... that holds it, capped at `max_len`."""
+    T = _MIN_BUCKET
+    while T < n:
+        T *= 2
+    return min(T, max_len)
+
+
+def _token_lists(model: EncoderModel, sentences) -> list[list[int]]:
+    return [tokenize(s, model.vocab)[: model.arch.max_len] for s in sentences]
+
+
+def _pad(model: EncoderModel, token_lists,
+         T: int) -> tuple[np.ndarray, np.ndarray]:
+    ids = np.full((len(token_lists), T), model.vocab.pad_id, dtype=np.intp)
+    mask = np.zeros((len(token_lists), T))
+    for i, toks in enumerate(token_lists):
         ids[i, : len(toks)] = toks
         mask[i, : len(toks)] = 1.0
     return ids, mask
 
 
-def encode_batch(model: EncoderModel, sentences, pool: PoolingSpec) -> Tensor:
-    """Embeddings (B, hidden) for a list of sentences.
+def batch_ids(model: EncoderModel, sentences) -> tuple[np.ndarray, np.ndarray]:
+    """Tokenize and truncate to max_len, then pad every sentence to the
+    bucket of the longest one."""
+    toks = _token_lists(model, sentences)
+    longest = max((len(t) for t in toks), default=1)
+    return _pad(model, toks, _bucket_len(longest, model.arch.max_len))
 
-    Token mean first (padding positions excluded), then the mean over the
-    final k layers, accumulated from the last layer backwards so the
-    summation order is reproducible.
+
+def encode_batch(model: EncoderModel, sentences, pool: PoolingSpec) -> Tensor:
+    """Embeddings (B, hidden) for a list of sentences, in input order.
+
+    One forward per length bucket present. Token mean first (padding
+    positions excluded), then the mean over the final k layers,
+    accumulated from the last layer backwards so the summation order is
+    reproducible.
     """
     if pool.k > model.arch.layers + 1:
         raise ShapeMismatchError("pooling k exceeds available layers")
-    ids, mask = batch_ids(model, sentences)
-    hiddens = model.forward_ids(ids, mask)
-    counts = mask.sum(axis=1, keepdims=True)
+    toks = _token_lists(model, sentences)
+    if not toks:
+        return Tensor(np.zeros((0, model.arch.hidden)))
+    buckets = [_bucket_len(len(t), model.arch.max_len) for t in toks]
+    parts, order = [], []
+    for T in sorted(set(buckets)):
+        rows = [i for i, b in enumerate(buckets) if b == T]
+        ids, mask = _pad(model, [toks[i] for i in rows], T)
+        parts.append(_pool(model.forward_ids(ids, mask), mask, pool.k))
+        order.extend(rows)
+    if len(parts) == 1:  # rows already in input order; skip two graph nodes
+        return parts[0]
+    return dc.take_rows(dc.concat(parts, axis=0), np.argsort(order))
+
+
+def _pool(hiddens: list[Tensor], mask: np.ndarray, k: int) -> Tensor:
+    counts = Tensor(mask.sum(axis=1, keepdims=True))
     mask3 = Tensor(mask[:, :, None])
 
     def token_mean(h):
-        return (h * mask3).sum(axis=1) / Tensor(counts)
+        return (h * mask3).sum(axis=1) / counts
 
     acc = token_mean(hiddens[-1])
-    for back in range(1, pool.k):
+    for back in range(1, k):
         acc = acc + token_mean(hiddens[-1 - back])
-    return acc * (1.0 / pool.k)
+    return acc * (1.0 / k)
 
 
 def encode(model: EncoderModel, sentence: str, pool: PoolingSpec) -> np.ndarray:

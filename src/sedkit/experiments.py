@@ -363,14 +363,16 @@ class StabilityReport:
 
 
 def stability_study(base: EncoderModel, corpus: list[str],
-                    tasks: list[StsTask],
-                    cfg: RunConfig) -> dict[str, StabilityReport]:
+                    tasks: list[StsTask], cfg: RunConfig
+                    ) -> tuple[dict[str, StabilityReport], dict]:
     """Members vs full ensemble vs repeated distillation runs.
 
     Trains `sed.members` contrastive members from `base`, then
     `stability.runs` distillation students over fresh seeds from one
     master seed. Failed runs are excluded with a warning; statistics
-    cover the completed runs only. Returns the three groups keyed by name.
+    cover the completed runs only. Returns the three groups keyed by
+    name, and the derived seeds (`ct` per member, `sed` per run, failed
+    runs included).
     """
     pool = PoolingSpec(cfg.eval.pool_k)
 
@@ -383,14 +385,17 @@ def stability_study(base: EncoderModel, corpus: list[str],
 
     members = []
     member_scores = []
+    seeds: dict[str, list[int]] = {"ct": [], "sed": []}
     for i in range(cfg.sed.members):
-        m, _ = member_stage("ct", cfg, base, corpus, i)
+        m, seed = member_stage("ct", cfg, base, corpus, i)
+        seeds["ct"].append(seed)
         members.append(m)
         member_scores.append(avg_spearman(evaluate_suite(m, tasks, pool)))
     ensemble_score = avg_spearman(
         full_ensemble_predict(EnsembleSpec(members), tasks, pool))
     student_scores = []
     for r in range(cfg.stability.runs):
+        seeds["sed"].append(derive_seed(cfg.run.seed, "sed", r))
         try:
             student, _ = distill_stage(cfg, members, corpus, base, r)
             student_scores.append(avg_spearman(evaluate_suite(student, tasks, pool)))
@@ -401,7 +406,7 @@ def stability_study(base: EncoderModel, corpus: list[str],
         "full_ensemble": StabilityReport.from_values("full_ensemble",
                                                      [ensemble_score]),
         "students": StabilityReport.from_values("students", student_scores),
-    }
+    }, seeds
 
 
 def stability_csv(reports: dict[str, StabilityReport]) -> str:
@@ -420,6 +425,7 @@ class GridSearchResult:
     scores_by_bound: dict  # bound -> tuple of dev spearman x100 per seed
     mean_by_bound: dict  # bound -> mean over completed cells
     selected_bound: float
+    seeds: tuple[int, ...]  # one per cell, bound-major, failed cells too
     selection_rule: str = "max mean dev spearman, ties to the smaller bound"
 
 
@@ -456,10 +462,12 @@ def grid_search_lower_bound(base: EncoderModel, train_pairs, dev_task: StsTask,
         raise DataError("no training pairs")
     scores: dict[float, tuple] = {}
     means: dict[float, float] = {}
+    seeds = []
     for bi, (bound, target_map) in enumerate(zip(bounds, target_maps)):
         cell_scores = []
         for s in range(seeds_per_bound):
             seed = derive_seed(master_seed, "grid", bi * seeds_per_bound + s)
+            seeds.append(seed)
             try:
                 model = _train_regression(
                     base.clone(), train_pairs, target_map,
@@ -476,7 +484,8 @@ def grid_search_lower_bound(base: EncoderModel, train_pairs, dev_task: StsTask,
             means[bound] = float(np.mean(cell_scores))
     if not means:
         raise DataError("every grid cell failed")
-    return GridSearchResult(bounds, scores, means, select_bound(means))
+    return GridSearchResult(bounds, scores, means, select_bound(means),
+                            tuple(seeds))
 
 
 def select_bound(means: dict) -> float:

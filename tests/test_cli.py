@@ -24,7 +24,8 @@ from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
 from sedkit.encoder import EncoderArch
 from sedkit.errors import DataError
 from sedkit.evalsts import load_sts_tsv
-from sedkit.experiments import DataBundle, run_pipeline, sample_corpus
+from sedkit.experiments import (DataBundle, derive_seed, run_pipeline,
+                                sample_corpus)
 from sedkit.flow import CouplingFlow
 from sedkit.synthetic import load_nli_tsv
 
@@ -370,8 +371,8 @@ def test_grid_search_command(workspace, tmp_path, capsys):
 def test_grid_search_and_stability_write_manifests(workspace, tmp_path,
                                                    capsys):
     """grid-search and stability record the config they ran with, flag
-    overrides included, and hashes of their inputs; they save no
-    checkpoint."""
+    overrides included, the seeds they derived and hashes of their
+    inputs; they save no checkpoint."""
     cfg = cli_config()
     cfg = dataclasses.replace(
         cfg, grid=dataclasses.replace(cfg.grid, seeds_per_bound=2),
@@ -399,6 +400,9 @@ def test_grid_search_and_stability_write_manifests(workspace, tmp_path,
     assert grid["input_hashes"] == {
         "train_pairs": sha(world / "sts_train.tsv"),
         "dev_task": sha(world / "sts_dev.tsv"), "model": sha(base)}
+    seed = cfg.run.seed
+    assert grid["derived_seeds"] == {
+        "grid": [derive_seed(seed, "grid", 0), derive_seed(seed, "grid", 1)]}
 
     stability = json.loads(
         (stability_dir / "stability_manifest.json").read_text())
@@ -406,6 +410,9 @@ def test_grid_search_and_stability_write_manifests(workspace, tmp_path,
     assert stability["checkpoints"] == {}
     ran = parse_config(stability["config_text"])
     assert ran == dataclasses.replace(cfg, stability=StabilitySection(runs=2))
+    assert stability["derived_seeds"] == {
+        "ct": [derive_seed(seed, "ct", i) for i in range(cfg.sed.members)],
+        "sed": [derive_seed(seed, "sed", r) for r in range(2)]}
     hashes = stability["input_hashes"]
     pretrain = json.loads((workspace["runs"] / "pretrain_manifest.json")
                           .read_text())

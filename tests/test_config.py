@@ -4,10 +4,11 @@ import dataclasses
 
 import pytest
 
-from sedkit.config import (CtSection, EvalSection, GridSection, RunConfig,
-                           StabilitySection, SupervisedSection,
-                           default_config, load_config, parse_config,
-                           render_config, save_config)
+from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
+                           GridSection, NliSection, PretrainSection,
+                           RunConfig, SedSection, StabilitySection,
+                           SupervisedSection, default_config, load_config,
+                           parse_config, render_config, save_config)
 from sedkit.encoder import EncoderArch
 from sedkit.errors import ConfigError
 
@@ -165,7 +166,25 @@ def test_sections_check_themselves_when_built():
             (lambda: EvalSection(pool_k=0), "eval.pool_k must be 1, 2 or 3"),
             (lambda: RunConfig(arch=EncoderArch(layers=1),
                                eval=EvalSection(pool_k=3)),
-             "eval.pool_k must be <= arch.layers \\+ 1")):
+             "eval.pool_k must be <= arch.layers \\+ 1"),
+            (lambda: PretrainSection(mask_prob=1.5),
+             "pretrain.mask_prob must be in \\[0, 1\\]"),
+            (lambda: PretrainSection(mask_prob=-0.1), "pretrain.mask_prob"),
+            (lambda: DataSection(corpus_size=-5),
+             "data.corpus_size must be >= 0"),
+            (lambda: PretrainSection(lr=0.0),
+             "pretrain.lr must be finite and > 0"),
+            (lambda: NliSection(peak_lr=-1e-4), "nli.peak_lr"),
+            (lambda: CtSection(start_lr=float("inf")), "ct.start_lr"),
+            (lambda: CtSection(end_lr=0.0), "ct.end_lr"),
+            (lambda: SedSection(peak_lr=float("nan")), "sed.peak_lr"),
+            (lambda: FlowSection(lr=0.0), "flow.lr"),
+            (lambda: SupervisedSection(lr=-1.0), "supervised.lr"),
+            (lambda: GridSection(lr=0.0), "grid.lr"),
+            (lambda: NliSection(warmup_fraction=1.1),
+             "nli.warmup_fraction must be in \\[0, 1\\]"),
+            (lambda: SedSection(warmup_fraction=-0.5),
+             "sed.warmup_fraction")):
         with pytest.raises(ConfigError, match=match):
             build()
     # the checks run again when a valid section is copied with a change

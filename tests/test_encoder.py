@@ -1,5 +1,5 @@
-"""Encoder behavior: tokenization, padding invariance, pooling, and the
-masked-token pretraining loop."""
+"""Encoder behavior: tokenization, length buckets and padding invariance,
+pooling, and the masked-token pretraining loop."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,27 @@ import pytest
 import sedkit.diffcore as dc
 import sedkit.encoder as enc
 from sedkit.config import PretrainSection
+from sedkit.diffcore import Tensor
 from sedkit.encoder import (EncoderArch, PoolingSpec, Vocabulary, batch_ids,
                             encode, encode_batch, init_encoder, pretrain_base,
                             tokenize)
 from sedkit.errors import DataError, ShapeMismatchError
 
-from conftest import TINY_ARCH
+from conftest import TINY_ARCH, max_rel_err
+
+# Wide enough for three length buckets (8, 16, 32), small enough to stay fast.
+WIDE_ARCH = EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=32)
+
+
+@pytest.fixture(scope="module")
+def wide_model(tiny_vocab):
+    return init_encoder(WIDE_ARCH, tiny_vocab, seed=0)
+
+
+def words(vocab, n, start=0):
+    """A sentence of `n` distinct in-vocabulary words (cycling if needed)."""
+    pool = vocab.tokens[3:]
+    return " ".join(pool[(start + i) % len(pool)] for i in range(n))
 
 
 def test_vocab_specials_and_order():
@@ -65,13 +80,26 @@ def test_pooling_spec_range():
         PoolingSpec(4)
 
 
-def test_batch_ids_pads_to_max_len(tiny_model):
-    ids, mask = batch_ids(tiny_model, ["w000 w001", "w000"])
-    T = tiny_model.arch.max_len
-    assert ids.shape == (2, T)
-    assert mask.shape == (2, T)
+def test_batch_ids_pads_to_longest_sentences_bucket(wide_model):
+    """Every row is padded to the bucket (8, 16, 32, capped at max_len)
+    of the batch's longest sentence, after truncation to max_len."""
+    vocab, T = wide_model.vocab, wide_model.arch.max_len
+    ids, mask = batch_ids(wide_model, ["w000 w001", "w000"])
+    assert ids.shape == mask.shape == (2, 8)
     assert mask[0].sum() == 2 and mask[1].sum() == 1
-    assert (ids[1, 1:] == tiny_model.vocab.pad_id).all()
+    assert (ids[1, 1:] == vocab.pad_id).all()
+    ids, mask = batch_ids(wide_model, [words(vocab, 9), "w000"])
+    assert ids.shape == (2, 16)
+    ids, mask = batch_ids(wide_model, ["w000", words(vocab, T + 5)])
+    assert ids.shape == mask.shape == (2, T)
+    assert (mask[1] == 1.0).all() and mask[0].sum() == 1
+
+
+def test_bucket_len():
+    assert [enc._bucket_len(n, 32) for n in (1, 8, 9, 16, 17, 32, 40)] == [
+        8, 8, 16, 16, 32, 32, 32]
+    assert enc._bucket_len(3, 4) == 4
+    assert enc._bucket_len(20, 24) == 24
 
 
 def test_truncation_keeps_first_max_len_ids(tiny_model):
@@ -87,8 +115,9 @@ def test_truncation_keeps_first_max_len_ids(tiny_model):
 def test_padding_invariance_bitwise(tiny_model, tiny_corpus):
     """A sentence's embedding must not depend on what it is batched with.
 
-    Everything is padded to max_len and padded keys get a large negative
-    attention bias, so the vectors should agree bit for bit.
+    Each sentence is padded to the bucket of its own length and padded
+    keys get a large negative attention bias, so the vectors should agree
+    bit for bit.
     """
     pool = PoolingSpec(2)
     short = tiny_corpus[0]
@@ -97,6 +126,77 @@ def test_padding_invariance_bitwise(tiny_model, tiny_corpus):
     with dc.no_grad():
         together = encode_batch(tiny_model, [short, long], pool).data[0]
     assert np.array_equal(alone, together)
+
+
+def test_bucket_invariance_bitwise(wide_model):
+    """With max_len 32 a short sentence keeps its embedding bit for bit
+    alone, next to a max_len neighbour and inside a shuffled batch that
+    spans the 8, 16 and 32 buckets; the batch comes back in input order."""
+    vocab, T = wide_model.vocab, wide_model.arch.max_len
+    pool = PoolingSpec(2)
+    short = words(vocab, 3)
+    alone = encode(wide_model, short, pool)
+    batch = [words(vocab, n, start=n) for n in (5, 12, T, 9, T + 4, 20, 1)]
+    batch.insert(3, short)
+    with dc.no_grad():
+        pair = encode_batch(wide_model, [words(vocab, T, 7), short], pool)
+        mixed = encode_batch(wide_model, batch, pool).data
+    assert {enc._bucket_len(len(tokenize(s, vocab)), T) for s in batch} == {
+        8, 16, 32}
+    assert np.array_equal(pair.data[1], alone)
+    assert np.array_equal(mixed[3], alone)
+    assert encode_batch(wide_model, [], pool).shape == (0, WIDE_ARCH.hidden)
+    for row, sentence in zip(mixed, batch):
+        assert np.array_equal(row, encode(wide_model, sentence, pool))
+    # padding past the bucket adds exact zeros to every reduction over T
+    ids, mask = batch_ids(wide_model, [short, words(vocab, T)])
+    with dc.no_grad():
+        padded = enc._pool(wide_model.forward_ids(ids, mask), mask, pool.k)
+    assert ids.shape[1] == T
+    assert np.allclose(padded.data[0], alone, rtol=0, atol=1e-12)
+
+
+def test_gradients_through_bucket_split(tiny_vocab):
+    """Finite differences of a scalar loss of `encode_batch` over a batch
+    split into the 8 and 16 buckets: covers the backward of the per-bucket
+    `concat`, the `take_rows` that restores input order and the
+    `pos_emb[:T]` slice."""
+    arch = EncoderArch(layers=1, hidden=8, heads=2, ff=16, max_len=16)
+    model = init_encoder(arch, tiny_vocab, seed=1)
+    vocab = model.vocab
+    batch = [words(vocab, 11), words(vocab, 4, 2), words(vocab, 16, 5),
+             words(vocab, 7, 1)]
+    weights = Tensor(np.random.default_rng(0).normal(size=(4, arch.hidden)))
+
+    def loss():
+        return (encode_batch(model, batch, PoolingSpec(2)) * weights).sum()
+
+    names = ("pos_emb", "tok_emb", "l0.wq")
+    params = [model.params[n] for n in names]
+    for p in model.parameters():
+        p.zero_grad()
+    loss().backward()
+    h = 1e-6
+    for name, p in zip(names, params):
+        worst = 0.0
+        for idx in np.ndindex(p.data.shape):
+            orig = p.data[idx]
+            with dc.no_grad():
+                p.data[idx] = orig + h
+                f_plus = loss().item()
+                p.data[idx] = orig - h
+                f_minus = loss().item()
+            p.data[idx] = orig
+            worst = max(worst, max_rel_err(p.grad[idx],
+                                           (f_plus - f_minus) / (2 * h)))
+        assert worst < 1e-4, f"{name}: worst relative error {worst:.2e}"
+
+
+def test_forward_ids_rejects_more_than_max_len(tiny_model):
+    T = tiny_model.arch.max_len
+    ids = np.zeros((2, T + 1), dtype=np.intp)
+    with pytest.raises(ShapeMismatchError):
+        tiny_model.forward_ids(ids, np.ones((2, T + 1)))
 
 
 def test_batch_order_invariance_bitwise(tiny_model, tiny_corpus):

@@ -374,8 +374,12 @@ def test_stability_study_statistics(tiny_model, tiny_world):
     cfg = tiny_run_config(("pretrain", "ct", "sed"))
     cfg = dataclasses.replace(cfg, stability=StabilitySection(runs=2))
     tasks = [tiny_world.sts["test"]]
-    groups = stability_study(tiny_model, tiny_world.corpus, tasks, cfg)
+    groups, seeds = stability_study(tiny_model, tiny_world.corpus, tasks, cfg)
     assert set(groups) == {"members", "full_ensemble", "students"}
+    assert seeds == {
+        "ct": [derive_seed(cfg.run.seed, "ct", i)
+               for i in range(cfg.sed.members)],
+        "sed": [derive_seed(cfg.run.seed, "sed", r) for r in range(2)]}
     assert groups["members"].count == cfg.sed.members
     assert groups["full_ensemble"].count == 1
     assert groups["full_ensemble"].std == 0.0
@@ -403,9 +407,10 @@ def test_stability_study_drops_diverged_run(tiny_model, tiny_world,
     cfg = tiny_run_config(("pretrain", "ct", "sed"))
     cfg = dataclasses.replace(cfg, stability=StabilitySection(runs=3))
     with pytest.warns(UserWarning, match="stability run 0 failed.*nan"):
-        groups = stability_study(tiny_model, tiny_world.corpus,
-                                 [tiny_world.sts["test"]], cfg)
+        groups, seeds = stability_study(tiny_model, tiny_world.corpus,
+                                        [tiny_world.sts["test"]], cfg)
     assert groups["students"].count == 2
+    assert len(seeds["sed"]) == 3  # the diverged run's seed is kept
     assert groups["members"].count == cfg.sed.members
 
 
