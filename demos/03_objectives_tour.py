@@ -1,11 +1,12 @@
 """The four training objectives on one tiny model: contrastive tension
 batches, the ensemble distillation target, the siamese NLI head, and
-regression toward remapped gold scores."""
+regression toward remapped gold scores. Every objective pools the final
+layer alone (`TRAIN_POOL`, k = 1)."""
 
 import numpy as np
 
 from sedkit.config import PretrainSection
-from sedkit.encoder import EncoderArch, PoolingSpec, pretrain_base
+from sedkit.encoder import TRAIN_POOL, EncoderArch, pretrain_base
 from sedkit.evalsts import ScoredPair
 from sedkit.objectives import (EnsembleSpec, NliHead, RegressionTargetMap,
                                ct_loss, ensemble_mean_embeddings,
@@ -21,14 +22,13 @@ arch = EncoderArch(layers=2, hidden=16, heads=2, ff=32, max_len=16)
 model = pretrain_base(world.corpus, arch,
                       PretrainSection(steps=80, batch=16, lr=1e-3,
                                       mask_prob=0.15), seed=0)
-pool = PoolingSpec(1)
 
 # contrastive tension: blocks of one identical pair and 7 negatives
 batch = next(sample_ct_batches(world.corpus, 7, 16, seed=0))
 labels = [p.label for p in batch]
 print("ct batch labels:", labels)
 model_b = model.clone()
-print(f"ct loss (a vs fresh copy b): {float(ct_loss(model, model_b, batch, pool).data):.4f}")
+print(f"ct loss (a vs fresh copy b): {float(ct_loss(model, model_b, batch).data):.4f}")
 
 # distillation: the target is the ensemble mean, and a one-model
 # ensemble's target is that model's own embedding, exactly
@@ -40,14 +40,14 @@ solo = ensemble_mean_embeddings(EnsembleSpec([model]), world.corpus[:8])
 import sedkit.diffcore as dc
 from sedkit.encoder import encode_batch
 with dc.no_grad():
-    own = encode_batch(model, world.corpus[:8], pool).data
+    own = encode_batch(model, world.corpus[:8], TRAIN_POOL).data
 print("single-member target == own embedding:", bool(np.array_equal(solo, own)))
 
 # siamese NLI with a zero-initialized head starts at ln 3
 head = NliHead(Tensor(np.zeros((3 * arch.hidden, 3)), requires_grad=True),
                Tensor(np.zeros(3), requires_grad=True))
 nli_batch = world.nli[:9]
-loss = nli_siamese_loss(model, head, nli_batch, pool)
+loss = nli_siamese_loss(model, head, nli_batch)
 print(f"nli loss at zero head: {float(loss.data):.6f} (ln 3 = {np.log(3):.6f})")
 
 # regression: gold 0..5 maps onto [lower_bound, 1]
@@ -56,4 +56,4 @@ print("targets for gold 0/2.5/5:",
       [round(tmap.target(g), 3) for g in (0.0, 2.5, 5.0)])
 pairs = [ScoredPair(world.corpus[0], world.corpus[0], 5.0)]
 print(f"regression loss on an identical pair with gold 5: "
-      f"{float(sts_regression_loss(model, pairs, tmap, pool).data):.2e}")
+      f"{float(sts_regression_loss(model, pairs, tmap).data):.2e}")

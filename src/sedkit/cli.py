@@ -23,7 +23,7 @@ from .config import (RunConfig, _parse_value, default_config, load_config,
 from .encoder import EncoderModel, PoolingSpec
 from .errors import DataError
 from .evalsts import evaluate_suite, load_sts_tsv, write_report_csv
-from .experiments import (_hash_lines, _hash_task, _sized_corpus,
+from .experiments import (_hash_lines, _hash_nli, _hash_task, _sized_corpus,
                           ablation_csv, distill_stage,
                           flow_stage, grid_csv, grid_search_lower_bound,
                           member_stage, pooling_ablation, pretrain_stage,
@@ -154,7 +154,7 @@ def _cmd_train_nli(args, cfg: RunConfig, out: str) -> None:
     model, seed = member_stage("nli", cfg, base, pairs, args.member)
     name = f"nli_{args.member}"
     path = _save_stage(out, name, cfg, {"nli": seed},
-                       {"nli": _hash_file(args.nli),
+                       {"nli": _hash_nli(pairs),
                         "base": _hash_file(args.base)}, name, model)
     print(f"wrote {path}")
 
@@ -166,7 +166,8 @@ def _cmd_train_sed(args, cfg: RunConfig, out: str) -> None:
     model, seed = distill_stage(cfg, teachers, corpus, init)
     path = _save_stage(out, "sed", cfg, {"sed": seed},
                        {"corpus": corpus_hash,
-                        "teachers": [_hash_file(p) for p in args.teachers]},
+                        "teachers": [_hash_file(p) for p in args.teachers],
+                        "student_init": _hash_file(args.student_init)},
                        "student", model)
     print(f"wrote {path}")
 
@@ -191,8 +192,8 @@ def _cmd_train_supervised(args, cfg: RunConfig, out: str) -> None:
                        "dev_spearman_x100": trajectory}, indent=2) + "\n"
     write_atomic(os.path.join(out, "dev_trajectory.json"), text.encode("utf-8"))
     path = _save_stage(out, "supervised", cfg, {"supervised": seed},
-                       {"train_pairs": _hash_file(args.train_pairs),
-                        "dev_task": _hash_file(args.dev_task),
+                       {"train_pairs": _hash_task(train_task),
+                        "dev_task": _hash_task(dev_task),
                         "model": _hash_file(args.model)},
                        "supervised", trained)
     print(f"wrote {path} (best dev spearman x100: {max(trajectory):.2f})")
@@ -209,8 +210,8 @@ def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
     path = os.path.join(out, "grid_search.csv")
     write_atomic(path, grid_csv(result).encode("utf-8"))
     _write_manifest(out, "grid_search", cfg, {"grid": list(result.seeds)},
-                    {"train_pairs": _hash_file(args.train_pairs),
-                     "dev_task": _hash_file(args.dev_task),
+                    {"train_pairs": _hash_task(train_task),
+                     "dev_task": _hash_task(dev_task),
                      "model": _hash_file(args.model)}, {})
     print(f"selected lower bound: {result.selected_bound}")
     print(f"wrote {path}")

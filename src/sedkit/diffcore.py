@@ -456,16 +456,17 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
 
 # -- optimizers ----------------------------------------------------------
 
+# The standard constants of both optimizers.
+_BETA1, _BETA2 = 0.9, 0.999  # Adam moment decays
+_RHO = 0.9  # RMSProp squared-gradient decay
+_EPS = 1e-8
+
 
 class Adam:
     """Adam with bias-corrected moment estimates."""
 
-    def __init__(self, params, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -481,20 +482,18 @@ class Adam:
             g = p.grad
             if g.shape != p.data.shape:
                 raise ShapeMismatchError("gradient shape differs from parameter")
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**t)
-            v_hat = self.v[i] / (1.0 - self.beta2**t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
+            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * g * g
+            m_hat = self.m[i] / (1.0 - _BETA1**t)
+            v_hat = self.v[i] / (1.0 - _BETA2**t)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + _EPS)
 
 
 class RMSProp:
     """RMSProp with a running average of squared gradients."""
 
-    def __init__(self, params, rho: float = 0.9, eps: float = 1e-8):
+    def __init__(self, params):
         self.params = list(params)
-        self.rho = rho
-        self.eps = eps
         self.step_count = 0
         self.v = [np.zeros_like(p.data) for p in self.params]
 
@@ -508,8 +507,8 @@ class RMSProp:
             g = p.grad
             if g.shape != p.data.shape:
                 raise ShapeMismatchError("gradient shape differs from parameter")
-            self.v[i] = self.rho * self.v[i] + (1.0 - self.rho) * g * g
-            p.data = p.data - lr * g / (np.sqrt(self.v[i]) + self.eps)
+            self.v[i] = _RHO * self.v[i] + (1.0 - _RHO) * g * g
+            p.data = p.data - lr * g / (np.sqrt(self.v[i]) + _EPS)
 
 
 # -- learning-rate schedules ---------------------------------------------

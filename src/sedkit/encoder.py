@@ -32,6 +32,7 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _NEG_BIAS = -1e30  # additive attention bias; exp() underflows to exactly 0
 _LN_EPS = 1e-5
 _MIN_BUCKET = 8  # numpy's pairwise sum runs 8 lanes
+_ENCODE_CHUNK = 64  # sentences per `encode_many` forward
 
 class Vocabulary:
     """Dense token-to-id map with pad/unk/mask specials at ids 0/1/2."""
@@ -52,18 +53,14 @@ class Vocabulary:
         return len(self.tokens)
 
     @classmethod
-    def build(cls, corpus, min_count: int = 1) -> "Vocabulary":
-        """Collect tokens with frequency >= min_count, most frequent first;
-        ties broken alphabetically for determinism."""
+    def build(cls, corpus) -> "Vocabulary":
+        """Every token of `corpus`, most frequent first; ties broken
+        alphabetically for determinism."""
         counts: dict[str, int] = {}
         for sentence in corpus:
             for tok in split_tokens(sentence):
                 counts[tok] = counts.get(tok, 0) + 1
-        kept = sorted(
-            (t for t, c in counts.items() if c >= min_count),
-            key=lambda t: (-counts[t], t),
-        )
-        return cls(kept)
+        return cls(sorted(counts, key=lambda t: (-counts[t], t)))
 
 
 def split_tokens(text: str) -> list[str]:
@@ -108,6 +105,11 @@ class PoolingSpec:
     def __post_init__(self):
         if self.k not in (1, 2, 3):
             raise DataError(f"pooling k must be 1, 2 or 3, got {self.k}")
+
+
+# Members, the distilled student and the lower-bound regression all train
+# on final-layer pooled embeddings; evaluation pools `[eval] pool_k` layers.
+TRAIN_POOL = PoolingSpec(1)
 
 
 class EncoderModel:
@@ -298,22 +300,23 @@ def encode(model: EncoderModel, sentence: str, pool: PoolingSpec) -> np.ndarray:
         return encode_batch(model, [sentence], pool).data[0]
 
 
-def encode_many(model: EncoderModel, sentences, pool: PoolingSpec,
-                batch: int = 64) -> np.ndarray:
-    """Embeddings (N, hidden) encoded in chunks of `batch`; no gradient
-    graph. Bit-identical to one `encode_batch` call over all sentences."""
+def encode_many(model: EncoderModel, sentences,
+                pool: PoolingSpec) -> np.ndarray:
+    """Embeddings (N, hidden) encoded in chunks of 64 sentences; no
+    gradient graph. Bit-identical to one `encode_batch` call over all
+    sentences, since a sentence encodes alike in any batch."""
     chunks = []
     with dc.no_grad():
-        for start in range(0, len(sentences), batch):
-            chunk = sentences[start : start + batch]
+        for start in range(0, len(sentences), _ENCODE_CHUNK):
+            chunk = sentences[start : start + _ENCODE_CHUNK]
             chunks.append(encode_batch(model, chunk, pool).data)
     return np.concatenate(chunks, axis=0)
 
 
-def pretrain_base(corpus, arch: EncoderArch, cfg, seed: int,
-                  vocab: Vocabulary | None = None) -> EncoderModel:
-    """Masked-token reconstruction pretraining of a fresh encoder; `cfg`
-    is a `[pretrain]` section (steps, batch, lr, mask_prob).
+def pretrain_base(corpus, arch: EncoderArch, cfg, seed: int) -> EncoderModel:
+    """Masked-token reconstruction pretraining of a fresh encoder whose
+    vocabulary is every token of `corpus`; `cfg` is a `[pretrain]`
+    section (steps, batch, lr, mask_prob).
 
     Stand-in for large pre-trained weights: a few hundred steps on the
     corpus produce a non-degenerate base checkpoint. Deterministic given
@@ -326,10 +329,8 @@ def pretrain_base(corpus, arch: EncoderArch, cfg, seed: int,
         raise DataError(
             f"corpus has {len(corpus)} sentences, batch size is {cfg.batch}"
         )
-    if vocab is None:
-        vocab = Vocabulary.build(corpus)
     init_seed, data_seed = _spawn_seeds(seed, 2)
-    model = init_encoder(arch, vocab, init_seed)
+    model = init_encoder(arch, Vocabulary.build(corpus), init_seed)
     rng = np.random.default_rng(data_seed)
     dc.train(dc.Adam(model.parameters()),
              dc.sample_batches(rng, len(corpus), cfg.batch, cfg.steps),

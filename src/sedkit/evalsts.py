@@ -44,13 +44,10 @@ class ScoredPair:
 class StsTask:
     name: str
     pairs: tuple[ScoredPair, ...]
-    split: str = "test"
 
     def __post_init__(self):
         if len(self.pairs) == 0:
             raise DataError(f"task {self.name!r} has no pairs")
-        if self.split not in ("train", "dev", "test"):
-            raise DataError(f"unknown split {self.split!r}")
 
 
 @dataclass
@@ -178,10 +175,11 @@ def _correlate(task: StsTask, preds) -> tuple[float, float]:
         raise type(exc)(f"task {task.name!r}: {exc}") from exc
 
 
-def evaluate_task(model: EncoderModel, task: StsTask, pool: PoolingSpec,
-                  flow=None, metric: str = "cosine") -> tuple[float, float]:
-    """(pearson_x100, spearman_x100) of predictions against gold."""
-    return _correlate(task, predict_scores(model, task, pool, flow, metric))
+def evaluate_task(model: EncoderModel, task: StsTask,
+                  pool: PoolingSpec) -> tuple[float, float]:
+    """(pearson_x100, spearman_x100) of `model`'s cosine scores against
+    gold; `evaluate_suite` scores with a flow or another metric."""
+    return _correlate(task, predict_scores(model, task, pool))
 
 
 def score_suite(tasks: list[StsTask], predict,

@@ -4,15 +4,17 @@
 list over {pretrain, nli, ct, sed, flow} that starts with pretrain
 (`RunSection` checks the order), so the config alone describes a run.
 The base encoder is shared; ensemble members differ only in the seed of
-their objective stage (data order plus any stage-specific init). Target
-generation for distillation pools the final layer (k=1) while evaluation
-defaults to pooling the final two layers (k=2).
+their objective stage (data order plus any stage-specific init). Every
+trainer, distillation targets included, pools the final layer
+(`TRAIN_POOL`, k=1) while evaluation pools `[eval] pool_k` layers.
 
 Every run derives its stage seeds from one master seed through
 SeedSequence spawn keys, and emits a manifest (config text, seeds, input
-and checkpoint hashes) sufficient to reproduce it bit-identically. The
-corpus hash is that of its lines as read (`_hash_lines`), the same in
-`run_pipeline` and the CLI.
+and checkpoint hashes) sufficient to reproduce it bit-identically. Text
+inputs are hashed as read, the same in `run_pipeline` and the CLI: the
+corpus by its lines (`_hash_lines`), an STS task by its name and pairs
+(`_hash_task`), NLI pairs by their fields (`_hash_nli`). Checkpoint
+inputs are hashed by their file bytes.
 
 Each stage has one function (`pretrain_stage`, `member_stage`,
 `distill_stage`, `flow_stage`, `supervised_stage`) that derives its
@@ -37,8 +39,8 @@ import numpy as np
 from . import diffcore as dc
 from .checkpoint import checkpoint_hash, save_checkpoint, write_atomic
 from .config import GridSection, RunConfig, render_config
-from .encoder import (EncoderModel, PoolingSpec, encode_batch, encode_many,
-                      pretrain_base)
+from .encoder import (TRAIN_POOL, EncoderModel, PoolingSpec, encode_batch,
+                      encode_many, pretrain_base)
 from .errors import (ConfigError, ConstantInputError, DataError,
                      DivergenceError, ShapeMismatchError)
 from .evalsts import (CorrelationReport, StsTask, evaluate_suite,
@@ -59,8 +61,6 @@ _ROLE_IDS = {
     "grid": 6,
     "stability": 7,
 }
-
-TRAIN_POOL = PoolingSpec(1)
 
 
 def derive_seed(master: int, role: str, index: int = 0) -> int:
@@ -98,6 +98,11 @@ def _hash_task(task: StsTask) -> str:
                                       f"{p.gold!r}" for p in task.pairs])
 
 
+def _hash_nli(pairs) -> str:
+    return _hash_lines([f"{p.premise}\t{p.hypothesis}\t{p.label}"
+                        for p in pairs])
+
+
 def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderModel:
     """Contrastive tension from a shared init; the second model is kept.
 
@@ -110,7 +115,7 @@ def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderMo
                                 cfg.batch, seed=seed)
     dc.train(dc.RMSProp(model_a.parameters() + model_b.parameters()),
              itertools.islice(batches, cfg.steps),
-             lambda b: ct_loss(model_a, model_b, b, pool=TRAIN_POOL),
+             lambda b: ct_loss(model_a, model_b, b),
              dc.LinearDecay(cfg.start_lr, cfg.end_lr, cfg.steps).lr)
     return model_b
 
@@ -126,8 +131,8 @@ def train_nli(base: EncoderModel, pairs, cfg, seed: int) -> EncoderModel:
     sched = dc.WarmupThenConstant(cfg.peak_lr, cfg.steps, cfg.warmup_fraction)
     rng = np.random.default_rng(data_seed)
     dc.train(opt, dc.sample_batches(rng, len(pairs), cfg.batch, cfg.steps),
-             lambda idx: nli_siamese_loss(model, head, [pairs[i] for i in idx],
-                                          pool=TRAIN_POOL),
+             lambda idx: nli_siamese_loss(model, head,
+                                          [pairs[i] for i in idx]),
              sched.lr)
     return model
 
@@ -208,21 +213,16 @@ def flow_stage(cfg: RunConfig, model: EncoderModel,
     return fit_flow(flow, embs, cfg.flow, seeds[1]), seeds
 
 
-def sample_corpus(lines: list[str], count: int, seed: int,
-                  with_replacement: bool = False) -> list[str]:
-    """A uniform sample of `count` of `lines`, drawn by `seed`; without
-    replacement unless asked. Sentence text is kept exactly."""
+def sample_corpus(lines: list[str], count: int, seed: int) -> list[str]:
+    """A uniform sample of `count` distinct lines of `lines` (no line
+    drawn twice), drawn by `seed`. Sentence text is kept exactly."""
     if count <= 0:
         raise DataError("sample count must be positive")
-    rng = np.random.default_rng(seed)
-    if with_replacement:
-        idx = rng.integers(0, len(lines), size=count)
-    else:
-        if count > len(lines):
-            raise DataError(
-                f"asked for {count} of {len(lines)} lines without replacement"
-            )
-        idx = rng.choice(len(lines), size=count, replace=False)
+    if count > len(lines):
+        raise DataError(
+            f"asked for {count} of {len(lines)} lines without replacement")
+    idx = np.random.default_rng(seed).choice(len(lines), size=count,
+                                              replace=False)
     return [lines[int(i)] for i in idx]
 
 
@@ -275,8 +275,11 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
                 base, seeds["pretrain"] = pretrain_stage(cfg, corpus)
                 keep("base", base)
             elif current in ("nli", "ct"):
-                if current == "nli" and bundle.nli is None:
-                    raise DataError("nli stage needs NLI pairs in the bundle")
+                if current == "nli":
+                    if bundle.nli is None:
+                        raise DataError(
+                            "nli stage needs NLI pairs in the bundle")
+                    manifest["input_hashes"]["nli"] = _hash_nli(bundle.nli)
                 data = corpus if current == "ct" else bundle.nli
                 sources = members if members else [base] * n_members
                 trained = [member_stage(current, cfg, src, data, i)
@@ -430,28 +433,26 @@ class GridSearchResult:
 
 
 def _train_regression(model: EncoderModel, pairs, target_map, steps: int,
-                      batch: int, lr: float, seed: int,
-                      pool: PoolingSpec = TRAIN_POOL) -> EncoderModel:
+                      batch: int, lr: float, seed: int) -> EncoderModel:
     dc.train(dc.Adam(model.parameters()),
              dc.sample_batches(np.random.default_rng(seed), len(pairs), batch,
                                steps),
              lambda idx: sts_regression_loss(model, [pairs[i] for i in idx],
-                                             target_map, pool=pool),
+                                             target_map),
              lr)
     return model
 
 
 def grid_search_lower_bound(base: EncoderModel, train_pairs, dev_task: StsTask,
-                            bounds, seeds_per_bound: int,
-                            cfg=None, master_seed: int = 0,
-                            pool: PoolingSpec = TRAIN_POOL) -> GridSearchResult:
+                            bounds, seeds_per_bound: int, cfg=None,
+                            master_seed: int = 0) -> GridSearchResult:
     """Sweep regression target lower bounds against dev Spearman.
 
     Per bound, `seeds_per_bound` models are fine-tuned from `base` and
-    scored on the dev task; the bound with the highest mean wins, ties
-    going to the smaller bound. Failed cells are excluded; a bound with
-    no completed cells drops out of the selection; an out-of-range bound
-    fails before any cell trains.
+    scored on the dev task, both with `TRAIN_POOL`; the bound with the
+    highest mean wins, ties going to the smaller bound. Failed cells are
+    excluded; a bound with no completed cells drops out of the selection;
+    an out-of-range bound fails before any cell trains.
     """
     cfg = cfg or GridSection()
     bounds = tuple(bounds)
@@ -471,9 +472,9 @@ def grid_search_lower_bound(base: EncoderModel, train_pairs, dev_task: StsTask,
             try:
                 model = _train_regression(
                     base.clone(), train_pairs, target_map,
-                    cfg.steps, cfg.batch, cfg.lr, seed, pool=pool,
+                    cfg.steps, cfg.batch, cfg.lr, seed,
                 )
-                _, dev_s = evaluate_task(model, dev_task, pool)
+                _, dev_s = evaluate_task(model, dev_task, TRAIN_POOL)
                 cell_scores.append(dev_s)
             except (DataError, ConstantInputError, DivergenceError) as exc:
                 warnings.warn(
@@ -513,9 +514,9 @@ def grid_csv(result: GridSearchResult) -> str:
 def train_supervised_with_early_stopping(
     model: EncoderModel, train_pairs, dev_task: StsTask,
     target_map: RegressionTargetMap, cfg, seed: int = 0,
-    pool: PoolingSpec = TRAIN_POOL,
 ) -> tuple[EncoderModel, list[float]]:
-    """Epoch-wise regression with dev-Spearman early stopping.
+    """Epoch-wise regression with dev-Spearman early stopping; training
+    and the dev score both pool with `TRAIN_POOL`.
 
     Stops once the dev score has failed to improve for `patience`
     consecutive epochs and restores the best-dev parameters, so the
@@ -542,10 +543,9 @@ def train_supervised_with_early_stopping(
     for _ in range(cfg.max_epochs):
         dc.train(opt, dc.epoch_batches(rng, len(train_pairs), cfg.batch),
                  lambda idx: sts_regression_loss(
-                     model, [train_pairs[i] for i in idx], target_map,
-                     pool=pool),
+                     model, [train_pairs[i] for i in idx], target_map),
                  cfg.lr)
-        _, dev_s = evaluate_task(model, dev_task, pool)
+        _, dev_s = evaluate_task(model, dev_task, TRAIN_POOL)
         trajectory.append(dev_s)
         if dev_s > best_score:
             best_score = dev_s

@@ -158,18 +158,14 @@ def fit_flow(flow: CouplingFlow, embeddings, cfg, seed: int) -> CouplingFlow:
     if np.allclose(X, X[0]):
         warnings.warn("all embeddings identical; flow fit is degenerate")
 
-    def full_nll() -> float:
-        with dc.no_grad():
-            return flow_nll_value(flow, X)
-
-    best_nll = full_nll()
+    best_nll = flow_nll_value(flow, X)
     best_state = [p.data.copy() for p in flow.parameters()]
     rng = np.random.default_rng(seed)
     opt = dc.Adam(flow.parameters())
     for _ in range(cfg.epochs):
         dc.train(opt, dc.epoch_batches(rng, X.shape[0], cfg.batch),
                  lambda idx: flow_nll(flow, X[idx]), cfg.lr)
-        nll = full_nll()
+        nll = flow_nll_value(flow, X)
         if nll < best_nll:
             best_nll = nll
             best_state = [p.data.copy() for p in flow.parameters()]

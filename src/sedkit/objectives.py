@@ -2,8 +2,11 @@
 contrastive two-model objective, siamese NLI classification and STS
 regression with a tunable target lower bound.
 
-The distillation target for a sentence is the plain elementwise mean of
-the ensemble members' embeddings; no normalization is applied before or
+Every loss encodes its sentences with `encoder.TRAIN_POOL`, the final
+layer alone (k = 1); only evaluation pools more layers. The distillation
+target for a sentence is the plain elementwise mean of the ensemble
+members' embeddings under `EnsembleSpec.target_pool` (that same pool
+unless a caller asks for another); no normalization is applied before or
 after averaging. Targets are produced under no_grad, so distillation
 updates only the student: member parameter gradients stay exactly zero.
 """
@@ -17,7 +20,7 @@ import numpy as np
 from . import diffcore as dc
 from . import encoder as enc
 from .diffcore import Tensor
-from .encoder import EncoderModel, PoolingSpec
+from .encoder import TRAIN_POOL, EncoderModel, PoolingSpec
 from .errors import ConfigError, DataError, ShapeMismatchError
 
 NLI_LABELS = ("entailment", "neutral", "contradiction")
@@ -72,7 +75,7 @@ class EnsembleSpec:
     """
 
     def __init__(self, members: list[EncoderModel],
-                 target_pool: PoolingSpec = PoolingSpec(1)):
+                 target_pool: PoolingSpec = TRAIN_POOL):
         if not members:
             raise DataError("ensemble needs at least one member")
         arch = members[0].arch
@@ -83,7 +86,6 @@ class EnsembleSpec:
                     f"from member 0 architecture {arch}"
                 )
         self.members = list(members)
-        self.arch = arch
         self.target_pool = target_pool
 
     def __len__(self) -> int:
@@ -131,8 +133,7 @@ def sed_loss(target, student_out: Tensor) -> Tensor:
     return diff.square().mean()
 
 
-def ct_loss(model_a: EncoderModel, model_b: EncoderModel, batch,
-            pool: PoolingSpec = PoolingSpec(1)) -> Tensor:
+def ct_loss(model_a: EncoderModel, model_b: EncoderModel, batch) -> Tensor:
     """Binary cross entropy on the inter-model dot product.
 
     Each pair scores logit = dot(encode_a(s_a), encode_b(s_b)); identical
@@ -142,8 +143,8 @@ def ct_loss(model_a: EncoderModel, model_b: EncoderModel, batch,
     batch = list(batch)
     if not batch:
         raise DataError("contrastive batch is empty")
-    ua = enc.encode_batch(model_a, [p.sentence_a for p in batch], pool)
-    vb = enc.encode_batch(model_b, [p.sentence_b for p in batch], pool)
+    ua = enc.encode_batch(model_a, [p.sentence_a for p in batch], TRAIN_POOL)
+    vb = enc.encode_batch(model_b, [p.sentence_b for p in batch], TRAIN_POOL)
     logits = (ua * vb).sum(axis=1)
     labels = np.array([p.label for p in batch], dtype=np.float64)
     return dc.bce_with_logits(logits, labels).mean()
@@ -169,14 +170,13 @@ class NliHead:
         return [self.weight, self.bias]
 
 
-def nli_siamese_loss(model: EncoderModel, head: NliHead, batch,
-                     pool: PoolingSpec = PoolingSpec(1)) -> Tensor:
+def nli_siamese_loss(model: EncoderModel, head: NliHead, batch) -> Tensor:
     """Mean softmax cross entropy of the siamese 3-way classifier."""
     batch = list(batch)
     if not batch:
         raise DataError("NLI batch is empty")
-    u = enc.encode_batch(model, [p.premise for p in batch], pool)
-    v = enc.encode_batch(model, [p.hypothesis for p in batch], pool)
+    u = enc.encode_batch(model, [p.premise for p in batch], TRAIN_POOL)
+    v = enc.encode_batch(model, [p.hypothesis for p in batch], TRAIN_POOL)
     feats = dc.concat([u, v, (u - v).abs()], axis=1)
     logits = feats @ head.weight + head.bias
     targets = np.array([NLI_LABELS.index(p.label) for p in batch])
@@ -191,8 +191,8 @@ def cosine_tensor(u: Tensor, v: Tensor) -> Tensor:
     return dot / (nu * nv).sqrt()
 
 
-def sts_regression_loss(model: EncoderModel, pairs, target_map: RegressionTargetMap,
-                        pool: PoolingSpec = PoolingSpec(1)) -> Tensor:
+def sts_regression_loss(model: EncoderModel, pairs,
+                        target_map: RegressionTargetMap) -> Tensor:
     """Squared error between pair cosine and the mapped gold target.
 
     `pairs` is a list of objects with sentence_1, sentence_2 and gold
@@ -202,8 +202,8 @@ def sts_regression_loss(model: EncoderModel, pairs, target_map: RegressionTarget
     pairs = list(pairs)
     if not pairs:
         raise DataError("regression batch is empty")
-    u = enc.encode_batch(model, [p.sentence_1 for p in pairs], pool)
-    v = enc.encode_batch(model, [p.sentence_2 for p in pairs], pool)
+    u = enc.encode_batch(model, [p.sentence_1 for p in pairs], TRAIN_POOL)
+    v = enc.encode_batch(model, [p.sentence_2 for p in pairs], TRAIN_POOL)
     cos = cosine_tensor(u, v)
     targets = Tensor(np.array([target_map.target(p.gold) for p in pairs]))
     return (cos - targets).square().mean()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -166,8 +166,7 @@ def build_synthetic_world(spec: SyntheticWorldSpec) -> SyntheticWorld:
             pair_seen.add((a, b))
             gold = world.gold_between(cluster_of[a], cluster_of[b])
             pairs.append(ScoredPair(a, b, gold))
-        world.sts[split] = StsTask(name=f"sts_{split}", pairs=tuple(pairs),
-                                   split=split)
+        world.sts[split] = StsTask(name=f"sts_{split}", pairs=tuple(pairs))
 
     pool = sentences["train"]
     nli = []
@@ -198,18 +197,7 @@ def gen_synthetic_world(spec: SyntheticWorldSpec, out_dir) -> SyntheticWorld:
     files["nli.tsv"] = "".join(
         f"{p.premise}\t{p.hypothesis}\t{p.label}\n" for p in world.nli)
     mapping = {
-        "spec": {
-            "clusters": spec.clusters,
-            "sentences_per_cluster": spec.sentences_per_cluster,
-            "vocab_size": spec.vocab_size,
-            "latent_dim": spec.latent_dim,
-            "temperature": spec.temperature,
-            "sts_pairs": spec.sts_pairs,
-            "nli_pairs": spec.nli_pairs,
-            "min_len": spec.min_len,
-            "max_len": spec.max_len,
-            "seed": spec.seed,
-        },
+        "spec": asdict(spec),
         "centers": world.centers.tolist(),
         "neutral_threshold": world.neutral_threshold,
         "cluster_of": world.cluster_of,

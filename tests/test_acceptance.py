@@ -141,7 +141,7 @@ def test_criterion_01_gradient_suite():
             CtPair(anchor, others[(seed + k) % len(others)], 0)
             for k in range(3)]
         worst["ct_loss"] = max(worst["ct_loss"], fd_worst_rel_err(
-            lambda: ct_loss(model, model_b, ct_batch, pool),
+            lambda: ct_loss(model, model_b, ct_batch),
             model.parameters() + model_b.parameters(), rng))
 
         head = NliHead.init(FD_ARCH.hidden, seed=seed)
@@ -149,7 +149,7 @@ def test_criterion_01_gradient_suite():
                                     nli_labels[k % 3]) for k in range(4)]
         worst["nli_siamese_loss"] = max(
             worst["nli_siamese_loss"], fd_worst_rel_err(
-                lambda: nli_siamese_loss(model, head, nli_batch, pool),
+                lambda: nli_siamese_loss(model, head, nli_batch),
                 model.parameters() + head.parameters(), rng))
 
         sts_batch = [ScoredPair(sents[k], sents[k + 3],
@@ -158,7 +158,7 @@ def test_criterion_01_gradient_suite():
         tmap = RegressionTargetMap(0.5)
         worst["sts_regression_loss"] = max(
             worst["sts_regression_loss"], fd_worst_rel_err(
-                lambda: sts_regression_loss(model, sts_batch, tmap, pool),
+                lambda: sts_regression_loss(model, sts_batch, tmap),
                 model.parameters(), rng))
 
         flow = CouplingFlow(6, 2, seed=seed)
@@ -374,7 +374,7 @@ def test_criterion_07_grid_search_recovers_planted_bound(world, base):
     train = [ScoredPair(a, b, 10.0 * c - 5.0) for a, b, c in ordered[:40]]
     dev = StsTask("planted_dev",
                   tuple(ScoredPair(a, b, 10.0 * c - 5.0)
-                        for a, b, c in ordered[40:]), split="dev")
+                        for a, b, c in ordered[40:]))
 
     cfg = GridSection()
     result = grid_search_lower_bound(model, train, dev, cfg.bounds,

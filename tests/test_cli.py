@@ -24,8 +24,8 @@ from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
 from sedkit.encoder import EncoderArch
 from sedkit.errors import DataError
 from sedkit.evalsts import load_sts_tsv
-from sedkit.experiments import (DataBundle, derive_seed, run_pipeline,
-                                sample_corpus)
+from sedkit.experiments import (DataBundle, _hash_task, derive_seed,
+                                run_pipeline, sample_corpus)
 from sedkit.flow import CouplingFlow
 from sedkit.synthetic import load_nli_tsv
 
@@ -228,6 +228,33 @@ def test_cli_and_pipeline_record_one_corpus_hash(workspace):
     assert cli["checkpoints"]["base"] == pipeline["checkpoints"]["base"]
 
 
+def test_manifests_hash_text_inputs_as_read(workspace, tmp_path, capsys):
+    """`train-nli` and run_pipeline record one NLI hash (of the pairs
+    read, not the file bytes), and `train-sed` records the digest of its
+    `--student-init` checkpoint, the one `pretrain` wrote."""
+    world, base = workspace["world"], workspace["base"]
+    nli = world / "nli.tsv"
+    assert main(["train-nli", "--config", workspace["ini"], "--base", base,
+                 "--nli", str(nli), "--out", str(tmp_path)]) == 0
+    assert main(["train-sed", "--config", workspace["ini"],
+                 "--teachers", base, "--student-init", base,
+                 "--corpus", workspace["corpus"], "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    cli_nli = json.loads((tmp_path / "nli_0_manifest.json").read_text())
+    bundle = DataBundle(read_corpus(workspace["corpus"]),
+                        [load_sts_tsv(world / "sts_test.tsv")],
+                        load_nli_tsv(nli))
+    pipeline = run_pipeline(with_stages(cli_config(), ("pretrain", "nli")),
+                            bundle).manifest
+    assert cli_nli["input_hashes"]["nli"] == pipeline["input_hashes"]["nli"]
+    assert cli_nli["input_hashes"]["nli"] != sha(nli)
+    sed = json.loads((tmp_path / "sed_manifest.json").read_text())
+    pretrain = json.loads((workspace["runs"] / "pretrain_manifest.json")
+                          .read_text())
+    assert (sed["input_hashes"]["student_init"]
+            == pretrain["checkpoints"]["base"])
+
+
 def test_train_ct_member_index_in_artifacts(workspace, tmp_path):
     rc = main(["train-ct", "--config", workspace["ini"],
                "--base", workspace["base"], "--corpus", workspace["corpus"],
@@ -398,8 +425,9 @@ def test_grid_search_and_stability_write_manifests(workspace, tmp_path,
     assert ran.grid.bounds == (0.0, 0.3) and ran.grid.seeds_per_bound == 1
     assert ran == dataclasses.replace(cfg, grid=ran.grid)
     assert grid["input_hashes"] == {
-        "train_pairs": sha(world / "sts_train.tsv"),
-        "dev_task": sha(world / "sts_dev.tsv"), "model": sha(base)}
+        "train_pairs": _hash_task(load_sts_tsv(world / "sts_train.tsv")),
+        "dev_task": _hash_task(load_sts_tsv(world / "sts_dev.tsv")),
+        "model": sha(base)}
     seed = cfg.run.seed
     assert grid["derived_seeds"] == {
         "grid": [derive_seed(seed, "grid", 0), derive_seed(seed, "grid", 1)]}
@@ -639,12 +667,3 @@ def test_sample_corpus_guards():
         sample_corpus(lines, 4, seed=0)
     with pytest.raises(DataError):
         sample_corpus(lines, 0, seed=0)
-    assert len(sample_corpus(lines, 4, seed=0, with_replacement=True)) == 4
-
-
-def test_sample_corpus_with_replacement_is_uniform():
-    lines = [str(i) for i in range(10)]
-    draws = sample_corpus(lines, 10000, seed=123, with_replacement=True)
-    counts = np.bincount([int(d) for d in draws], minlength=10)
-    # 4 sigma of Binomial(10000, 0.1) is about 120
-    assert np.all(np.abs(counts - 1000) < 120), counts.tolist()

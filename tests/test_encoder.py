@@ -44,11 +44,6 @@ def test_vocab_frequency_ties_alphabetical():
     assert v.tokens[3:] == ["c", "d", "a", "b"]
 
 
-def test_vocab_min_count():
-    v = Vocabulary.build(["a a b", "a c"], min_count=2)
-    assert v.tokens[3:] == ["a"]
-
-
 def test_vocab_rejects_duplicates():
     with pytest.raises(DataError):
         Vocabulary(["x", "x"])
@@ -271,7 +266,7 @@ def test_pretrain_deterministic(tiny_corpus):
 
 def test_pretrain_zero_steps_returns_init(tiny_corpus, tiny_vocab):
     cfg = PretrainSection(steps=0, batch=8)
-    model = pretrain_base(tiny_corpus, TINY_ARCH, cfg, 9, vocab=tiny_vocab)
+    model = pretrain_base(tiny_corpus, TINY_ARCH, cfg, 9)
     init_seed, _ = enc._spawn_seeds(9, 2)
     fresh = init_encoder(TINY_ARCH, tiny_vocab, init_seed)
     for a, b in zip(model.parameters(), fresh.parameters()):
@@ -296,12 +291,10 @@ def test_pretrained_embeddings_not_collapsed(tiny_model, tiny_corpus):
     assert spread > 0.01, f"embedding spread {spread:.4f}"
 
 
-def test_pretrain_changes_weights(tiny_corpus, tiny_vocab):
+def test_pretrain_changes_weights(tiny_corpus):
     before = pretrain_base(tiny_corpus, TINY_ARCH,
-                           PretrainSection(steps=0, batch=8), 9,
-                           vocab=tiny_vocab)
+                           PretrainSection(steps=0, batch=8), 9)
     after = pretrain_base(tiny_corpus, TINY_ARCH,
-                          PretrainSection(steps=5, batch=8), 9,
-                          vocab=tiny_vocab)
+                          PretrainSection(steps=5, batch=8), 9)
     assert any(not np.array_equal(a.data, b.data)
                for a, b in zip(before.parameters(), after.parameters()))

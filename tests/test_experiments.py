@@ -7,11 +7,13 @@ import dataclasses
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 import sedkit.diffcore as dc
+import sedkit.encoder as enc
 import sedkit.experiments as ex
 from sedkit.config import (CtSection, EvalSection, FlowSection, GridSection,
                            NliSection, PretrainSection, RunConfig,
@@ -211,8 +213,12 @@ def test_precomputed_targets_match_batched_targets(tiny_model, tiny_corpus):
 
 
 def test_encode_many_matches_single_batch(tiny_model, tiny_corpus):
-    sents = list(tiny_corpus[:13])
-    chunked = encode_many(tiny_model, sents, TRAIN_POOL, batch=4)
+    """90 sentences cross encode_many's 64-sentence chunk boundary."""
+    sents = list(tiny_corpus) + [" ".join(reversed(s.split()))
+                                 for s in tiny_corpus]
+    sents += [a + " " + b for a, b in zip(sents[:30], sents[30:60])]
+    assert len(sents) > 64
+    chunked = encode_many(tiny_model, sents, TRAIN_POOL)
     with dc.no_grad():
         whole = encode_batch(tiny_model, sents, TRAIN_POOL).data
     assert np.array_equal(chunked, whole)
@@ -454,8 +460,8 @@ def test_grid_single_candidate_trivial(tiny_model, tiny_world):
 def test_grid_drops_diverged_cell(tiny_model, tiny_world, monkeypatch):
     real = ex.sts_regression_loss
 
-    def diverge_at_bound_03(model, batch, target_map, pool):
-        loss = real(model, batch, target_map, pool=pool)
+    def diverge_at_bound_03(model, batch, target_map):
+        loss = real(model, batch, target_map)
         return loss * np.nan if target_map.lower_bound == 0.3 else loss
 
     monkeypatch.setattr(ex, "sts_regression_loss", diverge_at_bound_03)
@@ -503,7 +509,7 @@ def test_early_stopping_on_degrading_dev(tiny_model, tiny_corpus):
     best (first-epoch) parameters come back."""
     dev = StsTask("dev_planted", tuple(
         planted_pairs(tiny_model, tiny_corpus,
-                      [(i, i + 15) for i in range(10)])), split="dev")
+                      [(i, i + 15) for i in range(10)])))
     train = planted_pairs(tiny_model, tiny_corpus,
                           [(i, i + 7) for i in range(10)], flip=True)
     cfg = SupervisedSection(max_epochs=8, batch=4, lr=1e-3, patience=1,
@@ -542,8 +548,7 @@ def test_supervised_guards(tiny_model, tiny_world):
     # overlap detection catches reversed sentence order too
     p = pairs[0]
     leaky_dev = StsTask("leaky", (ScoredPair(p.sentence_2, p.sentence_1,
-                                             p.gold),) + tuple(pairs[1:3]),
-                        split="dev")
+                                             p.gold),) + tuple(pairs[1:3]))
     with pytest.raises(DataError, match="shares"):
         train_supervised_with_early_stopping(
             tiny_model.clone(), pairs, leaky_dev,
@@ -626,3 +631,49 @@ def test_every_trainer_steps_through_diffcore_train(tiny_model, tiny_world,
         steps.clear()
         run()
         assert steps == expected[name], name
+
+
+def test_every_trainer_encodes_with_the_training_pool(tiny_model, tiny_world,
+                                                      monkeypatch):
+    """CT and NLI members, the distilled student (targets included), a grid
+    cell and supervised training (their dev scores included) each take one
+    step and encode only with k = 1, although `[eval] pool_k` is 2."""
+    real, ks = enc.encode_batch, []
+
+    def recording(model, sentences, pool):
+        ks.append(pool.k)
+        return real(model, sentences, pool)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "sedkit" and getattr(
+                module, "encode_batch", None) is real:
+            monkeypatch.setattr(module, "encode_batch", recording)
+    cfg = dataclasses.replace(
+        tiny_run_config(("pretrain", "ct", "sed")),
+        ct=dataclasses.replace(TINY_CT, steps=1),
+        nli=NliSection(steps=1, batch=4, peak_lr=2e-4),
+        sed=dataclasses.replace(TINY_SED, epochs=1, batch=16),
+        grid=GridSection(bounds=(0.3,), seeds_per_bound=1, steps=1, batch=4,
+                         lr=1e-3),
+        supervised=SupervisedSection(max_epochs=1, batch=4, lr=1e-3,
+                                     patience=1, lower_bound=0.5))
+    assert cfg.eval.pool_k == 2
+    corpus = tiny_world.corpus[:16]
+    train = list(tiny_world.sts["train"].pairs)[:4]
+    dev = tiny_world.sts["dev"]
+    runs = {
+        "ct": lambda: ex.member_stage("ct", cfg, tiny_model, corpus, 0),
+        "nli": lambda: ex.member_stage("nli", cfg, tiny_model,
+                                       tiny_world.nli, 0),
+        "sed": lambda: ex.distill_stage(cfg, [tiny_model, tiny_model],
+                                        corpus, tiny_model),
+        "grid": lambda: grid_search_lower_bound(
+            tiny_model, train, dev, cfg.grid.bounds,
+            cfg.grid.seeds_per_bound, cfg=cfg.grid),
+        "supervised": lambda: ex.supervised_stage(cfg, tiny_model, train,
+                                                  dev),
+    }
+    for name, run in runs.items():
+        ks.clear()
+        run()
+        assert ks and set(ks) == {1}, (name, ks)

@@ -135,7 +135,7 @@ def test_ct_loss_matches_hand_computation(tiny_model, tiny_corpus):
     other.params["tok_emb"].data *= 0.9  # make the two models differ
     batch = [CtPair(tiny_corpus[0], tiny_corpus[0], 1),
              CtPair(tiny_corpus[0], tiny_corpus[1], 0)]
-    loss = ct_loss(tiny_model, other, batch, POOL).item()
+    loss = ct_loss(tiny_model, other, batch).item()
     with dc.no_grad():
         ua = encode_batch(tiny_model, [p.sentence_a for p in batch], POOL).data
         vb = encode_batch(other, [p.sentence_b for p in batch], POOL).data
@@ -152,7 +152,7 @@ def test_ct_loss_zero_logits_is_ln2(tiny_model, tiny_corpus):
         p.data[...] = 0.0
     batch = [CtPair(tiny_corpus[0], tiny_corpus[0], 1),
              CtPair(tiny_corpus[0], tiny_corpus[1], 0)]
-    loss = ct_loss(tiny_model, zero, batch, POOL).item()
+    loss = ct_loss(tiny_model, zero, batch).item()
     assert abs(loss - math.log(2.0)) < 1e-12
 
 
@@ -161,7 +161,7 @@ def test_ct_loss_gradients_reach_both_models(tiny_model, tiny_corpus):
     b = tiny_model.clone()
     batch = [CtPair(tiny_corpus[0], tiny_corpus[0], 1),
              CtPair(tiny_corpus[0], tiny_corpus[1], 0)]
-    ct_loss(a, b, batch, POOL).backward()
+    ct_loss(a, b, batch).backward()
     assert any(np.max(np.abs(p.grad)) > 0 for p in a.parameters())
     assert any(np.max(np.abs(p.grad)) > 0 for p in b.parameters())
 
@@ -212,7 +212,7 @@ def test_nli_zero_head_gives_ln3(tiny_model, tiny_corpus):
                    bias=Tensor(np.zeros(3), requires_grad=True))
     batch = [LabeledNliPair(tiny_corpus[0], tiny_corpus[1], "entailment"),
              LabeledNliPair(tiny_corpus[2], tiny_corpus[3], "contradiction")]
-    loss = nli_siamese_loss(tiny_model, head, batch, POOL).item()
+    loss = nli_siamese_loss(tiny_model, head, batch).item()
     assert abs(loss - math.log(3.0)) < 1e-12
 
 
@@ -226,7 +226,7 @@ def test_nli_head_init_shapes():
 def test_nli_loss_reaches_model_and_head(tiny_model, tiny_corpus):
     head = NliHead.init(hidden=8, seed=1)
     batch = [LabeledNliPair(tiny_corpus[0], tiny_corpus[1], "neutral")]
-    nli_siamese_loss(tiny_model, head, batch, POOL).backward()
+    nli_siamese_loss(tiny_model, head, batch).backward()
     assert np.max(np.abs(head.weight.grad)) > 0
     assert any(np.max(np.abs(p.grad)) > 0 for p in tiny_model.parameters())
     for p in tiny_model.parameters():
@@ -266,8 +266,7 @@ def test_cosine_tensor_rowwise(rng):
 def test_regression_loss_zero_on_planted_pair(tiny_model, tiny_corpus):
     # identical sentences have cosine exactly 1; gold 5 maps to target 1
     pair = ScoredPair(tiny_corpus[0], tiny_corpus[0], 5.0)
-    loss = sts_regression_loss(tiny_model, [pair], RegressionTargetMap(0.0),
-                               POOL)
+    loss = sts_regression_loss(tiny_model, [pair], RegressionTargetMap(0.0))
     assert loss.item() < 1e-28
 
 
@@ -278,8 +277,8 @@ def test_regression_loss_hand_value(tiny_model, tiny_corpus):
         v = encode_batch(tiny_model, [tiny_corpus[1]], POOL).data[0]
     c = u @ v / (np.linalg.norm(u) * np.linalg.norm(v))
     target = 0.3 + (2.0 / 5.0) * 0.7
-    loss = sts_regression_loss(tiny_model, pairs, RegressionTargetMap(0.3),
-                               POOL).item()
+    loss = sts_regression_loss(tiny_model, pairs,
+                               RegressionTargetMap(0.3)).item()
     assert abs(loss - (c - target) ** 2) < 1e-12
 
 

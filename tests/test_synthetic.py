@@ -86,7 +86,7 @@ def test_task_pairs_follow_gold_rule():
     world = build_synthetic_world(SPEC)
     for split in ("train", "dev", "test"):
         task = world.sts[split]
-        assert task.split == split
+        assert task.name == f"sts_{split}"
         assert len(task.pairs) == SPEC.sts_pairs
         pool = set(world.sentences[split])
         for p in task.pairs:
