@@ -4,8 +4,8 @@ grids: k pools the token-mean vectors of the final k hidden states."""
 import numpy as np
 
 from sedkit.config import PretrainSection
-from sedkit.encoder import (EncoderArch, PoolingSpec, encode, encode_batch,
-                            pretrain_base)
+from sedkit.encoder import (EncoderArch, PoolingSpec, encode_batch,
+                            encode_many, pretrain_base)
 from sedkit.synthetic import SyntheticWorldSpec, build_synthetic_world
 import sedkit.diffcore as dc
 
@@ -21,8 +21,8 @@ model = pretrain_base(world.corpus, arch,
 
 s = world.corpus[0]
 for k in (1, 2, 3):
-    e = encode(model, s, PoolingSpec(k))
-    print(f"pool k={k}: ||e|| = {np.linalg.norm(e.data):.4f}")
+    e = encode_many(model, [s], PoolingSpec(k))[0]
+    print(f"pool k={k}: ||e|| = {np.linalg.norm(e):.4f}")
 
 # each sentence is padded to the bucket of its own length (8, 16, 32),
 # so batch composition cannot change anyone's embedding
@@ -32,7 +32,6 @@ with dc.no_grad():
                          PoolingSpec(2)).data[1]
 print("batch invariance (bitwise):", bool(np.array_equal(alone, crowd)))
 
-spread = np.std(
-    [encode(model, t, PoolingSpec(2)).data for t in world.corpus[:20]],
-    axis=0).mean()
+spread = np.std(encode_many(model, world.corpus[:20], PoolingSpec(2)),
+               axis=0).mean()
 print(f"mean per-coordinate spread over 20 sentences: {spread:.4f}")

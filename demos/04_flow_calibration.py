@@ -5,8 +5,8 @@ a brute-force Jacobian."""
 import numpy as np
 
 from sedkit.config import FlowSection
-from sedkit.flow import (CouplingFlow, fit_flow, flow_forward, flow_inverse,
-                         flow_nll_value, flow_score)
+from sedkit.evalsts import similarity
+from sedkit.flow import CouplingFlow, fit_flow, flow_forward, flow_nll_value
 
 rng = np.random.default_rng(4)
 X = rng.normal(5.0, 1.0, size=(400, 8))
@@ -17,7 +17,7 @@ fit_flow(flow, X, FlowSection(lr=5e-3, epochs=50, batch=64), seed=1)
 print(f"NLL after fitting:                   {flow_nll_value(flow, X):.4f}")
 
 z, log_det = flow_forward(flow, X[:32])
-back = flow_inverse(flow, z)
+back = flow.inverse(z)
 print(f"round-trip max error over 32 rows: {np.max(np.abs(back - X[:32])):.2e}")
 print(f"latent mean {z.mean():+.3f} (data mean {X[:32].mean():+.3f})")
 
@@ -34,5 +34,5 @@ for j in range(8):
 sign, brute = np.linalg.slogdet(J)
 print(f"analytic log|det J| = {ld:.8f}, brute force = {brute:.8f}")
 
-s = flow_score(flow, X[0], X[1], metric="cosine")
+s = similarity(flow_forward(flow, X[0])[0], flow_forward(flow, X[1])[0])
 print(f"latent cosine of two embeddings: {s:+.4f}")

@@ -9,21 +9,18 @@ self-contained reverse-mode autodiff core.
 from .diffcore import (Adam, LinearDecay, RMSProp, Tensor,
                        WarmupThenConstant, no_grad)
 from .encoder import (EncoderArch, EncoderModel, PoolingSpec, Vocabulary,
-                      encode, encode_batch, init_encoder, pretrain_base,
-                      tokenize)
+                      encode_batch, init_encoder, pretrain_base, tokenize)
 from .errors import (CheckpointError, CheckpointVersionError, ConfigError,
                      ConstantInputError, DataError, DivergenceError,
                      ShapeMismatchError)
 from .evalsts import (CorrelationReport, ScoredPair, StsTask, cosine,
                       evaluate_suite, evaluate_task, load_sts_tsv, pearson,
                       spearman, write_report_csv)
-from .flow import (CouplingFlow, fit_flow, flow_forward, flow_inverse,
-                   flow_nll, flow_score)
+from .flow import CouplingFlow, fit_flow, flow_forward, flow_nll
 from .objectives import (CtPair, EnsembleSpec, LabeledNliPair, NliHead,
                          RegressionTargetMap, ct_loss,
-                         ensemble_mean_embedding, ensemble_mean_embeddings,
-                         nli_siamese_loss, sample_ct_batches, sed_loss,
-                         sts_regression_loss)
+                         ensemble_mean_embeddings, nli_siamese_loss,
+                         sample_ct_batches, sed_loss, sts_regression_loss)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, default_config, load_config, parse_config, render_config
 from .experiments import (DataBundle, GridSearchResult, PipelineResult,

@@ -21,7 +21,8 @@ artifact is byte-identical, which makes checkpoint hashes meaningful in
 run manifests.
 
 The module also holds the toolkit's plain-file I/O: `write_atomic`, and
-the one text-input reader that the corpus, STS and NLI loaders parse.
+the one text-input reader (`read_text`) that the config loader and,
+through `read_lines`, the corpus, STS and NLI loaders parse.
 """
 
 from __future__ import annotations
@@ -120,27 +121,29 @@ def write_atomic(path, blob: bytes) -> None:
             os.remove(tmp)
 
 
-def read_lines(path) -> list[tuple[int, str]]:
-    """(line number, text) of each non-blank line of the UTF-8 file at
-    `path`; a leading byte-order mark is dropped, and CRLF and a lone CR
-    end a line as LF does. A byte that is not UTF-8 raises `DataError`
-    naming the path and its line."""
+def read_text(path) -> str:
+    """The text of the UTF-8 file at `path`, as every text input (corpus,
+    STS and NLI files, configs) is read: a leading byte-order mark is
+    dropped, and CRLF and a lone CR become LF. A byte that is not UTF-8
+    raises `DataError` naming the path and its line."""
     with open(str(path), "rb") as fh:
         text = fh.read().decode("utf-8-sig", "surrogateescape")
-    lines = []
-    for n, line in enumerate(
-            text.replace("\r\n", "\n").replace("\r", "\n").split("\n"),
-            start=1):
-        if not line.strip():
-            continue
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00
-            raise DataError(f"{path}: line {n}: byte {byte:#04x} is not "
-                            "UTF-8") from None
-        lines.append((n, line))
-    return lines
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        line = text.count("\n", 0, exc.start) + 1
+        byte = ord(text[exc.start]) - 0xDC00
+        raise DataError(f"{path}: line {line}: byte {byte:#04x} is not "
+                        "UTF-8") from None
+    return text
+
+
+def read_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line of `read_text(path)`."""
+    return [(n, line)
+            for n, line in enumerate(read_text(path).split("\n"), start=1)
+            if line.strip()]
 
 
 def read_tsv(path, parse) -> list:

@@ -17,13 +17,13 @@ values for full-scale runs (10 members, 100k sentences, 10 runs, the
 
 from __future__ import annotations
 
+import configparser
 import dataclasses
 import math
 import typing
-from configparser import ConfigParser
 from dataclasses import dataclass, field
 
-from .checkpoint import write_atomic
+from .checkpoint import read_text
 from .encoder import EncoderArch
 from .errors import ConfigError
 from .objectives import RegressionTargetMap
@@ -277,10 +277,29 @@ def render_config(cfg: RunConfig) -> str:
     return "\n".join(lines)
 
 
+def _syntax_error(exc: configparser.Error) -> str:
+    """One line naming the line and the fault of an INI syntax error."""
+    if isinstance(exc, configparser.MissingSectionHeaderError):
+        return (f"line {exc.lineno}: {exc.line.strip()!r} comes before "
+                "the first [section] header")
+    if isinstance(exc, configparser.DuplicateOptionError):
+        return (f"line {exc.lineno}: duplicate key {exc.option!r} in "
+                f"[{exc.section}]")
+    if isinstance(exc, configparser.DuplicateSectionError):
+        return f"line {exc.lineno}: duplicate section [{exc.section}]"
+    return (f"line {exc.errors[0][0]}: expected a [section] header or "
+            "key = value")  # a ParsingError, the one kind left
+
+
 def parse_config(text: str) -> RunConfig:
-    parser = ConfigParser(interpolation=None)
+    """The `RunConfig` an INI text describes; any fault, in the INI syntax
+    or in a value, raises `ConfigError`."""
+    parser = configparser.ConfigParser(interpolation=None)
     parser.optionxform = str
-    parser.read_string(text)
+    try:
+        parser.read_string(text)
+    except configparser.Error as exc:
+        raise ConfigError(_syntax_error(exc)) from None
     sections = {}
     for section_name in parser.sections():
         if section_name not in _SECTION_TYPES:
@@ -300,12 +319,12 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    with open(str(path), "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
-
-
-def save_config(cfg: RunConfig, path) -> None:
-    write_atomic(path, render_config(cfg).encode("utf-8"))
+    """`parse_config` of the file at `path`, decoded by `read_text` like
+    every text input; a malformed file raises an error naming `path`."""
+    try:
+        return parse_config(read_text(path))
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def default_config() -> RunConfig:

@@ -82,9 +82,6 @@ class Tensor:
             out._backward = backward
         return out
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def zero_grad(self):
         if self.requires_grad:
             self.grad = np.zeros_like(self.data)
@@ -92,10 +89,6 @@ class Tensor:
     @property
     def shape(self) -> tuple:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.size != 1:
@@ -117,8 +110,6 @@ class Tensor:
 
         return Tensor._node(a.data + b.data, (a, b), backward)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = Tensor._coerce(other)
         a, b = self, other
@@ -127,9 +118,6 @@ class Tensor:
             return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
         return Tensor._node(a.data - b.data, (a, b), backward)
-
-    def __rsub__(self, other):
-        return Tensor._coerce(other).__sub__(self)
 
     def __mul__(self, other):
         other = Tensor._coerce(other)
@@ -143,8 +131,6 @@ class Tensor:
 
         return Tensor._node(a.data * b.data, (a, b), backward)
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
         other = Tensor._coerce(other)
         a, b = self, other
@@ -156,27 +142,6 @@ class Tensor:
             )
 
         return Tensor._node(a.data / b.data, (a, b), backward)
-
-    def __rtruediv__(self, other):
-        return Tensor._coerce(other).__truediv__(self)
-
-    def __neg__(self):
-        a = self
-
-        def backward(g):
-            return (-g,)
-
-        return Tensor._node(-a.data, (a,), backward)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only constant exponents are supported")
-        a, p = self, float(exponent)
-
-        def backward(g):
-            return (g * p * a.data ** (p - 1.0),)
-
-        return Tensor._node(a.data**p, (a,), backward)
 
     def __matmul__(self, other):
         other = Tensor._coerce(other)
@@ -201,14 +166,6 @@ class Tensor:
             return (g * out_data,)
 
         return Tensor._node(out_data, (a,), backward)
-
-    def log(self):
-        a = self
-
-        def backward(g):
-            return (g / a.data,)
-
-        return Tensor._node(np.log(a.data), (a,), backward)
 
     def sqrt(self):
         a = self
@@ -243,15 +200,6 @@ class Tensor:
             return (g * (a.data > 0.0),)
 
         return Tensor._node(np.maximum(a.data, 0.0), (a,), backward)
-
-    def sigmoid(self):
-        a = self
-        out_data = _sigmoid(a.data)
-
-        def backward(g):
-            return (g * out_data * (1.0 - out_data),)
-
-        return Tensor._node(out_data, (a,), backward)
 
     def abs(self):
         a = self

@@ -129,9 +129,6 @@ class EncoderModel:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def param_names(self) -> list[str]:
-        return list(self.params.keys())
-
     def clone(self) -> "EncoderModel":
         params = {
             name: Tensor(p.data.copy(), requires_grad=True)
@@ -190,10 +187,15 @@ def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
 
 def init_encoder(arch: EncoderArch, vocab: Vocabulary, seed: int) -> EncoderModel:
-    """Deterministic scaled-normal initialization (std 0.02, BERT-style)."""
+    """Deterministic scaled-normal initialization (std 0.02, BERT-style).
+    An arch whose tensors cannot be allocated raises `ConfigError`."""
     rng = np.random.default_rng(seed)
-    return _build_encoder(arch, vocab,
-                          lambda shape: rng.normal(0.0, 0.02, size=shape))
+    try:
+        return _build_encoder(arch, vocab,
+                              lambda shape: rng.normal(0.0, 0.02, size=shape))
+    except MemoryError:
+        raise ConfigError(f"cannot allocate the tensors of {arch} with "
+                          f"{vocab.size} tokens") from None
 
 
 def _build_encoder(arch: EncoderArch, vocab: Vocabulary,
@@ -292,12 +294,6 @@ def _pool(hiddens: list[Tensor], mask: np.ndarray, k: int) -> Tensor:
     for back in range(1, k):
         acc = acc + token_mean(hiddens[-1 - back])
     return acc * (1.0 / k)
-
-
-def encode(model: EncoderModel, sentence: str, pool: PoolingSpec) -> np.ndarray:
-    """Embedding vector (hidden,) for one sentence; no gradient graph."""
-    with dc.no_grad():
-        return encode_batch(model, [sentence], pool).data[0]
 
 
 def encode_many(model: EncoderModel, sentences,

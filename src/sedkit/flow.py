@@ -9,7 +9,9 @@ identity with zero log-determinant.
 
 Fitting maximizes the likelihood of the embeddings under a standard
 Gaussian in latent space; the encoder that produced the embeddings is
-never touched.
+never touched. Pairs are scored in latent space by `evalsts`'s one
+scorer (`predict_scores(..., flow=flow)`), which maps a task's embeddings
+through `flow_forward` as one batch.
 """
 
 from __future__ import annotations
@@ -63,9 +65,6 @@ class CouplingFlow:
     def parameters(self) -> list[Tensor]:
         return list(self.params.values())
 
-    def param_names(self) -> list[str]:
-        return list(self.params.keys())
-
     def _subnet(self, masked_x: Tensor, layer: int) -> tuple[Tensor, Tensor]:
         p, pre = self.params, f"f{layer}."
         h = (masked_x @ p[pre + "w1"] + p[pre + "b1"]).tanh()
@@ -115,10 +114,6 @@ def flow_forward(flow: CouplingFlow, x) -> tuple[np.ndarray, np.ndarray]:
     if squeeze:
         return z.data[0], float(log_det.data[0])
     return z.data, log_det.data
-
-
-def flow_inverse(flow: CouplingFlow, z) -> np.ndarray:
-    return flow.inverse(z)
 
 
 def flow_nll(flow: CouplingFlow, embeddings) -> Tensor:
@@ -178,11 +173,3 @@ def flow_nll_value(flow: CouplingFlow, embeddings) -> float:
     with dc.no_grad():
         return flow_nll(flow, embeddings).item()
 
-
-def flow_score(flow: CouplingFlow, e1, e2, metric: str = "cosine") -> float:
-    """`evalsts.similarity` of two embeddings in the calibrated latent
-    space; `metric` is "cosine" (default) or "neg_euclidean"."""
-    from .evalsts import similarity  # evalsts imports this module
-    z1, _ = flow_forward(flow, e1)
-    z2, _ = flow_forward(flow, e2)
-    return similarity(z1, z2, metric)

@@ -2,18 +2,19 @@
 contrastive two-model objective, siamese NLI classification and STS
 regression with a tunable target lower bound.
 
-Every loss encodes its sentences with `encoder.TRAIN_POOL`, the final
-layer alone (k = 1); only evaluation pools more layers. The distillation
-target for a sentence is the plain elementwise mean of the ensemble
-members' embeddings under `EnsembleSpec.target_pool` (that same pool
-unless a caller asks for another); no normalization is applied before or
-after averaging. Targets are produced under no_grad, so distillation
-updates only the student: member parameter gradients stay exactly zero.
+Every objective takes a batch. Each loss encodes with `encoder.TRAIN_POOL`,
+the final layer alone (k = 1); only evaluation pools more layers.
+`ensemble_mean_embeddings` gives each sentence's distillation target: the
+plain elementwise mean of the members' embeddings under
+`EnsembleSpec.target_pool` (that same pool unless a caller asks for
+another), with no normalization before or after averaging. Targets are
+produced under no_grad, so distillation updates only the student: member
+parameter gradients stay exactly zero.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -114,10 +115,6 @@ def ensemble_mean_embeddings(ensemble: EnsembleSpec, sentences) -> np.ndarray:
         return acc / len(ensemble)
 
 
-def ensemble_mean_embedding(ensemble: EnsembleSpec, sentence: str) -> np.ndarray:
-    return ensemble_mean_embeddings(ensemble, [sentence])[0]
-
-
 def sed_loss(target, student_out: Tensor) -> Tensor:
     """Mean squared error between detached targets and student embeddings.
 
@@ -209,60 +206,46 @@ def sts_regression_loss(model: EncoderModel, pairs,
     return (cos - targets).square().mean()
 
 
-@dataclass
-class CtBatchSampler:
-    """Deterministic stream of contrastive batches.
+def sample_ct_batches(corpus, negatives_per_positive: int, batch_size: int,
+                      seed: int = 0):
+    """Endless deterministic stream of contrastive batches.
 
     Each block pairs one sentence with itself (label 1) and with
     `negatives_per_positive` distinct other sentences (label 0), so a
     batch of size B holds exactly B / (negatives_per_positive + 1)
-    positives.
+    positives. The corpus and sizes are checked here, at the call, so a
+    bad request raises `DataError` before any batch is drawn.
     """
+    corpus = list(corpus)
+    block = negatives_per_positive + 1
+    if batch_size % block != 0:
+        raise DataError(
+            f"batch size {batch_size} not divisible by block size {block}")
+    if len(set(corpus)) < 2:
+        raise DataError("contrastive sampling needs >= 2 distinct sentences")
+    counts: dict[str, int] = {}
+    for s in corpus:
+        counts[s] = counts.get(s, 0) + 1
+    # every anchor must leave enough non-identical sentences to sample
+    if len(corpus) - max(counts.values()) < negatives_per_positive:
+        raise DataError("corpus too small for the requested negative count")
+    return _ct_batches(corpus, negatives_per_positive, batch_size // block,
+                       np.random.default_rng(seed))
 
-    corpus: list[str] = field(repr=False)
-    negatives_per_positive: int = 7
-    batch_size: int = 16
-    seed: int = 0
 
-    def __post_init__(self):
-        self.corpus = list(self.corpus)
-        block = self.negatives_per_positive + 1
-        if self.batch_size % block != 0:
-            raise DataError(
-                f"batch size {self.batch_size} not divisible by block size {block}"
-            )
-        if len(set(self.corpus)) < 2:
-            raise DataError("contrastive sampling needs >= 2 distinct sentences")
-        counts: dict[str, int] = {}
-        for s in self.corpus:
-            counts[s] = counts.get(s, 0) + 1
-        # every anchor must leave enough non-identical sentences to sample
-        if len(self.corpus) - max(counts.values()) < self.negatives_per_positive:
-            raise DataError("corpus too small for the requested negative count")
-
-    def __iter__(self):
-        rng = np.random.default_rng(self.seed)
-        n = len(self.corpus)
-        block = self.negatives_per_positive + 1
-        positives = self.batch_size // block
-        while True:
-            batch: list[CtPair] = []
-            for _ in range(positives):
-                anchor_idx = int(rng.integers(n))
-                anchor = self.corpus[anchor_idx]
-                batch.append(CtPair(anchor, anchor, 1))
-                seen = {anchor_idx}
-                for _ in range(self.negatives_per_positive):
+def _ct_batches(corpus: list[str], negatives: int, positives: int, rng):
+    n = len(corpus)
+    while True:
+        batch: list[CtPair] = []
+        for _ in range(positives):
+            anchor_idx = int(rng.integers(n))
+            anchor = corpus[anchor_idx]
+            batch.append(CtPair(anchor, anchor, 1))
+            seen = {anchor_idx}
+            for _ in range(negatives):
+                j = int(rng.integers(n))
+                while j in seen or corpus[j] == anchor:
                     j = int(rng.integers(n))
-                    while j in seen or self.corpus[j] == anchor:
-                        j = int(rng.integers(n))
-                    seen.add(j)
-                    batch.append(CtPair(anchor, self.corpus[j], 0))
-            yield batch
-
-
-def sample_ct_batches(corpus, negatives_per_positive: int, batch_size: int,
-                      seed: int = 0):
-    """Iterator over contrastive batches; deterministic given seed."""
-    return iter(CtBatchSampler(list(corpus), negatives_per_positive,
-                               batch_size, seed))
+                seen.add(j)
+                batch.append(CtPair(anchor, corpus[j], 0))
+        yield batch

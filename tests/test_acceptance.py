@@ -19,7 +19,7 @@ import sedkit.diffcore as dc
 from sedkit.config import (CtSection, EvalSection, FlowSection, GridSection,
                            PretrainSection, RunConfig, RunSection, SedSection)
 from sedkit.diffcore import Tensor
-from sedkit.encoder import (EncoderArch, PoolingSpec, Vocabulary, encode,
+from sedkit.encoder import (EncoderArch, PoolingSpec, Vocabulary,
                             encode_batch, encode_many, init_encoder,
                             pretrain_base)
 from sedkit.evalsts import ScoredPair, StsTask, evaluate_suite, pearson, spearman
@@ -28,11 +28,10 @@ from sedkit.experiments import (TRAIN_POOL, DataBundle,
                                 full_ensemble_predict,
                                 grid_search_lower_bound, pooling_ablation,
                                 run_pipeline, train_ct, train_sed)
-from sedkit.flow import (CouplingFlow, fit_flow, flow_forward,
-                         flow_inverse, flow_nll, flow_nll_value)
+from sedkit.flow import (CouplingFlow, fit_flow, flow_forward, flow_nll,
+                         flow_nll_value)
 from sedkit.objectives import (CtPair, EnsembleSpec, LabeledNliPair, NliHead,
                                RegressionTargetMap, ct_loss,
-                               ensemble_mean_embedding,
                                ensemble_mean_embeddings, nli_siamese_loss,
                                sample_ct_batches, sed_loss,
                                sts_regression_loss)
@@ -240,8 +239,9 @@ def test_criterion_03_ensemble_fixed_points(world, base, cohort):
     solo = EnsembleSpec([member])
     for sentence in world.corpus[:5]:
         with dc.no_grad():
-            ref = encode(member, sentence, solo.target_pool).data
-        assert np.array_equal(ensemble_mean_embedding(solo, sentence), ref)
+            ref = encode_batch(member, [sentence], solo.target_pool).data[0]
+        assert np.array_equal(ensemble_mean_embeddings(solo, [sentence])[0],
+                              ref)
 
     ens = EnsembleSpec(cohort["teachers"])
     target = ensemble_mean_embeddings(ens, world.corpus[:6])
@@ -276,7 +276,7 @@ def test_criterion_04_flow_suite():
             p.data = p.data + rng.normal(0.0, scale, size=p.data.shape)
         X = rng.normal(size=(16, dim))
         z, _ = flow_forward(flow, X)
-        err = float(np.max(np.abs(flow_inverse(flow, z) - X)))
+        err = float(np.max(np.abs(flow.inverse(z) - X)))
         assert err < 1e-9, f"round trip at D={dim}: {err:.3e}"
 
     h = 1e-5

@@ -2,7 +2,8 @@
 subcommand pipelines, corpus sampling, and output directory resolution.
 
 Commands run in-process through main(argv) so stdout/stderr can be
-captured and no subprocess management is needed.
+captured; the malformed-config cases run main in a child process whose
+address space is capped.
 """
 
 import dataclasses
@@ -10,10 +11,13 @@ import hashlib
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import sedkit
 from sedkit.checkpoint import save_checkpoint
 from sedkit.cli import main, read_corpus
 from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
@@ -96,6 +100,62 @@ def test_usage_errors_exit_2(capsys):
     assert main(["no-such-command"]) == 2
     assert main(["pretrain"]) == 2  # missing required --corpus
     capsys.readouterr()
+
+
+def _main_in_child(argv) -> tuple[int, str]:
+    """Exit code and stderr of `main(argv)` in a child process whose
+    address space is capped at 2 GiB, so an allocation no machine can
+    serve fails at once on any host."""
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "from sedkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sedkit.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stderr
+
+
+@pytest.mark.parametrize("case", [
+    "key_before_header", "duplicate_key", "duplicate_section",
+    "unclosed_header", "not_utf8", "unallocatable_arch", "bom"])
+def test_config_file_is_read_like_every_text_input(workspace, tmp_path,
+                                                   case):
+    """A config file is decoded like the other text inputs, so a leading
+    BOM is dropped and the config trains the base it names. A malformed
+    one exits 1 with one `error:` line naming the file and the line, no
+    traceback and no checkpoint; an arch whose tensors cannot be
+    allocated fails when the encoder is built, and is named by its sizes."""
+    with open(workspace["ini"], "rb") as fh:
+        ini = fh.read()
+    cfg, out = tmp_path / "run.ini", tmp_path / "out"
+    body, names = {
+        "key_before_header": (b"seed = 1\n[run]\nseed = 2\n",
+                              f"{cfg}: line 1:"),
+        "duplicate_key": (b"[run]\nseed = 1\nseed = 2\n", f"{cfg}: line 3:"),
+        "duplicate_section": (b"[run]\nseed = 1\n[run]\nseed = 2\n",
+                              f"{cfg}: line 3:"),
+        "unclosed_header": (b"[run]\nseed = 1\n[arch\nlayers = 2\n",
+                            f"{cfg}: line 3:"),
+        "not_utf8": (b"[run]\nseed = \xff\n", f"{cfg}: line 2: byte 0xff"),
+        "unallocatable_arch": (
+            ini.replace(b"max_len = 8", b"max_len = 100000000000"),
+            "max_len=100000000000"),
+        "bom": (b"\xef\xbb\xbf" + ini, None),
+    }[case]
+    cfg.write_bytes(body)
+    rc, err = _main_in_child(["pretrain", "--config", str(cfg), "--corpus",
+                              workspace["corpus"], "--out", str(out)])
+    if names is None:
+        assert rc == 0, err
+        assert sha(out / "base.ckpt") == sha(workspace["base"])
+        return
+    assert rc == 1 and not (out / "base.ckpt").exists()
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert names in err, err
 
 
 def test_missing_file_exits_1(tmp_path, capsys):

@@ -8,7 +8,7 @@ from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
                            GridSection, NliSection, PretrainSection,
                            RunConfig, SedSection, StabilitySection,
                            SupervisedSection, default_config, load_config,
-                           parse_config, render_config, save_config)
+                           parse_config, render_config)
 from sedkit.encoder import EncoderArch
 from sedkit.errors import ConfigError
 
@@ -203,7 +203,7 @@ def test_save_load_file_round_trip(tmp_path):
         run=dataclasses.replace(default_config().run, seed=3, out_dir="out"),
     )
     path = tmp_path / "run.ini"
-    save_config(cfg, path)
+    path.write_text(render_config(cfg), encoding="utf-8")
     assert load_config(path) == cfg
 
 

@@ -9,8 +9,8 @@ import sedkit.encoder as enc
 from sedkit.config import PretrainSection
 from sedkit.diffcore import Tensor
 from sedkit.encoder import (EncoderArch, PoolingSpec, Vocabulary, batch_ids,
-                            encode, encode_batch, init_encoder, pretrain_base,
-                            tokenize)
+                            encode_batch, encode_many, init_encoder,
+                            pretrain_base, tokenize)
 from sedkit.errors import DataError, ShapeMismatchError
 
 from conftest import TINY_ARCH, max_rel_err
@@ -117,7 +117,7 @@ def test_padding_invariance_bitwise(tiny_model, tiny_corpus):
     pool = PoolingSpec(2)
     short = tiny_corpus[0]
     long = " ".join(tiny_corpus[1].split() + tiny_corpus[2].split())
-    alone = encode(tiny_model, short, pool)
+    alone = encode_many(tiny_model, [short], pool)[0]
     with dc.no_grad():
         together = encode_batch(tiny_model, [short, long], pool).data[0]
     assert np.array_equal(alone, together)
@@ -130,7 +130,7 @@ def test_bucket_invariance_bitwise(wide_model):
     vocab, T = wide_model.vocab, wide_model.arch.max_len
     pool = PoolingSpec(2)
     short = words(vocab, 3)
-    alone = encode(wide_model, short, pool)
+    alone = encode_many(wide_model, [short], pool)[0]
     batch = [words(vocab, n, start=n) for n in (5, 12, T, 9, T + 4, 20, 1)]
     batch.insert(3, short)
     with dc.no_grad():
@@ -142,7 +142,8 @@ def test_bucket_invariance_bitwise(wide_model):
     assert np.array_equal(mixed[3], alone)
     assert encode_batch(wide_model, [], pool).shape == (0, WIDE_ARCH.hidden)
     for row, sentence in zip(mixed, batch):
-        assert np.array_equal(row, encode(wide_model, sentence, pool))
+        assert np.array_equal(row,
+                              encode_many(wide_model, [sentence], pool)[0])
     # padding past the bucket adds exact zeros to every reduction over T
     ids, mask = batch_ids(wide_model, [short, words(vocab, T)])
     with dc.no_grad():
@@ -227,13 +228,6 @@ def test_pooling_k_exceeding_layers_rejected(tiny_corpus):
     encode_batch(model, tiny_corpus[:2], PoolingSpec(2))
     with pytest.raises(ShapeMismatchError):
         encode_batch(model, tiny_corpus[:2], PoolingSpec(3))
-
-
-def test_encode_returns_detached_vector(tiny_model):
-    v = encode(tiny_model, "w000 w001", PoolingSpec(1))
-    assert isinstance(v, np.ndarray)
-    assert v.shape == (tiny_model.arch.hidden,)
-    assert v.dtype == np.float64
 
 
 def test_init_encoder_deterministic(tiny_vocab):

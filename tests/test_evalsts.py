@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import sedkit.evalsts as ev
-from sedkit.encoder import PoolingSpec
+from sedkit.encoder import PoolingSpec, encode_many
 from sedkit.errors import ConstantInputError, DataError, ShapeMismatchError
 from sedkit.evalsts import (CorrelationReport, ScoredPair, StsTask,
                             TaskResult, cosine, evaluate_suite,
@@ -160,9 +160,7 @@ def test_evaluate_task_planted_perfect(tiny_model, tiny_corpus, train_pool):
     seen = set()
     for i in range(8):
         a, b = tiny_corpus[i], tiny_corpus[i + 9]
-        pool = train_pool
-        from sedkit.encoder import encode
-        c = cosine(encode(tiny_model, a, pool), encode(tiny_model, b, pool))
+        c = cosine(*encode_many(tiny_model, [a, b], train_pool))
         if c in seen:
             continue
         seen.add(c)
@@ -175,12 +173,10 @@ def test_evaluate_task_planted_perfect(tiny_model, tiny_corpus, train_pool):
 
 def test_evaluate_task_reversed_is_minus_100(tiny_model, tiny_corpus,
                                              train_pool):
-    from sedkit.encoder import encode
     pairs, seen = [], set()
     for i in range(8):
         a, b = tiny_corpus[i], tiny_corpus[i + 9]
-        c = cosine(encode(tiny_model, a, train_pool),
-                   encode(tiny_model, b, train_pool))
+        c = cosine(*encode_many(tiny_model, [a, b], train_pool))
         if c in seen:
             continue
         seen.add(c)
@@ -235,15 +231,16 @@ def test_evaluate_suite_unique_names(tiny_model, tiny_world, eval_pool):
 
 # -- one scorer: model, model+flow, ensemble ------------------------------
 
-def _old_per_pair_scores(embed_side, task, latent=None):
+def _old_per_pair_scores(embed_side, task, latent=None, score=cosine):
     """The per-pair composition: each side encoded in task order, then
-    one cosine per row (per-row flow passes when `latent` is given)."""
+    one `score` (cosine by default) per row (per-row flow passes when
+    `latent` is given)."""
     e1 = embed_side([p.sentence_1 for p in task.pairs])
     e2 = embed_side([p.sentence_2 for p in task.pairs])
     if latent is not None:
         e1 = np.stack([latent(row) for row in e1])
         e2 = np.stack([latent(row) for row in e2])
-    return np.array([cosine(e1[i], e2[i]) for i in range(len(task.pairs))])
+    return np.array([score(e1[i], e2[i]) for i in range(len(task.pairs))])
 
 
 def test_scores_match_per_pair_composition(tiny_model, tiny_world,
@@ -281,11 +278,15 @@ def test_scores_match_per_pair_composition(tiny_model, tiny_world,
     rng = np.random.default_rng(5)
     for prm in flow.parameters():
         prm.data = prm.data + rng.normal(0.0, 0.3, size=prm.data.shape)
-    old_flow = _old_per_pair_scores(
-        encode_side, task, latent=lambda row: flow_forward(flow, row)[0])
-    new_flow = predict_scores(tiny_model, task, eval_pool, flow=flow)
-    assert np.max(np.abs(new_flow - old_flow)) <= 1e-12
-    assert not np.array_equal(new_flow, old)
+    for metric, score in (("cosine", cosine), ("neg_euclidean", lambda u, v:
+                                               -np.linalg.norm(u - v))):
+        old_flow = _old_per_pair_scores(
+            encode_side, task, latent=lambda row: flow_forward(flow, row)[0],
+            score=score)
+        new_flow = predict_scores(tiny_model, task, eval_pool, flow=flow,
+                                  metric=metric)
+        assert np.max(np.abs(new_flow - old_flow)) <= 1e-12, metric
+        assert not np.array_equal(new_flow, old)
 
 
 def test_repeated_sentence_is_encoded_once(tiny_model, tiny_corpus,
@@ -314,13 +315,12 @@ def test_repeated_sentence_is_encoded_once(tiny_model, tiny_corpus,
 
 
 def test_metric_applies_without_flow(tiny_model, tiny_world, eval_pool):
-    from sedkit.encoder import encode
     task = tiny_world.sts["test"]
     preds = predict_scores(tiny_model, task, eval_pool,
                            metric="neg_euclidean")
     for pair, got in zip(task.pairs, preds):
-        u = encode(tiny_model, pair.sentence_1, eval_pool)
-        v = encode(tiny_model, pair.sentence_2, eval_pool)
+        u, v = encode_many(tiny_model, [pair.sentence_1, pair.sentence_2],
+                           eval_pool)
         assert got == -float(np.linalg.norm(u - v))
     with pytest.raises(DataError, match="metric"):
         predict_scores(tiny_model, task, eval_pool, metric="manhattan")

@@ -19,7 +19,7 @@ from sedkit.config import (CtSection, EvalSection, FlowSection, GridSection,
                            NliSection, PretrainSection, RunConfig,
                            RunSection, SedSection, StabilitySection,
                            SupervisedSection, parse_config)
-from sedkit.encoder import (EncoderArch, PoolingSpec, encode, encode_batch,
+from sedkit.encoder import (EncoderArch, PoolingSpec, encode_batch,
                             encode_many, init_encoder, pretrain_base)
 from sedkit.errors import (ConfigError, ConstantInputError, DataError,
                            DivergenceError, ShapeMismatchError)
@@ -494,7 +494,7 @@ def planted_pairs(model, corpus, index_pairs, flip=False):
     out, seen = [], set()
     for i, j in index_pairs:
         a, b = corpus[i], corpus[j]
-        c = cosine(encode(model, a, TRAIN_POOL), encode(model, b, TRAIN_POOL))
+        c = cosine(*encode_many(model, [a, b], TRAIN_POOL))
         if c in seen:
             continue
         seen.add(c)

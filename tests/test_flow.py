@@ -3,7 +3,6 @@ against a brute-force Jacobian, density normalization by quadrature, and
 the keep-best fitting guarantee."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +10,8 @@ import pytest
 from sedkit.diffcore import Tensor
 from sedkit.errors import DataError, ShapeMismatchError
 from sedkit.config import FlowSection
-from sedkit.flow import (CouplingFlow, fit_flow, flow_forward, flow_inverse,
-                         flow_nll, flow_nll_value, flow_score)
+from sedkit.flow import (CouplingFlow, fit_flow, flow_forward, flow_nll,
+                         flow_nll_value)
 
 
 def perturbed_flow(dim, n_layers=4, seed=0, scale=0.3):
@@ -38,7 +37,7 @@ def test_single_vector_interface():
     z, ld = flow_forward(flow, v)
     assert z.shape == (4,)
     assert isinstance(ld, float)
-    back = flow_inverse(flow, z)
+    back = flow.inverse(z)
     assert np.allclose(back, v, atol=1e-12)
 
 
@@ -52,14 +51,14 @@ def test_round_trip(dim, n_layers, scale):
                           scale=scale)
     x = np.random.default_rng(1).normal(size=(16, dim))
     z, _ = flow_forward(flow, x)
-    back = flow_inverse(flow, z)
+    back = flow.inverse(z)
     assert np.max(np.abs(back - x)) < 1e-9
 
 
 def test_forward_of_inverse_round_trip():
     flow = perturbed_flow(6, seed=2)
     z = np.random.default_rng(2).normal(size=(8, 6))
-    x = flow_inverse(flow, z)
+    x = flow.inverse(z)
     z2, _ = flow_forward(flow, x)
     assert np.max(np.abs(z2 - z)) < 1e-9
 
@@ -191,31 +190,5 @@ def test_forward_rejects_bad_input():
     with pytest.raises(ShapeMismatchError):
         flow_forward(flow, np.zeros(5))
     with pytest.raises(DataError):
-        flow_inverse(flow, np.array([np.inf, 0.0, 0.0, 0.0]))
+        flow.inverse(np.array([np.inf, 0.0, 0.0, 0.0]))
 
-
-def test_flow_score_metrics():
-    flow = perturbed_flow(4, seed=21)
-    e1 = np.array([1.0, 0.2, -0.3, 0.4])
-    e2 = np.array([0.9, 0.1, -0.2, 0.5])
-    c = flow_score(flow, e1, e2)
-    assert -1.0 <= c <= 1.0
-    z1, _ = flow_forward(flow, e1)
-    z2, _ = flow_forward(flow, e2)
-    ref = z1 @ z2 / (np.linalg.norm(z1) * np.linalg.norm(z2))
-    assert abs(c - ref) < 1e-14
-    d = flow_score(flow, e1, e2, metric="neg_euclidean")
-    assert d == -float(np.linalg.norm(z1 - z2))
-    assert flow_score(flow, e1, e1, metric="neg_euclidean") == 0.0
-    with pytest.raises(DataError):
-        flow_score(flow, e1, e2, metric="manhattan")
-
-
-def test_flow_score_zero_latent_warns():
-    flow = CouplingFlow(4, 2)  # identity: latent of zeros stays zeros
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        s = flow_score(flow, np.zeros(4), np.ones(4))
-    assert s == 0.0
-    assert [(w.category, str(w.message)) for w in caught] == [
-        (UserWarning, "zero-norm vector in cosine; returning 0")]

@@ -11,11 +11,10 @@ import sedkit.encoder as enc
 from sedkit.diffcore import Tensor
 from sedkit.encoder import PoolingSpec, encode_batch, init_encoder
 from sedkit.errors import ConfigError, DataError, ShapeMismatchError
-from sedkit.objectives import (CtBatchSampler, CtPair, EnsembleSpec,
-                               LabeledNliPair, NliHead, RegressionTargetMap,
-                               cosine_tensor, ct_loss,
-                               ensemble_mean_embedding,
-                               ensemble_mean_embeddings, nli_siamese_loss,
+from sedkit.objectives import (CtPair, EnsembleSpec, LabeledNliPair,
+                               NliHead, RegressionTargetMap, cosine_tensor,
+                               ct_loss, ensemble_mean_embeddings,
+                               nli_siamese_loss,
                                sample_ct_batches, sed_loss,
                                sts_regression_loss)
 from sedkit.evalsts import ScoredPair, StsTask
@@ -98,7 +97,7 @@ def test_ensemble_mean_matches_numpy_mean(tiny_vocab, tiny_corpus):
     with dc.no_grad():
         stack = np.stack([encode_batch(m, sents, POOL).data for m in members])
     assert np.allclose(got, stack.mean(axis=0), rtol=0, atol=1e-14)
-    single = ensemble_mean_embedding(EnsembleSpec(members), sents[0])
+    single = ensemble_mean_embeddings(EnsembleSpec(members), sents[:1])[0]
     assert np.array_equal(single, got[0])
 
 
@@ -196,13 +195,14 @@ def test_ct_sampler_deterministic():
 
 
 def test_ct_sampler_guards():
+    """Each guard raises at the call, before any batch is drawn."""
     with pytest.raises(DataError):
-        CtBatchSampler([f"s{i}" for i in range(20)], 7, batch_size=12)
+        sample_ct_batches([f"s{i}" for i in range(20)], 7, batch_size=12)
     with pytest.raises(DataError):
-        CtBatchSampler(["a", "a", "a"], 1, batch_size=2)
+        sample_ct_batches(["a", "a", "a"], 1, batch_size=2)
     with pytest.raises(DataError):
         # only 4 distinct non-anchor sentences available, 7 requested
-        CtBatchSampler([f"s{i}" for i in range(5)], 7, batch_size=8)
+        sample_ct_batches([f"s{i}" for i in range(5)], 7, batch_size=8)
 
 
 # -- NLI ------------------------------------------------------------------
