@@ -178,6 +178,31 @@ def test_fit_preconditions():
                  FlowSection(epochs=1, batch=32), 0)
 
 
+def test_flow_score_metrics():
+    from sedkit.evalsts import ScoredPair, StsTask, score_pairs
+
+    flow = perturbed_flow(4, seed=21)
+    e1 = np.array([1.0, 0.2, -0.3, 0.4])
+    e2 = np.array([0.9, 0.1, -0.2, 0.5])
+    embs = {"a": e1, "b": e2}
+    task = StsTask("latent", (ScoredPair("a", "b", 1.0),
+                              ScoredPair("a", "a", 2.0)))
+
+    def latent(sentences):  # the flow path of predict_scores, sans encoder
+        return flow_forward(flow, np.stack([embs[s] for s in sentences]))[0]
+
+    c, _ = score_pairs(latent, task)
+    assert -1.0 <= c <= 1.0
+    z1, z2 = flow_forward(flow, np.stack([e1, e2]))[0]
+    ref = z1 @ z2 / (np.linalg.norm(z1) * np.linalg.norm(z2))
+    assert abs(c - ref) < 1e-14
+    d, same = score_pairs(latent, task, metric="neg_euclidean")
+    assert d == -float(np.linalg.norm(z1 - z2))
+    assert same == 0.0
+    with pytest.raises(DataError):
+        score_pairs(latent, task, metric="manhattan")
+
+
 def test_flow_constructor_guards():
     with pytest.raises(DataError):
         CouplingFlow(dim=4, n_layers=1)
