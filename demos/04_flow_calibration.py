@@ -5,7 +5,7 @@ a brute-force Jacobian."""
 import numpy as np
 
 from sedkit.config import FlowSection
-from sedkit.evalsts import similarity
+from sedkit.evalsts import cosine
 from sedkit.flow import CouplingFlow, fit_flow, flow_forward, flow_nll_value
 
 rng = np.random.default_rng(4)
@@ -34,5 +34,5 @@ for j in range(8):
 sign, brute = np.linalg.slogdet(J)
 print(f"analytic log|det J| = {ld:.8f}, brute force = {brute:.8f}")
 
-s = similarity(flow_forward(flow, X[0])[0], flow_forward(flow, X[1])[0])
+s = cosine(flow_forward(flow, X[0])[0], flow_forward(flow, X[1])[0])
 print(f"latent cosine of two embeddings: {s:+.4f}")

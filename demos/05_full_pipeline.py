@@ -22,8 +22,7 @@ tasks = [world.sts["test"]]
 
 cfg = default_config()
 cfg = dataclasses.replace(
-    cfg, run=RunSection(stages=("pretrain", "ct", "sed", "flow"), seed=7,
-                        out_dir="runs"))
+    cfg, run=RunSection(stages=("pretrain", "ct", "sed", "flow"), seed=7))
 # The config is the whole description of the run, its stage list included.
 result = run_pipeline(cfg, DataBundle(world.corpus, tasks, nli=world.nli))
 

@@ -2,10 +2,9 @@
 
 One subcommand per experimental operation. Exit codes: 0 on success, 1
 on data or configuration errors (with a structured message on stderr),
-2 on usage errors (argparse). The default output directory comes from
---out, falling back to the SEDKIT_OUT_DIR environment variable, then to
-the configured run.out_dir; `main` loads the config and creates that
-directory before it dispatches to the subcommand.
+2 on usage errors (argparse). Every subcommand writes into --out
+(default `runs`); `main` loads the config and creates that directory
+before it dispatches to the subcommand.
 """
 
 from __future__ import annotations
@@ -74,25 +73,10 @@ def _load_cfg(args) -> RunConfig:
     return cfg
 
 
-def _out_dir(args, cfg: RunConfig) -> str:
-    out = args.out or os.environ.get("SEDKIT_OUT_DIR") or cfg.run.out_dir
-    os.makedirs(out, exist_ok=True)
-    return out
-
-
 def _load_tasks(args) -> list:
-    paths = []
-    if getattr(args, "tasks", None):
-        entries = sorted(os.listdir(args.tasks))
-        paths = [os.path.join(args.tasks, e) for e in entries
-                 if e.endswith(".tsv")]
-        if not paths:
-            raise DataError(f"no .tsv task files in {args.tasks}")
-    if getattr(args, "task", None):
-        paths.extend(args.task)
-    if not paths:
-        raise DataError("no tasks given (use --tasks DIR or --task FILE)")
-    return [load_sts_tsv(p) for p in paths]
+    if not args.task:
+        raise DataError("no tasks given (use --task FILE ...)")
+    return [load_sts_tsv(p) for p in args.task]
 
 
 def _load(path, cls):
@@ -222,9 +206,8 @@ def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
     tasks = _load_tasks(args)
     flow = _load(args.flow, CouplingFlow) if args.flow else None
     report = evaluate_suite(model, tasks, PoolingSpec(cfg.eval.pool_k),
-                            flow=flow, metric=cfg.eval.metric,
-                            metadata={"model": str(args.model),
-                                      "seed": cfg.run.seed})
+                            flow=flow, metadata={"model": str(args.model),
+                                                 "seed": cfg.run.seed})
     if not report.per_task:
         raise DataError("no task evaluated: "
                         + "; ".join(report.failed.values()))
@@ -294,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--config", help="INI run configuration")
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", default="runs", help="output directory")
         p.add_argument("--seed", help="[run] seed")
         return p
 
@@ -337,23 +320,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("evaluate", _cmd_evaluate, help="STS correlation report")
     p.add_argument("--model", required=True)
-    p.add_argument("--tasks", help="directory of task .tsv files")
-    p.add_argument("--task", action="append", help="one task file")
+    p.add_argument("--task", nargs="+", action="extend",
+                   help="STS task files")
     p.add_argument("--pool", dest="pool_k", help="[eval] pool_k")
     p.add_argument("--flow", help="flow checkpoint for latent scoring")
 
     p = add("stability", _cmd_stability, help="member/ensemble/student spread")
     p.add_argument("--base", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--tasks", help="directory of task .tsv files")
-    p.add_argument("--task", action="append")
+    p.add_argument("--task", nargs="+", action="extend",
+                   help="STS task files")
     p.add_argument("--runs", help="[stability] runs")
 
     p = add("ablate-pooling", _cmd_ablate_pooling, help="k in {1,2,3} grid")
     p.add_argument("--model", action="append", required=True,
                    help="name=path, repeatable")
-    p.add_argument("--tasks", help="directory of task .tsv files")
-    p.add_argument("--task", action="append")
+    p.add_argument("--task", nargs="+", action="extend",
+                   help="STS task files")
 
     p = add("gen-synthetic", _cmd_gen_synthetic, help="generate a toy world")
     p.add_argument("--clusters", type=int, default=6)
@@ -373,7 +356,8 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         cfg = _load_cfg(args)
-        args.func(args, cfg, _out_dir(args, cfg))
+        os.makedirs(args.out, exist_ok=True)
+        args.func(args, cfg, args.out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

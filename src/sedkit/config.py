@@ -29,7 +29,6 @@ from .errors import ConfigError
 from .objectives import RegressionTargetMap
 
 STAGE_NAMES = ("pretrain", "nli", "ct", "sed", "flow")
-METRICS = ("cosine", "neg_euclidean")
 
 
 def _at_least(section: str, values, **minimums) -> None:
@@ -53,9 +52,12 @@ def _fraction(section: str, values, *keys) -> None:
 
 @dataclass(frozen=True)
 class RunSection:
+    """The pipeline's stage order and master seed. Where a run writes is
+    not part of its description: the CLI's `--out`, or `run_pipeline`'s
+    `out_dir`, says that."""
+
     stages: tuple[str, ...] = ("pretrain", "ct", "sed")
     seed: int = 0
-    out_dir: str = "runs"
 
     def __post_init__(self):
         stages = self.stages
@@ -202,14 +204,10 @@ class StabilitySection:
 @dataclass(frozen=True)
 class EvalSection:
     pool_k: int = 2
-    metric: str = "cosine"
 
     def __post_init__(self):
         if self.pool_k not in (1, 2, 3):
             raise ConfigError("eval.pool_k must be 1, 2 or 3")
-        if self.metric not in METRICS:
-            raise ConfigError(
-                f"eval.metric must be one of {', '.join(METRICS)}")
 
 
 @dataclass(frozen=True)

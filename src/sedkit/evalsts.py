@@ -1,9 +1,9 @@
 """STS evaluation: dataset loading, pair scoring, correlation reports.
 
 One scorer serves a model, a model+flow and a full ensemble: per task,
-`score_pairs` embeds each unique sentence once and scores every pair
-with `similarity` (cosine or negative Euclidean distance, with or
-without a flow); `score_suite` builds the `CorrelationReport`.
+`score_pairs` embeds each unique sentence once and scores every pair by
+cosine (in the flow's latent space when there is one); `score_suite`
+builds the `CorrelationReport`.
 
 Correlations are computed from scratch (sample Pearson; Spearman as
 Pearson over fractional average ranks) and reported in the conventional
@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checkpoint import read_tsv, write_atomic
-from .config import METRICS
 from .encoder import EncoderModel, PoolingSpec, encode_many
 from .errors import ConstantInputError, DataError, ShapeMismatchError
 from .flow import flow_forward
@@ -89,15 +88,6 @@ def cosine(u, v) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
-def similarity(u, v, metric: str = "cosine") -> float:
-    """Cosine (in [-1, 1]) or negative Euclidean distance of two vectors."""
-    if metric == "cosine":
-        return cosine(u, v)
-    if metric == "neg_euclidean":
-        return -float(np.linalg.norm(np.subtract(u, v, dtype=np.float64)))
-    raise DataError(f"unknown similarity metric: {metric!r}")
-
-
 def _check_pair(xs, ys) -> tuple[np.ndarray, np.ndarray]:
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -123,17 +113,12 @@ def pearson(xs, ys) -> float:
 def fractional_ranks(xs) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
     xs = np.asarray(xs, dtype=np.float64)
-    order = np.argsort(xs, kind="stable")
-    ranks = np.empty(xs.size, dtype=np.float64)
-    i = 0
-    while i < xs.size:
-        j = i
-        while j + 1 < xs.size and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        # positions i..j (0-based) share rank mean(i+1 .. j+1)
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    _, inverse, counts = np.unique(xs, return_inverse=True,
+                                   return_counts=True)
+    # a value filling sorted positions i..j (0-based) has j + 1 = ends
+    # and j - i + 1 = counts, so it shares rank mean(i+1 .. j+1)
+    ends = np.cumsum(counts)
+    return (0.5 * (2 * ends - counts - 1) + 1.0)[inverse]
 
 
 def spearman(xs, ys) -> float:
@@ -141,30 +126,30 @@ def spearman(xs, ys) -> float:
     return pearson(fractional_ranks(xs), fractional_ranks(ys))
 
 
-def score_pairs(embed, task: StsTask, metric: str = "cosine") -> np.ndarray:
-    """Similarity per pair, in task order. `embed` maps sentences to an
-    (n, D) array and sees each unique sentence once, in first-seen order;
-    encoding is batch-invariant, so deduplication changes no embedding."""
+def score_pairs(embed, task: StsTask) -> np.ndarray:
+    """Cosine similarity per pair, in task order. `embed` maps sentences
+    to an (n, D) array and sees each unique sentence once, in first-seen
+    order; encoding is batch-invariant, so deduplication changes no
+    embedding."""
     unique = dict.fromkeys(s for p in task.pairs
                            for s in (p.sentence_1, p.sentence_2))
     index = {s: i for i, s in enumerate(unique)}
     embs = embed(list(unique))
     return np.array([
-        similarity(embs[index[p.sentence_1]], embs[index[p.sentence_2]],
-                   metric)
+        cosine(embs[index[p.sentence_1]], embs[index[p.sentence_2]])
         for p in task.pairs
     ])
 
 
 def predict_scores(model: EncoderModel, task: StsTask, pool: PoolingSpec,
-                   flow=None, metric: str = "cosine") -> np.ndarray:
-    """Predicted similarity per pair, in task order; with a flow, scored
-    in its latent space after one pass over all unique embeddings."""
+                   flow=None) -> np.ndarray:
+    """Predicted cosine similarity per pair, in task order; with a flow,
+    scored in its latent space after one pass over all unique embeddings."""
     def embed(sentences):
         embs = encode_many(model, sentences, pool)
         return embs if flow is None else flow_forward(flow, embs)[0]
 
-    return score_pairs(embed, task, metric)
+    return score_pairs(embed, task)
 
 
 def _correlate(task: StsTask, preds) -> tuple[float, float]:
@@ -178,7 +163,7 @@ def _correlate(task: StsTask, preds) -> tuple[float, float]:
 def evaluate_task(model: EncoderModel, task: StsTask,
                   pool: PoolingSpec) -> tuple[float, float]:
     """(pearson_x100, spearman_x100) of `model`'s cosine scores against
-    gold; `evaluate_suite` scores with a flow or another metric."""
+    gold; `evaluate_suite` also scores with a flow."""
     return _correlate(task, predict_scores(model, task, pool))
 
 
@@ -210,15 +195,12 @@ def score_suite(tasks: list[StsTask], predict,
 
 
 def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
-                   pool: PoolingSpec, flow=None, metric: str = "cosine",
+                   pool: PoolingSpec, flow=None,
                    metadata: dict | None = None) -> CorrelationReport:
-    """Evaluate every task with `model` (and `flow`); see `score_suite`.
-    An unknown `metric` raises before any sentence is embedded."""
-    if metric not in METRICS:
-        raise DataError(f"unknown similarity metric: {metric!r}")
+    """Evaluate every task with `model` (and `flow`); see `score_suite`."""
     meta = {"pool_k": pool.k, "flow": flow is not None, **(metadata or {})}
     return score_suite(
-        tasks, lambda t: predict_scores(model, t, pool, flow, metric), meta)
+        tasks, lambda t: predict_scores(model, t, pool, flow), meta)
 
 
 def load_sts_tsv(path) -> StsTask:

@@ -26,8 +26,10 @@ The first two train on the same `[data] corpus_size` corpus sample.
 
 from __future__ import annotations
 
+import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -309,7 +311,6 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
     final = student or (members[0] if members else base)
     report = evaluate_suite(
         final, bundle.tasks, PoolingSpec(cfg.eval.pool_k), flow=flow_model,
-        metric=cfg.eval.metric,
         metadata={"stages": "-".join(stages), "seed": master},
     )
     manifest["report"] = {
@@ -593,7 +594,10 @@ def pooling_ablation(models: dict[str, EncoderModel],
 
 
 def ablation_csv(table: dict[str, dict[int, float]]) -> str:
-    lines = ["model,k1,k2,k3"]
+    """The table as CSV; a model name holding a comma or quote is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["model", "k1", "k2", "k3"])
     for name, row in table.items():
-        lines.append(f"{name},{row[1]:.2f},{row[2]:.2f},{row[3]:.2f}")
-    return "\n".join(lines) + "\n"
+        writer.writerow([name] + [f"{row[k]:.2f}" for k in (1, 2, 3)])
+    return buf.getvalue()

@@ -9,9 +9,9 @@ identity with zero log-determinant.
 
 Fitting maximizes the likelihood of the embeddings under a standard
 Gaussian in latent space; the encoder that produced the embeddings is
-never touched. Pairs are scored in latent space by `evalsts`'s one
-scorer (`predict_scores(..., flow=flow)`), which maps a task's embeddings
-through `flow_forward` as one batch.
+never touched. Pairs are scored by cosine in latent space by
+`evalsts`'s one scorer (`predict_scores(..., flow=flow)`), which maps a
+task's embeddings through `flow_forward` as one batch.
 """
 
 from __future__ import annotations

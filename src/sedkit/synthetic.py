@@ -53,11 +53,20 @@ class SyntheticWorldSpec:
             raise DataError("vocabulary too small for the cluster count")
         if not (2 <= self.min_len <= self.max_len):
             raise DataError("bad sentence length range")
-        n_train, n_dev, n_test = _split_sizes(self.sentences_per_cluster)
-        if min(n_train, n_dev, n_test) < 1:
+        sizes = _split_sizes(self.sentences_per_cluster)
+        if min(sizes) < 1:
             raise DataError(
                 f"{self.sentences_per_cluster} sentences per cluster cannot "
                 "fill three disjoint splits"
+            )
+        # each split draws sts_pairs distinct pairs from its own pool
+        split, size = min(zip(("train", "dev", "test"), sizes),
+                          key=lambda item: item[1])
+        m = self.clusters * size
+        if self.sts_pairs > m * (m - 1) // 2:
+            raise DataError(
+                f"sts_pairs = {self.sts_pairs} exceeds the {m * (m - 1) // 2}"
+                f" distinct pairs of the {split} split's {m} sentences"
             )
 
 

@@ -400,8 +400,7 @@ def test_criterion_08_pipeline_determinism(world, tmp_path):
     """[pretrain, ct, sed, flow] run twice with one config produces
     bit-identical checkpoints and identical correlation reports."""
     cfg = RunConfig(
-        run=RunSection(stages=("pretrain", "ct", "sed", "flow"), seed=21,
-                       out_dir="runs"),
+        run=RunSection(stages=("pretrain", "ct", "sed", "flow"), seed=21),
         arch=EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=8),
         pretrain=PretrainSection(steps=60, batch=8, lr=1e-3,
                                  mask_prob=0.15),

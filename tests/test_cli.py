@@ -10,7 +10,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 import sys
 
@@ -45,8 +44,7 @@ def sha(path) -> str:
 
 def cli_config() -> RunConfig:
     return RunConfig(
-        run=RunSection(stages=("pretrain", "ct", "sed"), seed=13,
-                       out_dir="runs"),
+        run=RunSection(stages=("pretrain", "ct", "sed"), seed=13),
         arch=EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=8),
         data=DataSection(corpus_size=0),
         pretrain=PretrainSection(steps=30, batch=8, lr=1e-3, mask_prob=0.15),
@@ -70,15 +68,9 @@ def with_stages(cfg: RunConfig, stages) -> RunConfig:
                                                             stages=stages))
 
 
-@pytest.fixture(autouse=True)
-def _no_env_out(monkeypatch):
-    monkeypatch.delenv("SEDKIT_OUT_DIR", raising=False)
-
-
 @pytest.fixture(scope="module")
 def workspace(tmp_path_factory):
     """Shared world + config + pretrained base checkpoint."""
-    os.environ.pop("SEDKIT_OUT_DIR", None)
     ws = tmp_path_factory.mktemp("cliws")
     world = ws / "world"
     assert main(["gen-synthetic", "--out", str(world)] + WORLD_ARGS) == 0
@@ -193,16 +185,21 @@ def test_bad_checkpoint_kind_exits_1(workspace, tmp_path, capsys):
 
 
 def test_bad_eval_metric_exits_1(workspace, tmp_path, capsys):
-    ini = tmp_path / "bad_metric.ini"
-    ini.write_text(render_config(cli_config()).replace(
-        "metric = cosine", "metric = manhattan"))
-    for extra in ([], ["--flow", str(tmp_path / "flow.ckpt")]):
+    """Scoring is cosine and --out names the output directory, so an INI
+    setting `[eval] metric` or `[run] out_dir` is rejected as unknown."""
+    for section, line in (("eval", "metric = cosine"),
+                          ("run", "out_dir = runs")):
+        ini = tmp_path / f"{section}.ini"
+        ini.write_text(render_config(cli_config()).replace(
+            f"[{section}]\n", f"[{section}]\n{line}\n"))
         rc = main(["evaluate", "--config", str(ini),
                    "--model", workspace["base"],
                    "--task", str(workspace["world"] / "sts_test.tsv"),
-                   "--out", str(tmp_path)] + extra)
+                   "--out", str(tmp_path)])
         assert rc == 1
-        assert "eval.metric" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "unknown key" in err, err
+        assert line.split()[0] in err
     assert not (tmp_path / "report.csv").exists()
 
 
@@ -226,6 +223,21 @@ def test_gen_synthetic_seed_changes_output(tmp_path):
     assert main(["gen-synthetic", "--out", str(a), "--seed", "1"] + base) == 0
     assert main(["gen-synthetic", "--out", str(b), "--seed", "2"] + base) == 0
     assert sha(a / "corpus.txt") != sha(b / "corpus.txt")
+
+
+def test_gen_synthetic_rejects_more_pairs_than_a_split_holds(tmp_path,
+                                                             capsys):
+    """12 sentences per cluster leave the dev split 6 sentences, which
+    make 15 distinct pairs: asking for 20 fails at once, writing nothing."""
+    out = tmp_path / "world"
+    rc = main(["gen-synthetic", "--out", str(out), "--clusters", "3",
+               "--sentences-per-cluster", "12", "--vocab-size", "40",
+               "--sts-pairs", "20", "--nli-pairs", "24"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert "dev split" in err and "15 distinct pairs" in err
+    assert os.listdir(out) == []
 
 
 # -- training commands ----------------------------------------------------
@@ -575,13 +587,11 @@ def test_evaluate_writes_report(workspace, tmp_path, capsys):
     assert sidecar["metadata"]["flow"] is False
 
 
-def test_evaluate_tasks_directory(workspace, tmp_path, capsys):
-    tasks = tmp_path / "tasks"
-    tasks.mkdir()
-    for name in ("sts_dev.tsv", "sts_test.tsv"):
-        shutil.copy(workspace["world"] / name, tasks / name)
+def test_evaluate_one_task_flag_several_files(workspace, tmp_path, capsys):
+    world = workspace["world"]
     rc = main(["evaluate", "--config", workspace["ini"],
-               "--model", workspace["base"], "--tasks", str(tasks),
+               "--model", workspace["base"], "--task",
+               str(world / "sts_dev.tsv"), str(world / "sts_test.tsv"),
                "--out", str(tmp_path)])
     assert rc == 0
     out = capsys.readouterr().out
@@ -688,13 +698,12 @@ def test_ablate_pooling_command(workspace, tmp_path, capsys):
     assert "base," in capsys.readouterr().out
 
 
-# -- output directory resolution ------------------------------------------
+# -- output directory -----------------------------------------------------
 
-def test_env_out_dir_fallback(tmp_path, monkeypatch):
-    target = tmp_path / "from_env"
-    monkeypatch.setenv("SEDKIT_OUT_DIR", str(target))
+def test_out_dir_defaults_to_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     assert main(["gen-synthetic"] + WORLD_ARGS) == 0
-    assert (target / "corpus.txt").exists()
+    assert (tmp_path / "runs" / "corpus.txt").exists()
 
 
 # -- corpus reading and sampling ------------------------------------------

@@ -12,7 +12,6 @@ import warnings
 import numpy as np
 import pytest
 
-import sedkit.evalsts as ev
 from sedkit.encoder import PoolingSpec, encode_many
 from sedkit.errors import ConstantInputError, DataError, ShapeMismatchError
 from sedkit.evalsts import (CorrelationReport, ScoredPair, StsTask,
@@ -231,16 +230,15 @@ def test_evaluate_suite_unique_names(tiny_model, tiny_world, eval_pool):
 
 # -- one scorer: model, model+flow, ensemble ------------------------------
 
-def _old_per_pair_scores(embed_side, task, latent=None, score=cosine):
+def _old_per_pair_scores(embed_side, task, latent=None):
     """The per-pair composition: each side encoded in task order, then
-    one `score` (cosine by default) per row (per-row flow passes when
-    `latent` is given)."""
+    one cosine per row (per-row flow passes when `latent` is given)."""
     e1 = embed_side([p.sentence_1 for p in task.pairs])
     e2 = embed_side([p.sentence_2 for p in task.pairs])
     if latent is not None:
         e1 = np.stack([latent(row) for row in e1])
         e2 = np.stack([latent(row) for row in e2])
-    return np.array([score(e1[i], e2[i]) for i in range(len(task.pairs))])
+    return np.array([cosine(e1[i], e2[i]) for i in range(len(task.pairs))])
 
 
 def test_scores_match_per_pair_composition(tiny_model, tiny_world,
@@ -278,15 +276,11 @@ def test_scores_match_per_pair_composition(tiny_model, tiny_world,
     rng = np.random.default_rng(5)
     for prm in flow.parameters():
         prm.data = prm.data + rng.normal(0.0, 0.3, size=prm.data.shape)
-    for metric, score in (("cosine", cosine), ("neg_euclidean", lambda u, v:
-                                               -np.linalg.norm(u - v))):
-        old_flow = _old_per_pair_scores(
-            encode_side, task, latent=lambda row: flow_forward(flow, row)[0],
-            score=score)
-        new_flow = predict_scores(tiny_model, task, eval_pool, flow=flow,
-                                  metric=metric)
-        assert np.max(np.abs(new_flow - old_flow)) <= 1e-12, metric
-        assert not np.array_equal(new_flow, old)
+    old_flow = _old_per_pair_scores(
+        encode_side, task, latent=lambda row: flow_forward(flow, row)[0])
+    new_flow = predict_scores(tiny_model, task, eval_pool, flow=flow)
+    assert np.max(np.abs(new_flow - old_flow)) <= 1e-12
+    assert not np.array_equal(new_flow, old)
 
 
 def test_repeated_sentence_is_encoded_once(tiny_model, tiny_corpus,
@@ -312,29 +306,6 @@ def test_repeated_sentence_is_encoded_once(tiny_model, tiny_corpus,
     full_ensemble_predict(EnsembleSpec([tiny_model, tiny_model.clone()]),
                           [task], eval_pool)
     assert sum(rows) == 2 * 3
-
-
-def test_metric_applies_without_flow(tiny_model, tiny_world, eval_pool):
-    task = tiny_world.sts["test"]
-    preds = predict_scores(tiny_model, task, eval_pool,
-                           metric="neg_euclidean")
-    for pair, got in zip(task.pairs, preds):
-        u, v = encode_many(tiny_model, [pair.sentence_1, pair.sentence_2],
-                           eval_pool)
-        assert got == -float(np.linalg.norm(u - v))
-    with pytest.raises(DataError, match="metric"):
-        predict_scores(tiny_model, task, eval_pool, metric="manhattan")
-
-
-def test_unknown_metric_fails_before_embedding(tiny_model, tiny_world,
-                                              eval_pool, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("encode_many reached with a bad metric")
-
-    monkeypatch.setattr(ev, "encode_many", never)
-    with pytest.raises(DataError, match="metric"):
-        evaluate_suite(tiny_model, [tiny_world.sts["test"]], eval_pool,
-                       metric="manhattan")
 
 
 def test_non_finite_predictions_fail_the_task(tiny_model, tiny_world,

@@ -3,7 +3,9 @@ properties, pipeline determinism and manifests, stability statistics
 against hand loops, grid search selection, early stopping, and the one
 training loop every trainer steps through."""
 
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -46,7 +48,7 @@ TINY_SED = SedSection(members=2, epochs=2, batch=8, peak_lr=1e-3,
 
 def tiny_run_config(stages):
     return RunConfig(
-        run=RunSection(stages=tuple(stages), seed=13, out_dir="runs"),
+        run=RunSection(stages=tuple(stages), seed=13),
         arch=EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=8),
         pretrain=PretrainSection(steps=30, batch=8, lr=1e-3, mask_prob=0.15),
         nli=NliSection(steps=6, batch=8, peak_lr=2e-4, warmup_fraction=0.1),
@@ -570,6 +572,16 @@ def test_ablation_matches_standalone_eval(tiny_model, tiny_world):
     text = ablation_csv(table)
     assert text.splitlines()[0] == "model,k1,k2,k3"
     assert len(text.splitlines()) == 3
+
+
+def test_ablation_csv_reads_back_a_name_with_a_comma():
+    table = {"x,y": {1: 49.581, 2: 50.0, 3: 51.239},
+             "base": {1: 1.0, 2: 2.0, 3: 3.0}}
+    text = ablation_csv(table)
+    assert list(csv.reader(io.StringIO(text))) == [
+        ["model", "k1", "k2", "k3"], ["x,y", "49.58", "50.00", "51.24"],
+        ["base", "1.00", "2.00", "3.00"]]
+    assert text.endswith("\nbase,1.00,2.00,3.00\n")
 
 
 def test_ablation_rejects_shallow_model(tiny_vocab, tiny_world):

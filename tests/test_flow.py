@@ -196,11 +196,6 @@ def test_flow_score_metrics():
     z1, z2 = flow_forward(flow, np.stack([e1, e2]))[0]
     ref = z1 @ z2 / (np.linalg.norm(z1) * np.linalg.norm(z2))
     assert abs(c - ref) < 1e-14
-    d, same = score_pairs(latent, task, metric="neg_euclidean")
-    assert d == -float(np.linalg.norm(z1 - z2))
-    assert same == 0.0
-    with pytest.raises(DataError):
-        score_pairs(latent, task, metric="manhattan")
 
 
 def test_flow_constructor_guards():

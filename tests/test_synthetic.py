@@ -38,6 +38,20 @@ def test_spec_validation():
         SyntheticWorldSpec(sentences_per_cluster=2)  # cannot fill 3 splits
 
 
+def test_sts_pairs_bounded_by_the_smallest_split():
+    """3 clusters of 12 sentences leave dev and test 6 sentences each,
+    15 distinct pairs: one more is rejected, not drawn for ever."""
+    fields = dict(clusters=3, sentences_per_cluster=12, vocab_size=40,
+                  nli_pairs=24)
+    with pytest.raises(DataError, match="sts_pairs = 16 exceeds the 15 "
+                       "distinct pairs of the dev split's 6 sentences"):
+        SyntheticWorldSpec(sts_pairs=16, **fields)
+    world = build_synthetic_world(SyntheticWorldSpec(sts_pairs=15, **fields))
+    for task in world.sts.values():
+        assert len({frozenset((p.sentence_1, p.sentence_2))
+                    for p in task.pairs}) == 15
+
+
 def test_quantize_gold():
     assert quantize_gold(3.14159) == 3.1
     assert quantize_gold(0.85) == 0.8  # numpy round-half-to-even
