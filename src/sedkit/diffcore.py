@@ -5,7 +5,12 @@ a float64 numpy array plus a backward closure. Calling ``backward()`` on a
 scalar loss walks the graph in reverse topological order and accumulates
 gradients into every leaf created with ``requires_grad=True``. Leaves start
 with a zero gradient, so parameters that a loss never touches report an
-exact zero.
+exact zero. A parent that is neither such a leaf nor computed from one
+(a mask, a scale, a target) gets no gradient at all.
+
+`linear`, `layer_norm` and `attention` are fused nodes: each is one graph
+node that gives the exact bits of the chain of ops it stands for, forward
+and backward, with the per-node cost paid once.
 
 All arithmetic is float64; there is no GPU path and no mixed precision.
 
@@ -47,6 +52,8 @@ class no_grad:
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum `grad` down to `shape`, undoing numpy broadcasting."""
+    if grad.shape == shape:
+        return grad
     extra = grad.ndim - len(shape)
     if extra > 0:
         grad = grad.sum(axis=tuple(range(extra)))
@@ -54,6 +61,12 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     if axes:
         grad = grad.sum(axis=axes, keepdims=True)
     return grad.reshape(shape)
+
+
+def _wants_grad(t: "Tensor") -> bool:
+    """Whether `t` is a trainable leaf or depends on one. Backward returns
+    None toward any other parent instead of a gradient nothing reads."""
+    return t.requires_grad or bool(t._parents)
 
 
 class Tensor:
@@ -106,7 +119,8 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+            return (_unbroadcast(g, a.shape) if _wants_grad(a) else None,
+                    _unbroadcast(g, b.shape) if _wants_grad(b) else None)
 
         return Tensor._node(a.data + b.data, (a, b), backward)
 
@@ -115,7 +129,8 @@ class Tensor:
         a, b = self, other
 
         def backward(g):
-            return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+            return (_unbroadcast(g, a.shape) if _wants_grad(a) else None,
+                    _unbroadcast(-g, b.shape) if _wants_grad(b) else None)
 
         return Tensor._node(a.data - b.data, (a, b), backward)
 
@@ -125,8 +140,8 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g * b.data, a.shape),
-                _unbroadcast(g * a.data, b.shape),
+                _unbroadcast(g * b.data, a.shape) if _wants_grad(a) else None,
+                _unbroadcast(g * a.data, b.shape) if _wants_grad(b) else None,
             )
 
         return Tensor._node(a.data * b.data, (a, b), backward)
@@ -137,8 +152,9 @@ class Tensor:
 
         def backward(g):
             return (
-                _unbroadcast(g / b.data, a.shape),
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+                _unbroadcast(g / b.data, a.shape) if _wants_grad(a) else None,
+                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                if _wants_grad(b) else None,
             )
 
         return Tensor._node(a.data / b.data, (a, b), backward)
@@ -149,12 +165,8 @@ class Tensor:
         if a.data.ndim < 2 or b.data.ndim < 2:
             raise ShapeMismatchError("matmul operands must be at least 2-D")
 
-        def backward(g):
-            ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            return _unbroadcast(ga, a.shape), _unbroadcast(gb, b.shape)
-
-        return Tensor._node(np.matmul(a.data, b.data), (a, b), backward)
+        return Tensor._node(np.matmul(a.data, b.data), (a, b),
+                            lambda g: _matmul_grads(a, b, g))
 
     # -- elementwise -----------------------------------------------------
 
@@ -350,17 +362,105 @@ def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     return Tensor._node(a.data[idx], (a,), backward)
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    a = Tensor._coerce(x)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    ex = np.exp(shifted)
-    out_data = ex / ex.sum(axis=axis, keepdims=True)
+def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
+    """Gradients of ``a @ b`` toward `a` and `b`, given the output's `g`."""
+    return (
+        _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
+        if _wants_grad(a) else None,
+        _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
+        if _wants_grad(b) else None,
+    )
+
+
+# The fused nodes below each stand for a chain of the ops above. Forward
+# and backward run the chain's numpy expressions in the chain's order, so
+# every value and gradient is bit-identical to it; the one liberty taken
+# is that a (..., 1) column the chain would broadcast into a full copy is
+# broadcast inside the elementwise op that uses it.
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node."""
+    x, w, b = Tensor._coerce(x), Tensor._coerce(w), Tensor._coerce(b)
 
     def backward(g):
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - dot),)
+        return _matmul_grads(x, w, g) + (
+            _unbroadcast(g, b.shape) if _wants_grad(b) else None,)
 
-    return Tensor._node(out_data, (a,), backward)
+    return Tensor._node(np.matmul(x.data, w.data) + b.data, (x, w, b),
+                        backward)
+
+
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """Normalize over the last axis to zero mean and unit variance (`eps`
+    added to the variance), then scale by `gamma` and shift by `beta`; one
+    node."""
+    x, gamma, beta = (Tensor._coerce(x), Tensor._coerce(gamma),
+                      Tensor._coerce(beta))
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    sd = np.sqrt(var + eps)
+    xhat = centered / sd
+    count = x.data.shape[-1]
+
+    def backward(g):
+        g_xhat = g * gamma.data
+        g_sd = _unbroadcast(-g_xhat * centered / (sd * sd), sd.shape)
+        g_var = g_sd * 0.5 / sd
+        g_centered = g_xhat / sd + g_var / count * 2.0 * centered
+        g_mu = _unbroadcast(-g_centered, mu.shape)
+        return (
+            g_centered + g_mu / count if _wants_grad(x) else None,
+            _unbroadcast(g * xhat, gamma.shape)
+            if _wants_grad(gamma) else None,
+            _unbroadcast(g, beta.shape) if _wants_grad(beta) else None,
+        )
+
+    return Tensor._node(xhat * gamma.data + beta.data, (x, gamma, beta),
+                        backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
+              key_bias: np.ndarray) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    `q`, `k` and `v` are (B, T, D); each is split into `heads` heads of
+    D / heads columns. Per head, the weights are the softmax over keys of
+    ``q k^T / sqrt(D / heads) + key_bias`` (`key_bias` broadcasts to
+    (B, heads, T, T), e.g. (B, 1, 1, T) per key), and the heads' weighted
+    sums of `v` are merged back into (B, T, D).
+    """
+    q, k, v = Tensor._coerce(q), Tensor._coerce(k), Tensor._coerce(v)
+    B, T, D = q.shape
+    dh = D // heads
+
+    def split(x):
+        return x.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(B, T, D)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(dh)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale + key_bias
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = ex / ex.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        g_ctx = split(g)
+        g_attn = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
+        dot = (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores = attn * (g_attn - dot) * scale
+        return (
+            merge(np.matmul(g_scores, kh)) if _wants_grad(q) else None,
+            merge(np.matmul(np.swapaxes(qh, -1, -2), g_scores)
+                  .transpose(0, 1, 3, 2)) if _wants_grad(k) else None,
+            merge(np.matmul(np.swapaxes(attn, -1, -2), g_ctx))
+            if _wants_grad(v) else None,
+        )
+
+    return Tensor._node(merge(np.matmul(attn, vh)), (q, k, v), backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

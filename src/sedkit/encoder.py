@@ -150,40 +150,26 @@ class EncoderModel:
             raise ShapeMismatchError(
                 f"ids have {T} positions, max_len is {arch.max_len}")
         h = dc.take_rows(p["tok_emb"], ids) + p["pos_emb"][:T]
-        key_bias = Tensor((1.0 - mask)[:, None, None, :] * _NEG_BIAS)
+        key_bias = (1.0 - mask)[:, None, None, :] * _NEG_BIAS
         hiddens = [h]
         for layer in range(arch.layers):
             h = self._block(h, layer, key_bias)
             hiddens.append(h)
         return hiddens
 
-    def _block(self, h: Tensor, layer: int, key_bias: Tensor) -> Tensor:
-        arch, p = self.arch, self.params
-        B, T, D = h.shape
-        H = arch.heads
-        dh = D // H
-        pre = f"l{layer}."
+    def _block(self, h: Tensor, layer: int, key_bias: np.ndarray) -> Tensor:
+        p, pre = self.params, f"l{layer}."
 
-        def heads(x):
-            return x.reshape(B, T, H, dh).transpose(0, 2, 1, 3)
+        def linear(x, w, b):
+            return dc.linear(x, p[pre + w], p[pre + b])
 
-        q = heads(h @ p[pre + "wq"] + p[pre + "bq"])
-        k = heads(h @ p[pre + "wk"] + p[pre + "bk"])
-        v = heads(h @ p[pre + "wv"] + p[pre + "bv"])
-        scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh)) + key_bias
-        attn = dc.softmax(scores, axis=-1)
-        ctx = (attn @ v).transpose(0, 2, 1, 3).reshape(B, T, D)
-        h = _layer_norm(h + (ctx @ p[pre + "wo"] + p[pre + "bo"]),
-                        p[pre + "ln1_g"], p[pre + "ln1_b"])
-        ff = (h @ p[pre + "w1"] + p[pre + "c1"]).relu() @ p[pre + "w2"] + p[pre + "c2"]
-        return _layer_norm(h + ff, p[pre + "ln2_g"], p[pre + "ln2_b"])
-
-
-def _layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = centered.square().mean(axis=-1, keepdims=True)
-    return centered / (var + _LN_EPS).sqrt() * gamma + beta
+        ctx = dc.attention(linear(h, "wq", "bq"), linear(h, "wk", "bk"),
+                           linear(h, "wv", "bv"), self.arch.heads, key_bias)
+        h = dc.layer_norm(h + linear(ctx, "wo", "bo"), p[pre + "ln1_g"],
+                          p[pre + "ln1_b"], _LN_EPS)
+        ff = linear(linear(h, "w1", "c1").relu(), "w2", "c2")
+        return dc.layer_norm(h + ff, p[pre + "ln2_g"], p[pre + "ln2_b"],
+                             _LN_EPS)
 
 
 def init_encoder(arch: EncoderArch, vocab: Vocabulary, seed: int) -> EncoderModel:
@@ -300,10 +286,11 @@ def encode_many(model: EncoderModel, sentences,
                 pool: PoolingSpec) -> np.ndarray:
     """Embeddings (N, hidden) encoded in chunks of 64 sentences; no
     gradient graph. Bit-identical to one `encode_batch` call over all
-    sentences, since a sentence encodes alike in any batch."""
+    sentences, since a sentence encodes alike in any batch; no sentences
+    give (0, hidden)."""
     chunks = []
     with dc.no_grad():
-        for start in range(0, len(sentences), _ENCODE_CHUNK):
+        for start in range(0, max(len(sentences), 1), _ENCODE_CHUNK):
             chunk = sentences[start : start + _ENCODE_CHUNK]
             chunks.append(encode_batch(model, chunk, pool).data)
     return np.concatenate(chunks, axis=0)

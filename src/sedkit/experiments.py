@@ -6,7 +6,8 @@ list over {pretrain, nli, ct, sed, flow} that starts with pretrain
 The base encoder is shared; ensemble members differ only in the seed of
 their objective stage (data order plus any stage-specific init). Every
 trainer, distillation targets included, pools the final layer
-(`TRAIN_POOL`, k=1) while evaluation pools `[eval] pool_k` layers.
+(`TRAIN_POOL`, k=1) while evaluation pools `[eval] pool_k` layers. The
+teachers are frozen, so `train_sed` computes their targets once per call.
 
 Every run derives its stage seeds from one master seed through
 SeedSequence spawn keys, and emits a manifest (config text, seeds, input
@@ -143,9 +144,12 @@ def train_sed(ensemble: EnsembleSpec, corpus: list[str], cfg, seed: int,
               student: EncoderModel) -> EncoderModel:
     """Distill the frozen ensemble mean into `student` by MSE.
 
-    Targets are the k=1 pooled mean embeddings of the members; Adam with
-    linear warm-up over the first tenth of the step budget. Zero epochs
-    leave the student bit-identical to its initialization.
+    Targets are the k=1 pooled mean embeddings of the members, computed
+    once per call for the whole corpus and indexed per batch (a row
+    depends on its sentence alone, so this equals computing them per
+    batch); Adam with linear warm-up over the first tenth of the step
+    budget. Zero epochs leave the student bit-identical to its
+    initialization.
     """
     if student.arch != ensemble.members[0].arch:
         raise ShapeMismatchError(
@@ -156,13 +160,14 @@ def train_sed(ensemble: EnsembleSpec, corpus: list[str], cfg, seed: int,
         raise DataError("empty distillation corpus")
     total_steps = dc.finite_step_count(len(corpus), cfg.batch, cfg.epochs)
     sched = dc.WarmupThenConstant(cfg.peak_lr, total_steps, cfg.warmup_fraction)
-    batches = dc.epoch_batches(np.random.default_rng(seed), len(corpus),
-                               cfg.batch, cfg.epochs)
+    targets = ensemble_mean_embeddings(ensemble, corpus)
     dc.train(dc.Adam(student.parameters()),
-             ([corpus[i] for i in idx] for idx in batches),
-             lambda sents: sed_loss(ensemble_mean_embeddings(ensemble, sents),
-                                    encode_batch(student, sents,
-                                                 ensemble.target_pool)),
+             dc.epoch_batches(np.random.default_rng(seed), len(corpus),
+                              cfg.batch, cfg.epochs),
+             lambda idx: sed_loss(targets[idx],
+                                  encode_batch(student,
+                                               [corpus[i] for i in idx],
+                                               ensemble.target_pool)),
              sched.lr)
     return student
 

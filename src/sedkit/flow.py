@@ -67,8 +67,9 @@ class CouplingFlow:
 
     def _subnet(self, masked_x: Tensor, layer: int) -> tuple[Tensor, Tensor]:
         p, pre = self.params, f"f{layer}."
-        h = (masked_x @ p[pre + "w1"] + p[pre + "b1"]).tanh()
-        return h @ p[pre + "ws"] + p[pre + "bs"], h @ p[pre + "wt"] + p[pre + "bt"]
+        h = dc.linear(masked_x, p[pre + "w1"], p[pre + "b1"]).tanh()
+        return (dc.linear(h, p[pre + "ws"], p[pre + "bs"]),
+                dc.linear(h, p[pre + "wt"], p[pre + "bt"]))
 
     def forward(self, x: Tensor) -> tuple[Tensor, Tensor]:
         """Latents z (B, dim) and per-example log |det J| (B,)."""

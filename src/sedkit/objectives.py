@@ -9,7 +9,8 @@ plain elementwise mean of the members' embeddings under
 `EnsembleSpec.target_pool` (that same pool unless a caller asks for
 another), with no normalization before or after averaging. Targets are
 produced under no_grad, so distillation updates only the student: member
-parameter gradients stay exactly zero.
+parameter gradients stay exactly zero. The teachers are frozen, so
+`train_sed` computes the targets once per call, for its whole corpus.
 """
 
 from __future__ import annotations
@@ -96,23 +97,20 @@ class EnsembleSpec:
 def ensemble_mean_embeddings(ensemble: EnsembleSpec, sentences) -> np.ndarray:
     """Per-sentence mean of member embeddings, shape (B, hidden).
 
-    Computed under no_grad: targets are detached constants.  The member
-    outputs are accumulated in a canonical (per-coordinate sorted) order so
-    the result is exactly permutation-invariant; a naive running sum can
-    differ in the last ulp when members are reordered.
+    Members encode through `encode_many` (no gradient graph, 64 sentences
+    per forward), so targets are detached constants and a whole corpus
+    never runs as one forward. The member outputs are accumulated in a
+    canonical (per-coordinate sorted) order so the result is exactly
+    permutation-invariant; a naive running sum can differ in the last ulp
+    when members are reordered.
     """
-    with dc.no_grad():
-        stack = np.stack(
-            [
-                enc.encode_batch(member, sentences, ensemble.target_pool).data
-                for member in ensemble.members
-            ]
-        )
-        stack = np.sort(stack, axis=0, kind="stable")
-        acc = stack[0]
-        for i in range(1, stack.shape[0]):
-            acc = acc + stack[i]
-        return acc / len(ensemble)
+    stack = np.stack([enc.encode_many(member, sentences, ensemble.target_pool)
+                      for member in ensemble.members])
+    stack = np.sort(stack, axis=0, kind="stable")
+    acc = stack[0]
+    for i in range(1, stack.shape[0]):
+        acc = acc + stack[i]
+    return acc / len(ensemble)
 
 
 def sed_loss(target, student_out: Tensor) -> Tensor:
@@ -175,7 +173,7 @@ def nli_siamese_loss(model: EncoderModel, head: NliHead, batch) -> Tensor:
     u = enc.encode_batch(model, [p.premise for p in batch], TRAIN_POOL)
     v = enc.encode_batch(model, [p.hypothesis for p in batch], TRAIN_POOL)
     feats = dc.concat([u, v, (u - v).abs()], axis=1)
-    logits = feats @ head.weight + head.bias
+    logits = dc.linear(feats, head.weight, head.bias)
     targets = np.array([NLI_LABELS.index(p.label) for p in batch])
     return dc.softmax_cross_entropy(logits, targets).mean()
 

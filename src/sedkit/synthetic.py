@@ -31,6 +31,7 @@ from .evalsts import ScoredPair, StsTask
 from .objectives import LabeledNliPair
 
 GOLD_MIN_TARGET = 0.8  # gold of the most distant cluster pair after scaling
+_MAX_REDRAWS = 10_000  # repeated sentences in a row before a cluster gives up
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,20 @@ class SyntheticWorldSpec:
             raise DataError("vocabulary too small for the cluster count")
         if not (2 <= self.min_len <= self.max_len):
             raise DataError("bad sentence length range")
+        # every sentence of the world is distinct, and there are at most
+        # vocab_size^L sentences of each length L
+        needed = self.clusters * self.sentences_per_cluster
+        room = 0
+        for length in range(self.min_len, self.max_len + 1):
+            room += self.vocab_size ** length
+            if room >= needed:
+                break
+        else:
+            raise DataError(
+                f"{self.clusters} clusters x {self.sentences_per_cluster} "
+                f"sentences need {needed} distinct sentences, but "
+                f"{self.vocab_size} words at lengths {self.min_len}.."
+                f"{self.max_len} make only {room}")
         sizes = _split_sizes(self.sentences_per_cluster)
         if min(sizes) < 1:
             raise DataError(
@@ -141,14 +156,21 @@ def build_synthetic_world(spec: SyntheticWorldSpec) -> SyntheticWorld:
     cluster_of: dict[str, int] = {}
     seen: set[str] = set()
     for c in range(spec.clusters):
-        made = 0
-        target = spec.sentences_per_cluster
-        while made < target:
+        made = repeats = 0
+        while made < spec.sentences_per_cluster:
             length = int(rng.integers(spec.min_len, spec.max_len + 1))
             idx = rng.choice(spec.vocab_size, size=length, p=probs[c])
             sent = " ".join(words[i] for i in idx)
             if sent in seen:
+                repeats += 1
+                if repeats == _MAX_REDRAWS:
+                    raise DataError(
+                        f"cluster {c} drew {_MAX_REDRAWS} repeated sentences "
+                        f"in a row after {made} distinct ones; its word "
+                        "distribution is too narrow for "
+                        f"{spec.sentences_per_cluster} sentences")
                 continue
+            repeats = 0
             seen.add(sent)
             if made < n_train:
                 split = "train"

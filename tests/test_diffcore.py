@@ -1,6 +1,7 @@
-"""Autodiff core: gradients against central finite differences, optimizer
-single-step oracles worked by hand, schedule values, and the training
-loop with its batch samplers."""
+"""Autodiff core: gradients against central finite differences, the fused
+nodes against the composed chains they stand for, optimizer single-step
+oracles worked by hand, schedule values, and the training loop with its
+batch samplers."""
 
 import math
 
@@ -9,8 +10,8 @@ import pytest
 
 import sedkit.diffcore as dc
 from sedkit.diffcore import (Adam, LinearDecay, RMSProp, Tensor,
-                             WarmupThenConstant, bce_with_logits, concat,
-                             finite_step_count, softmax,
+                             WarmupThenConstant, attention, bce_with_logits,
+                             concat, finite_step_count, layer_norm, linear,
                              softmax_cross_entropy, take_rows)
 from sedkit.errors import DivergenceError, ShapeMismatchError
 
@@ -51,20 +52,28 @@ def check_grads_fd(build_loss, leaves, h: float = FD_H):
 def _random_graph_loss(rng, leaves):
     """Build a scalar loss from a random composition of supported ops.
 
-    Touches matmul, broadcasting arithmetic, the nonlinearities, reshape,
-    transpose, slicing, concat, and both reductions.
+    Touches matmul, the fused nodes, broadcasting arithmetic, the
+    nonlinearities, reshape, transpose, slicing, concat, and both
+    reductions.
     """
     a, b, w = leaves
     x = a @ w                      # (3,4) @ (4,5)
-    choice = rng.integers(0, 5)
+    choice = rng.integers(0, 7)
     if choice == 0:
         x = x.tanh() + b           # b is (5,), broadcasts across rows
     elif choice == 1:
-        x = softmax(x * b, axis=-1)
+        x = linear(a, w, b).tanh()
     elif choice == 2:
         x = x.relu() - b * 0.5
     elif choice == 3:
         x = (x + b).square() * 0.1
+    elif choice == 4:
+        x = layer_norm(x, b, b * 0.5, 1e-5)
+    elif choice == 5:              # one sequence of 3 tokens, 5 heads of 1
+        seq = attention(x.reshape(1, 3, 5), (x * b).reshape(1, 3, 5),
+                        x.tanh().reshape(1, 3, 5), 5,
+                        rng.normal(size=(1, 1, 1, 3)))
+        x = seq.reshape(3, 5)
     else:
         x = x / (b.square() + 1.5)
     if rng.integers(0, 2):
@@ -125,25 +134,170 @@ def test_no_grad_suppresses_graph():
     assert np.array_equal(x.grad, [2.0, 2.0])
 
 
-def test_take_rows_and_softmax_grads():
+# -- fused nodes against the composed chains they stand for --------------
+
+
+def _softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis, one node: the chain's softmax."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    ex = np.exp(shifted)
+    out = ex / ex.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        dot = (g * out).sum(axis=-1, keepdims=True)
+        return (out * (g - dot),)
+
+    return Tensor._node(out, (x,), backward)
+
+
+def chain_linear(x, w, b):
+    return x @ w + b
+
+
+def chain_layer_norm(x, gamma, beta, eps):
+    mu = x.mean(axis=-1, keepdims=True)
+    centered = x - mu
+    var = centered.square().mean(axis=-1, keepdims=True)
+    return centered / (var + eps).sqrt() * gamma + beta
+
+
+def chain_attention(q, k, v, heads, key_bias):
+    B, T, D = q.shape
+    dh = D // heads
+
+    def split(x):
+        return x.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
+
+    scores = ((split(q) @ split(k).transpose(0, 1, 3, 2))
+              * (1.0 / np.sqrt(dh)) + Tensor(key_bias))
+    ctx = _softmax(scores) @ split(v)
+    return ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
+
+
+def _padded_key_bias(B, T):
+    """Rows 0 and 2 padded after 5 and T - 1 tokens; row 1 full."""
+    mask = np.ones((B, T))
+    mask[0, 5:] = 0.0
+    mask[2, T - 1:] = 0.0
+    return (1.0 - mask)[:, None, None, :] * -1e30
+
+
+def _assert_node_matches_chain(fused, chain, shapes, rng, *consts):
+    """Same output bits and the same gradient bits toward every parent."""
+    values = [rng.normal(size=s) for s in shapes]
+    weights = None
+    results = []
+    for op in (fused, chain):
+        leaves = [Tensor(v.copy(), requires_grad=True) for v in values]
+        out = op(*leaves, *consts)
+        if weights is None:
+            weights = rng.normal(size=out.shape)
+        (out * weights).sum().backward()
+        results.append((out.data, [leaf.grad for leaf in leaves]))
+    (out_f, grads_f), (out_c, grads_c) = results
+    assert np.array_equal(out_f, out_c)
+    for gf, gc in zip(grads_f, grads_c):
+        assert np.array_equal(gf, gc)
+
+
+@pytest.mark.parametrize("T", [8, 16])
+@pytest.mark.parametrize("D", [6, 8])  # at 6, 1/D and 1/sqrt(D/2) round
+def test_fused_nodes_match_their_chains_bit_for_bit(T, D):
+    rng = np.random.default_rng(T + D)
+    B, H = 3, 2
+    _assert_node_matches_chain(linear, chain_linear,
+                               [(B, T, D), (D, 2 * D), (2 * D,)], rng)
+    _assert_node_matches_chain(linear, chain_linear,
+                               [(T, D), (D, 3), (3,)], rng)
+    _assert_node_matches_chain(layer_norm, chain_layer_norm,
+                               [(B, T, D), (D,), (D,)], rng, 1e-5)
+    _assert_node_matches_chain(attention, chain_attention,
+                               [(B, T, D)] * 3, rng, H,
+                               _padded_key_bias(B, T))
+
+
+def test_encoder_training_matches_the_chains(monkeypatch):
+    """Regression steps on sentences of 8, 16 and 32 slots through the
+    fused encoder leave the same parameter bits as through the chains:
+    the graph order, and so every gradient sum, is the same."""
+    from sedkit.encoder import EncoderArch, Vocabulary, init_encoder
+    from sedkit.evalsts import ScoredPair
+    from sedkit.objectives import RegressionTargetMap, sts_regression_loss
+    rng = np.random.default_rng(0)
+    words = [f"w{i}" for i in range(12)]
+    sents = [" ".join(rng.choice(words, size=n)) for n in
+             (3, 12, 20, 5, 9, 30, 7, 14, 2, 25, 8, 17)]
+    pairs = [ScoredPair(a, b, float(g)) for a, b, g in
+             zip(sents, sents[::-1], rng.integers(0, 6, size=12))]
+    arch = EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=32)
+
+    def trained():
+        model = init_encoder(arch, Vocabulary(words), seed=3)
+        dc.train(Adam(model.parameters()), [pairs[:6], pairs[6:], pairs],
+                 lambda batch: sts_regression_loss(
+                     model, batch, RegressionTargetMap(0.3)), 1e-2)
+        return model
+
+    fused = trained()
+    monkeypatch.setattr(dc, "linear", chain_linear)
+    monkeypatch.setattr(dc, "layer_norm", chain_layer_norm)
+    monkeypatch.setattr(dc, "attention", chain_attention)
+    chained = trained()
+    for name, p in fused.params.items():
+        assert np.array_equal(p.data, chained.params[name].data), name
+
+
+def test_take_rows_and_attention_grads():
     rng = np.random.default_rng(3)
     table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
-    idx = np.array([0, 2, 2, 5])
+    idx = rng.integers(0, 6, size=(2, 8))
+    q, k, v = (Tensor(rng.normal(size=(2, 8, 4)), requires_grad=True)
+               for _ in range(3))
+    key_bias = _padded_key_bias(3, 8)[:2]
+    weights = rng.normal(size=(2, 8, 4))
 
     def loss():
-        rows = take_rows(table, idx)
-        return (softmax(rows, axis=-1) * rng_weights).sum()
+        out = attention(q + take_rows(table, idx), k, v, 2, key_bias)
+        return (out * weights).sum()
 
-    rng_weights = rng.normal(size=(4, 4))
-    check_grads_fd(loss, [table])
+    check_grads_fd(loss, [table, q, k, v])
 
 
-def test_softmax_rows_sum_to_one():
+def test_attention_ignores_padded_values():
+    """A padded key's weight is exactly 0: changing its value leaves the
+    output bit-identical, and its value gets an exactly zero gradient."""
     rng = np.random.default_rng(1)
-    x = Tensor(rng.normal(size=(5, 7)))
-    s = softmax(x, axis=-1).data
-    assert np.allclose(s.sum(axis=-1), 1.0)
-    assert (s > 0).all()
+    B, T, D = 3, 8, 4
+    key_bias = _padded_key_bias(B, T)
+    q, k, v = (rng.normal(size=(B, T, D)) for _ in range(3))
+    v_leaf = Tensor(v, requires_grad=True)
+    out = attention(Tensor(q), Tensor(k), v_leaf, 2, key_bias)
+    out.sum().backward()
+    moved = v.copy()
+    moved[0, 5:] += 100.0
+    moved[2, T - 1] -= 7.0
+    again = attention(Tensor(q), Tensor(k), Tensor(moved), 2, key_bias)
+    assert np.array_equal(out.data, again.data)
+    assert not v_leaf.grad[0, 5:].any() and not v_leaf.grad[2, T - 1].any()
+    assert v_leaf.grad[1].all()
+
+
+def test_constant_parents_get_no_gradient():
+    """Backward returns None toward a parent that is neither trainable
+    nor computed from a trainable tensor."""
+    x = Tensor(np.ones((2, 3)), requires_grad=True)
+    const = Tensor(np.full((2, 1), 2.0))
+    for op in (Tensor.__add__, Tensor.__sub__, Tensor.__mul__,
+               Tensor.__truediv__):
+        out = op(x, const)
+        assert out._backward(np.ones((2, 3)))[1] is None
+        out = op(const, x)
+        assert out._backward(np.ones((2, 3)))[0] is None
+    w = Tensor(np.ones((3, 4)), requires_grad=True)
+    grads = linear(Tensor(np.ones((2, 3))), w, np.zeros(4))._backward(
+        np.ones((2, 4)))
+    assert grads[0] is None and grads[2] is None
+    assert np.array_equal(grads[1], np.full((3, 4), 2.0))
 
 
 def test_softmax_cross_entropy_uniform_logits():

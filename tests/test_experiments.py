@@ -214,6 +214,44 @@ def test_precomputed_targets_match_batched_targets(tiny_model, tiny_corpus):
                               all_at_once[start : start + 7])
 
 
+def test_train_sed_computes_targets_once(tiny_model, tiny_corpus,
+                                         monkeypatch):
+    """`train_sed` encodes its frozen teachers once, for the whole corpus,
+    and trains the same student bits as a loop that recomputes the
+    targets of each batch."""
+    from sedkit.objectives import ensemble_mean_embeddings, sed_loss
+    members = [tiny_model.clone(), tiny_model.clone()]
+    members[1].params["tok_emb"].data *= 0.95
+    ens = EnsembleSpec(members)
+    cfg = dataclasses.replace(TINY_SED, epochs=3)
+    calls = []
+
+    def counted(ensemble, sentences):
+        calls.append(list(sentences))
+        return ensemble_mean_embeddings(ensemble, sentences)
+
+    monkeypatch.setattr(ex, "ensemble_mean_embeddings", counted)
+    student = train_sed(ens, tiny_corpus, cfg, seed=4,
+                        student=tiny_model.clone())
+    assert calls == [list(tiny_corpus)]
+
+    reference = tiny_model.clone()
+    steps = dc.finite_step_count(len(tiny_corpus), cfg.batch, cfg.epochs)
+    sched = dc.WarmupThenConstant(cfg.peak_lr, steps, cfg.warmup_fraction)
+    opt = dc.Adam(reference.parameters())
+    for idx in dc.epoch_batches(np.random.default_rng(4), len(tiny_corpus),
+                                cfg.batch, cfg.epochs):
+        sents = [tiny_corpus[i] for i in idx]
+        loss = sed_loss(ensemble_mean_embeddings(ens, sents),
+                        encode_batch(reference, sents, TRAIN_POOL))
+        opt.zero_grad()
+        loss.backward()
+        opt.step(sched.lr(opt.step_count))
+    assert opt.step_count == steps
+    for a, b in zip(student.parameters(), reference.parameters()):
+        assert np.array_equal(a.data, b.data)
+
+
 def test_encode_many_matches_single_batch(tiny_model, tiny_corpus):
     """90 sentences cross encode_many's 64-sentence chunk boundary."""
     sents = list(tiny_corpus) + [" ".join(reversed(s.split()))
@@ -224,6 +262,7 @@ def test_encode_many_matches_single_batch(tiny_model, tiny_corpus):
     with dc.no_grad():
         whole = encode_batch(tiny_model, sents, TRAIN_POOL).data
     assert np.array_equal(chunked, whole)
+    assert encode_many(tiny_model, [], TRAIN_POOL).shape == (0, 8)
 
 
 # -- ensembles ------------------------------------------------------------

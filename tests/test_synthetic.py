@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import re
+import time
 
 import numpy as np
 import pytest
@@ -50,6 +51,26 @@ def test_sts_pairs_bounded_by_the_smallest_split():
     for task in world.sts.values():
         assert len({frozenset((p.sentence_1, p.sentence_2))
                     for p in task.pairs}) == 15
+
+
+def test_sentence_count_bounded_by_the_distinct_sentences():
+    """2 clusters of 30 sentences need 60 distinct ones, and 4 words make
+    only 16 of length 2: the spec is rejected, not drawn for ever. A spec
+    within that bound whose clusters put all their weight on one word
+    stops with a `DataError` after a run of repeated draws."""
+    start = time.monotonic()
+    with pytest.raises(DataError, match="need 60 distinct sentences, but 4 "
+                       r"words at lengths 2\.\.2 make only 16"):
+        build_synthetic_world(SyntheticWorldSpec(
+            clusters=2, vocab_size=4, min_len=2, max_len=2,
+            sentences_per_cluster=30, sts_pairs=10, nli_pairs=4))
+    SyntheticWorldSpec(clusters=2, vocab_size=4, min_len=2, max_len=2,
+                       sentences_per_cluster=8, sts_pairs=1, nli_pairs=4)
+    with pytest.raises(DataError, match="repeated sentences in a row"):
+        build_synthetic_world(SyntheticWorldSpec(
+            clusters=2, vocab_size=40, temperature=1e-6, min_len=2,
+            max_len=2, sentences_per_cluster=10, sts_pairs=4, nli_pairs=4))
+    assert time.monotonic() - start < 5.0
 
 
 def test_quantize_gold():
