@@ -30,13 +30,15 @@ print("ct batch labels:", labels)
 model_b = model.clone()
 print(f"ct loss (a vs fresh copy b): {float(ct_loss(model, model_b, batch).data):.4f}")
 
-# distillation: the target is the ensemble mean, and a one-model
-# ensemble's target is that model's own embedding, exactly
+# distillation: the target is the ensemble mean at the pool it is given
+# (training pools the final layer alone), and a one-model ensemble's
+# target is that model's own embedding, exactly
 ens = EnsembleSpec([model, model_b])
-targets = ensemble_mean_embeddings(ens, world.corpus[:8])
+targets = ensemble_mean_embeddings(ens, world.corpus[:8], TRAIN_POOL)
 student_out = Tensor(targets.copy())
 print(f"sed loss at the target itself: {float(sed_loss(targets, student_out).data)}")
-solo = ensemble_mean_embeddings(EnsembleSpec([model]), world.corpus[:8])
+solo = ensemble_mean_embeddings(EnsembleSpec([model]), world.corpus[:8],
+                                TRAIN_POOL)
 import sedkit.diffcore as dc
 from sedkit.encoder import encode_batch
 with dc.no_grad():

@@ -241,13 +241,17 @@ def _cmd_stability(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_ablate_pooling(args, cfg: RunConfig, out: str) -> None:
-    models = {}
+    paths = {}
     for entry in args.model:
         if "=" in entry:
             name, path = entry.split("=", 1)
         else:
             name, path = os.path.basename(entry), entry
-        models[name] = _load(path, EncoderModel)
+        if name in paths:
+            raise DataError(f"two --model entries are named {name!r}; "
+                            "give each a distinct name=path")
+        paths[name] = path
+    models = {name: _load(path, EncoderModel) for name, path in paths.items()}
     tasks = _load_tasks(args)
     table = pooling_ablation(models, tasks)
     path = os.path.join(out, "pooling_ablation.csv")

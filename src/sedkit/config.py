@@ -189,8 +189,12 @@ class GridSection:
     def __post_init__(self):
         _at_least("grid", self, seeds_per_bound=1, steps=0, batch=1)
         _positive("grid", self, "lr")
-        for bound in self.bounds:
+        if not self.bounds:
+            raise ConfigError("grid.bounds must name at least one bound")
+        for i, bound in enumerate(self.bounds):
             RegressionTargetMap(bound)  # raises ConfigError out of range
+            if bound in self.bounds[:i]:
+                raise ConfigError(f"grid.bounds repeats {bound}")
 
 
 @dataclass(frozen=True)

@@ -334,7 +334,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 # -- free functions on tensors -------------------------------------------
 
 
-def concat(tensors, axis: int = -1) -> Tensor:
+def concat(tensors, axis: int) -> Tensor:
     parts = [Tensor._coerce(t) for t in tensors]
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
@@ -569,7 +569,7 @@ class WarmupThenConstant:
 
     peak_lr: float
     total_steps: int
-    warmup_fraction: float = 0.1
+    warmup_fraction: float
 
     def lr(self, step: int) -> float:
         warmup_steps = self.warmup_fraction * self.total_steps
@@ -594,7 +594,7 @@ class LinearDecay:
         return self.start_lr + (self.end_lr - self.start_lr) * frac
 
 
-def finite_step_count(n_examples: int, batch_size: int, epochs: int = 1) -> int:
+def finite_step_count(n_examples: int, batch_size: int, epochs: int) -> int:
     """Number of optimizer steps for `epochs` passes over `n_examples`."""
     return epochs * math.ceil(n_examples / batch_size)
 

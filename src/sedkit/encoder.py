@@ -100,7 +100,7 @@ class EncoderArch:
 class PoolingSpec:
     """Mean-pool over the final k hidden-state grids, k in {1, 2, 3}."""
 
-    k: int = 1
+    k: int
 
     def __post_init__(self):
         if self.k not in (1, 2, 3):

@@ -19,7 +19,7 @@ import io
 import json
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class CorrelationReport:
     per_task: dict[str, TaskResult]
     average_pearson_x100: float
     average_spearman_x100: float
-    metadata: dict = field(default_factory=dict)
-    failed: dict[str, str] = field(default_factory=dict)
+    metadata: dict
+    failed: dict[str, str]
 
     @property
     def partial(self) -> bool:
@@ -168,7 +168,7 @@ def evaluate_task(model: EncoderModel, task: StsTask,
 
 
 def score_suite(tasks: list[StsTask], predict,
-                metadata: dict | None = None) -> CorrelationReport:
+                metadata: dict) -> CorrelationReport:
     """Correlate `predict(task)` with gold per task; failures are recorded,
     not fatal. The average is the unweighted mean over the tasks that
     evaluated successfully."""
@@ -190,8 +190,7 @@ def score_suite(tasks: list[StsTask], predict,
         avg_s = float(np.mean([r.spearman_x100 for r in per_task.values()]))
     else:
         avg_p = avg_s = float("nan")
-    return CorrelationReport(per_task, avg_p, avg_s,
-                             metadata=dict(metadata or {}), failed=failed)
+    return CorrelationReport(per_task, avg_p, avg_s, dict(metadata), failed)
 
 
 def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
@@ -219,8 +218,8 @@ def write_report_csv(report: CorrelationReport, path) -> None:
     Values are rounded to 2 decimals here and only here. A JSON sidecar
     at `path` + ".meta.json" carries the metadata and failure list.
     """
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["task", "pearson_x100", "spearman_x100"])
     for name, res in report.per_task.items():
         writer.writerow([name, f"{res.pearson_x100:.2f}",

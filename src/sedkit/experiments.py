@@ -28,6 +28,7 @@ The first two train on the same `[data] corpus_size` corpus sample.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import hashlib
 import io
@@ -41,11 +42,11 @@ import numpy as np
 
 from . import diffcore as dc
 from .checkpoint import checkpoint_hash, save_checkpoint, write_atomic
-from .config import GridSection, RunConfig, render_config
+from .config import RunConfig, render_config
 from .encoder import (TRAIN_POOL, EncoderModel, PoolingSpec, encode_batch,
                       encode_many, pretrain_base)
-from .errors import (ConfigError, ConstantInputError, DataError,
-                     DivergenceError, ShapeMismatchError)
+from .errors import (ConstantInputError, DataError, DivergenceError,
+                     ShapeMismatchError)
 from .evalsts import (CorrelationReport, StsTask, evaluate_suite,
                       evaluate_task, score_pairs, score_suite)
 from .flow import CouplingFlow, fit_flow
@@ -66,7 +67,7 @@ _ROLE_IDS = {
 }
 
 
-def derive_seed(master: int, role: str, index: int = 0) -> int:
+def derive_seed(master: int, role: str, index: int) -> int:
     """Stable per-(role, index) seed; independent streams per stage."""
     ss = np.random.SeedSequence(master, spawn_key=(_ROLE_IDS[role], index))
     return int(ss.generate_state(1)[0])
@@ -115,7 +116,7 @@ def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderMo
     model_a = base.clone()
     model_b = base.clone()
     batches = sample_ct_batches(corpus, cfg.negatives_per_positive,
-                                cfg.batch, seed=seed)
+                                cfg.batch, seed)
     dc.train(dc.RMSProp(model_a.parameters() + model_b.parameters()),
              itertools.islice(batches, cfg.steps),
              lambda b: ct_loss(model_a, model_b, b),
@@ -160,26 +161,24 @@ def train_sed(ensemble: EnsembleSpec, corpus: list[str], cfg, seed: int,
         raise DataError("empty distillation corpus")
     total_steps = dc.finite_step_count(len(corpus), cfg.batch, cfg.epochs)
     sched = dc.WarmupThenConstant(cfg.peak_lr, total_steps, cfg.warmup_fraction)
-    targets = ensemble_mean_embeddings(ensemble, corpus)
+    targets = ensemble_mean_embeddings(ensemble, corpus, TRAIN_POOL)
     dc.train(dc.Adam(student.parameters()),
              dc.epoch_batches(np.random.default_rng(seed), len(corpus),
                               cfg.batch, cfg.epochs),
              lambda idx: sed_loss(targets[idx],
                                   encode_batch(student,
                                                [corpus[i] for i in idx],
-                                               ensemble.target_pool)),
+                                               TRAIN_POOL)),
              sched.lr)
     return student
 
 
 def full_ensemble_predict(ensemble: EnsembleSpec, tasks: list[StsTask],
-                          pool: PoolingSpec,
-                          metadata: dict | None = None) -> CorrelationReport:
-    """Score pairs with the mean embedding of all members."""
-    spec = EnsembleSpec(ensemble.members, target_pool=pool)
+                          pool: PoolingSpec) -> CorrelationReport:
+    """Score pairs with the mean embedding of all members under `pool`."""
     meta = {"model": "full-ensemble", "n_members": len(ensemble.members),
-            "pool_k": pool.k, **(metadata or {})}
-    embed = functools.partial(ensemble_mean_embeddings, spec)
+            "pool_k": pool.k}
+    embed = functools.partial(ensemble_mean_embeddings, ensemble, pool=pool)
     return score_suite(tasks, lambda t: score_pairs(embed, t), meta)
 
 
@@ -216,8 +215,7 @@ def flow_stage(cfg: RunConfig, model: EncoderModel,
     seeds = [derive_seed(cfg.run.seed, "flow", 0),
              derive_seed(cfg.run.seed, "flow", 1)]
     embs = encode_many(model, corpus, PoolingSpec(cfg.eval.pool_k))
-    flow = CouplingFlow(model.arch.hidden, cfg.flow.layers, seed=seeds[0])
-    return fit_flow(flow, embs, cfg.flow, seeds[1]), seeds
+    return fit_flow(embs, cfg.flow, seeds[0], seeds[1]), seeds
 
 
 def sample_corpus(lines: list[str], count: int, seed: int) -> list[str]:
@@ -435,7 +433,6 @@ class GridSearchResult:
     mean_by_bound: dict  # bound -> mean over completed cells
     selected_bound: float
     seeds: tuple[int, ...]  # one per cell, bound-major, failed cells too
-    selection_rule: str = "max mean dev spearman, ties to the smaller bound"
 
 
 def _train_regression(model: EncoderModel, pairs, target_map, steps: int,
@@ -450,20 +447,21 @@ def _train_regression(model: EncoderModel, pairs, target_map, steps: int,
 
 
 def grid_search_lower_bound(base: EncoderModel, train_pairs, dev_task: StsTask,
-                            bounds, seeds_per_bound: int, cfg=None,
-                            master_seed: int = 0) -> GridSearchResult:
+                            bounds, seeds_per_bound: int, cfg,
+                            master_seed: int) -> GridSearchResult:
     """Sweep regression target lower bounds against dev Spearman.
 
     Per bound, `seeds_per_bound` models are fine-tuned from `base` and
     scored on the dev task, both with `TRAIN_POOL`; the bound with the
     highest mean wins, ties going to the smaller bound. Failed cells are
     excluded; a bound with no completed cells drops out of the selection;
-    an out-of-range bound fails before any cell trains.
+    an out-of-range or repeated bound fails before any cell trains.
     """
-    cfg = cfg or GridSection()
-    bounds = tuple(bounds)
-    if not bounds:
-        raise ConfigError("no candidate bounds")
+    # the section rebuilt with the pair checks each bound as it checks
+    # `[grid] bounds`: in range, at least one, none repeated
+    cfg = dataclasses.replace(cfg, bounds=tuple(bounds),
+                              seeds_per_bound=seeds_per_bound)
+    bounds, seeds_per_bound = cfg.bounds, cfg.seeds_per_bound
     target_maps = [RegressionTargetMap(b) for b in bounds]
     if not train_pairs:
         raise DataError("no training pairs")
@@ -505,7 +503,8 @@ def select_bound(means: dict) -> float:
 
 
 def grid_csv(result: GridSearchResult) -> str:
-    lines = [f"# selection rule: {result.selection_rule}",
+    lines = ["# selection rule: max mean dev spearman, ties to the "
+             "smaller bound",
              "bound,mean_dev_spearman,values"]
     for bound in result.bounds:
         cells = result.scores_by_bound.get(bound, ())
@@ -518,10 +517,10 @@ def grid_csv(result: GridSearchResult) -> str:
 
 
 def train_supervised_with_early_stopping(
-    model: EncoderModel, train_pairs, dev_task: StsTask,
-    target_map: RegressionTargetMap, cfg, seed: int = 0,
+    model: EncoderModel, train_pairs, dev_task: StsTask, cfg, seed: int,
 ) -> tuple[EncoderModel, list[float]]:
-    """Epoch-wise regression with dev-Spearman early stopping; training
+    """Epoch-wise regression toward gold mapped onto a `[supervised]`
+    section's [lower_bound, 1], with dev-Spearman early stopping; training
     and the dev score both pool with `TRAIN_POOL`.
 
     Stops once the dev score has failed to improve for `patience`
@@ -540,6 +539,7 @@ def train_supervised_with_early_stopping(
         raise DataError(
             f"dev task shares {len(overlap)} pairs with the training set"
         )
+    target_map = RegressionTargetMap(cfg.lower_bound)
     opt = dc.Adam(model.parameters())
     rng = np.random.default_rng(seed)
     trajectory: list[float] = []
@@ -573,9 +573,7 @@ def supervised_stage(cfg: RunConfig, model: EncoderModel, train_pairs,
     stopping; returns the model, its dev trajectory and its seed."""
     seed = derive_seed(cfg.run.seed, "supervised", 0)
     trained, trajectory = train_supervised_with_early_stopping(
-        model.clone(), train_pairs, dev_task,
-        RegressionTargetMap(cfg.supervised.lower_bound), cfg.supervised,
-        seed=seed)
+        model.clone(), train_pairs, dev_task, cfg.supervised, seed)
     return trained, trajectory, seed
 
 

@@ -30,8 +30,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class CouplingFlow:
     """Stack of affine coupling layers over a fixed embedding dimension."""
 
-    def __init__(self, dim: int, n_layers: int = 4, hidden: int | None = None,
-                 seed: int = 0):
+    def __init__(self, dim: int, n_layers: int, hidden: int | None = None, *,
+                 seed: int):
         if n_layers < 2:
             raise DataError("need >= 2 coupling layers so every dim transforms")
         self.dim = dim
@@ -102,30 +102,24 @@ class CouplingFlow:
 
 
 def flow_forward(flow: CouplingFlow, x) -> tuple[np.ndarray, np.ndarray]:
-    """Latents and log |det J| for plain arrays; (dim,) or (B, dim)."""
+    """Latents (B, dim) and log |det J| (B,) of a (B, dim) array."""
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite input to flow forward")
-    squeeze = x.ndim == 1
-    batch = np.atleast_2d(x)
-    if batch.shape[1] != flow.dim:
-        raise ShapeMismatchError(f"expected dimension {flow.dim}")
+    if x.ndim != 2 or x.shape[1] != flow.dim:
+        raise ShapeMismatchError(f"expected (B, {flow.dim}) input")
     with dc.no_grad():
-        z, log_det = flow.forward(Tensor(batch))
-    if squeeze:
-        return z.data[0], float(log_det.data[0])
+        z, log_det = flow.forward(Tensor(x))
     return z.data, log_det.data
 
 
 def flow_nll(flow: CouplingFlow, embeddings) -> Tensor:
     """Mean negative log likelihood under a standard Gaussian latent.
 
-    Differentiable in the flow parameters; `embeddings` is (B, dim) data.
+    Differentiable in the flow parameters; `embeddings` is a (B, dim)
+    array.
     """
-    batch = np.asarray(
-        embeddings.data if isinstance(embeddings, Tensor) else embeddings,
-        dtype=np.float64,
-    )
+    batch = np.asarray(embeddings, dtype=np.float64)
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise DataError("flow_nll needs a non-empty (B, dim) batch")
     if not np.all(np.isfinite(batch)):
@@ -136,17 +130,20 @@ def flow_nll(flow: CouplingFlow, embeddings) -> Tensor:
     return (quad + const - log_det).mean()
 
 
-def fit_flow(flow: CouplingFlow, embeddings, cfg, seed: int) -> CouplingFlow:
-    """Maximum-likelihood fit by Adam with a `[flow]` section's lr,
-    epochs and batch; the flow is trained in place, `seed` orders batches.
+def fit_flow(embeddings, cfg, init_seed: int, seed: int) -> CouplingFlow:
+    """A `[flow]` section's flow (`cfg.layers` layers over the embedding
+    dimension, initialized by `init_seed`) fitted to `embeddings` by
+    maximum likelihood, Adam with the section's lr, epochs and batch;
+    `seed` orders batches.
 
     Keeps the per-epoch snapshot with the lowest full-data NLL (the
     initial state included), so the returned flow's training NLL never
-    exceeds the starting value. Zero epochs return the flow unchanged.
+    exceeds the starting value. Zero epochs return the initial flow.
     """
     X = np.asarray(embeddings, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != flow.dim:
-        raise ShapeMismatchError(f"expected embeddings (N, {flow.dim})")
+    if X.ndim != 2:
+        raise ShapeMismatchError("expected embeddings (N, dim)")
+    flow = CouplingFlow(X.shape[1], cfg.layers, seed=init_seed)
     if X.shape[0] < 2 * cfg.batch:
         raise DataError(
             f"need >= {2 * cfg.batch} embeddings, got {X.shape[0]}"

@@ -5,12 +5,12 @@ regression with a tunable target lower bound.
 Every objective takes a batch. Each loss encodes with `encoder.TRAIN_POOL`,
 the final layer alone (k = 1); only evaluation pools more layers.
 `ensemble_mean_embeddings` gives each sentence's distillation target: the
-plain elementwise mean of the members' embeddings under
-`EnsembleSpec.target_pool` (that same pool unless a caller asks for
-another), with no normalization before or after averaging. Targets are
-produced under no_grad, so distillation updates only the student: member
-parameter gradients stay exactly zero. The teachers are frozen, so
-`train_sed` computes the targets once per call, for its whole corpus.
+plain elementwise mean of the members' embeddings under the pool it is
+given (`train_sed` passes that same pool), with no normalization before
+or after averaging. Targets are produced under no_grad, so distillation
+updates only the student: member parameter gradients stay exactly zero.
+The teachers are frozen, so `train_sed` computes the targets once per
+call, for its whole corpus.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class CtPair:
 class RegressionTargetMap:
     """Affine map from gold similarity [0, 5] onto [lower_bound, 1]."""
 
-    lower_bound: float = 0.0
+    lower_bound: float
 
     def __post_init__(self):
         if not 0.0 <= self.lower_bound <= 0.95:
@@ -70,14 +70,9 @@ class RegressionTargetMap:
 
 
 class EnsembleSpec:
-    """Ordered teacher collection sharing one architecture.
+    """Ordered teacher collection sharing one architecture."""
 
-    `target_pool` is the pooling used to generate distillation targets;
-    the final layer alone by default.
-    """
-
-    def __init__(self, members: list[EncoderModel],
-                 target_pool: PoolingSpec = TRAIN_POOL):
+    def __init__(self, members: list[EncoderModel]):
         if not members:
             raise DataError("ensemble needs at least one member")
         arch = members[0].arch
@@ -88,14 +83,15 @@ class EnsembleSpec:
                     f"from member 0 architecture {arch}"
                 )
         self.members = list(members)
-        self.target_pool = target_pool
 
     def __len__(self) -> int:
         return len(self.members)
 
 
-def ensemble_mean_embeddings(ensemble: EnsembleSpec, sentences) -> np.ndarray:
-    """Per-sentence mean of member embeddings, shape (B, hidden).
+def ensemble_mean_embeddings(ensemble: EnsembleSpec, sentences,
+                             pool: PoolingSpec) -> np.ndarray:
+    """Per-sentence mean of member embeddings under `pool`, shape
+    (B, hidden).
 
     Members encode through `encode_many` (no gradient graph, 64 sentences
     per forward), so targets are detached constants and a whole corpus
@@ -104,7 +100,7 @@ def ensemble_mean_embeddings(ensemble: EnsembleSpec, sentences) -> np.ndarray:
     permutation-invariant; a naive running sum can differ in the last ulp
     when members are reordered.
     """
-    stack = np.stack([enc.encode_many(member, sentences, ensemble.target_pool)
+    stack = np.stack([enc.encode_many(member, sentences, pool)
                       for member in ensemble.members])
     stack = np.sort(stack, axis=0, kind="stable")
     acc = stack[0]
@@ -113,18 +109,14 @@ def ensemble_mean_embeddings(ensemble: EnsembleSpec, sentences) -> np.ndarray:
     return acc / len(ensemble)
 
 
-def sed_loss(target, student_out: Tensor) -> Tensor:
-    """Mean squared error between detached targets and student embeddings.
-
-    Accepts a single (D,) pair or batches (B, D); the reduction is the
-    mean over every element either way.
-    """
-    target_data = target.data if isinstance(target, Tensor) else np.asarray(target)
-    if target_data.shape != student_out.shape:
+def sed_loss(target: np.ndarray, student_out: Tensor) -> Tensor:
+    """Mean squared error between a target array and student embeddings
+    of the same shape, averaged over every element."""
+    if target.shape != student_out.shape:
         raise ShapeMismatchError(
-            f"target shape {target_data.shape} != student shape {student_out.shape}"
+            f"target shape {target.shape} != student shape {student_out.shape}"
         )
-    diff = student_out - Tensor(target_data)
+    diff = student_out - Tensor(target)
     return diff.square().mean()
 
 
@@ -205,7 +197,7 @@ def sts_regression_loss(model: EncoderModel, pairs,
 
 
 def sample_ct_batches(corpus, negatives_per_positive: int, batch_size: int,
-                      seed: int = 0):
+                      seed: int):
     """Endless deterministic stream of contrastive batches.
 
     Each block pairs one sentence with itself (label 1) and with

@@ -239,12 +239,12 @@ def test_criterion_03_ensemble_fixed_points(world, base, cohort):
     solo = EnsembleSpec([member])
     for sentence in world.corpus[:5]:
         with dc.no_grad():
-            ref = encode_batch(member, [sentence], solo.target_pool).data[0]
-        assert np.array_equal(ensemble_mean_embeddings(solo, [sentence])[0],
-                              ref)
+            ref = encode_batch(member, [sentence], TRAIN_POOL).data[0]
+        assert np.array_equal(
+            ensemble_mean_embeddings(solo, [sentence], TRAIN_POOL)[0], ref)
 
     ens = EnsembleSpec(cohort["teachers"])
-    target = ensemble_mean_embeddings(ens, world.corpus[:6])
+    target = ensemble_mean_embeddings(ens, world.corpus[:6], TRAIN_POOL)
     assert float(sed_loss(target, Tensor(target.copy())).data) == 0.0
     nudged = target.copy()
     nudged[0, 0] += 1e-9
@@ -285,24 +285,24 @@ def test_criterion_04_flow_suite():
         flow = CouplingFlow(dim, 3, seed=dim)
         for p in flow.parameters():
             p.data = p.data + rng.normal(0.0, 0.2, size=p.data.shape)
-        x = rng.normal(size=dim)
+        x = rng.normal(size=(1, dim))
         _, analytic = flow_forward(flow, x)
         J = np.empty((dim, dim))
         for j in range(dim):
-            e = np.zeros(dim)
-            e[j] = h
+            e = np.zeros((1, dim))
+            e[0, j] = h
             zp, _ = flow_forward(flow, x + e)
             zm, _ = flow_forward(flow, x - e)
-            J[:, j] = (zp - zm) / (2.0 * h)
+            J[:, j] = (zp[0] - zm[0]) / (2.0 * h)
         sign, logdet = np.linalg.slogdet(J)
         assert sign > 0
-        assert abs(logdet - analytic) < 1e-5, f"log-det at D={dim}"
+        assert abs(logdet - analytic[0]) < 1e-5, f"log-det at D={dim}"
 
     rng = np.random.default_rng(3)
     X = rng.normal(5.0, 1.0, size=(256, 8))
-    flow = CouplingFlow(8, 3, seed=0)
-    nll_identity = flow_nll_value(flow, X)
-    fit_flow(flow, X, FlowSection(lr=5e-3, epochs=40, batch=64), 0)
+    nll_identity = flow_nll_value(CouplingFlow(8, 3, seed=0), X)
+    flow = fit_flow(X, FlowSection(layers=3, lr=5e-3, epochs=40, batch=64),
+                    0, 0)
     nll_fitted = flow_nll_value(flow, X)
     assert nll_fitted < nll_identity, (
         f"NLL {nll_identity:.4f} -> {nll_fitted:.4f}")

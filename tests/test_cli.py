@@ -10,6 +10,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -163,7 +164,7 @@ def test_bad_checkpoint_kind_exits_1(workspace, tmp_path, capsys):
     checksum-valid encoder whose metadata says heads = 0 (which used to
     escape as a ZeroDivisionError traceback) each exit 1 with a message."""
     flow_path = tmp_path / "flow.ckpt"
-    save_checkpoint(CouplingFlow(8, 2), flow_path)
+    save_checkpoint(CouplingFlow(8, 2, seed=0), flow_path)
     body = open(workspace["base"], "rb").read()[:-32]
     assert body.count(b'"heads":2') == 1
     body = body.replace(b'"heads":2', b'"heads":0')
@@ -455,6 +456,22 @@ def test_train_supervised_trajectory_file(workspace, tmp_path):
     assert "\nlower_bound = 0.3\n" in manifest["config_text"]
 
 
+def test_supervised_lower_bound_is_read_from_its_section(workspace,
+                                                        tmp_path):
+    """Two runs that differ only in `[supervised] lower_bound` train
+    toward different targets, so they write different checkpoints."""
+    world, digests = workspace["world"], []
+    for bound in ("0.0", "0.3"):
+        out = tmp_path / bound
+        assert main(["train-supervised", "--config", workspace["ini"],
+                     "--model", workspace["base"],
+                     "--train-pairs", str(world / "sts_train.tsv"),
+                     "--dev-task", str(world / "sts_dev.tsv"),
+                     "--lower-bound", bound, "--out", str(out)]) == 0
+        digests.append(sha(out / "supervised.ckpt"))
+    assert digests[0] != digests[1]
+
+
 def test_grid_search_command(workspace, tmp_path, capsys):
     rc = main(["grid-search", "--config", workspace["ini"],
                "--model", workspace["base"],
@@ -540,6 +557,8 @@ def test_setting_flags_are_validated_like_their_keys(workspace, tmp_path,
     for argv, message in (
             (grid + ["--bounds", "0.3,0.97"], "lower_bound 0.97 outside"),
             (grid + ["--bounds", "0.3,x"], "[grid] bounds = '0.3,x'"),
+            (grid + ["--bounds", "0.3,0.3"], "grid.bounds repeats 0.3"),
+            (grid + ["--bounds", ""], "grid.bounds must name at least one"),
             (grid + ["--seeds-per-bound", "0"], "grid.seeds_per_bound"),
             (stability + ["--runs", "1"], "stability.runs"),
             (["evaluate", "--model", base, "--task",
@@ -696,6 +715,50 @@ def test_ablate_pooling_command(workspace, tmp_path, capsys):
     text = (tmp_path / "pooling_ablation.csv").read_text()
     assert text.splitlines()[0] == "model,k1,k2,k3"
     assert "base," in capsys.readouterr().out
+
+
+def test_ablate_pooling_rejects_two_models_of_one_name(workspace, tmp_path,
+                                                       capsys, monkeypatch):
+    """Two --model entries that resolve to one name, by basename or by
+    name=, exit 1 naming it before any model loads; no CSV is written."""
+    import sedkit.cli as cli
+    loaded = []
+    monkeypatch.setattr(cli, "_load", lambda *a: loaded.append(a))
+    copies = [tmp_path / sub / "base.ckpt" for sub in ("a", "b")]
+    for copy in copies:
+        copy.parent.mkdir()
+        shutil.copy(workspace["base"], copy)
+    out = tmp_path / "out"
+    for models, name in (([str(c) for c in copies], "'base.ckpt'"),
+                         ([f"m={copies[0]}", f"m={copies[1]}"], "'m'")):
+        argv = ["ablate-pooling", "--config", workspace["ini"],
+                "--task", str(workspace["world"] / "sts_test.tsv"),
+                "--out", str(out)]
+        for model in models:
+            argv += ["--model", model]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and name in err, err
+    assert loaded == []
+    assert not (out / "pooling_ablation.csv").exists()
+
+
+def test_every_csv_ends_lines_with_newline_only(workspace, tmp_path, capsys):
+    world, base, ini = workspace["world"], workspace["base"], workspace["ini"]
+    test = str(world / "sts_test.tsv")
+    pairs = ["--train-pairs", str(world / "sts_train.tsv"),
+             "--dev-task", str(world / "sts_dev.tsv")]
+    for argv in (["evaluate", "--model", base, "--task", test],
+                 ["grid-search", "--model", base] + pairs,
+                 ["stability", "--base", base, "--corpus",
+                  workspace["corpus"], "--task", test],
+                 ["ablate-pooling", "--model", base, "--task", test]):
+        assert main(argv + ["--config", ini, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    for name in ("report.csv", "grid_search.csv", "stability.csv",
+                 "pooling_ablation.csv"):
+        blob = (tmp_path / name).read_bytes()
+        assert blob.endswith(b"\n") and b"\r" not in blob, name
 
 
 # -- output directory -----------------------------------------------------

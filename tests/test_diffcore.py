@@ -442,7 +442,7 @@ def test_linear_decay_values():
 def test_finite_step_count():
     assert finite_step_count(180, 32, epochs=1) == 6
     assert finite_step_count(180, 32, epochs=30) == 180
-    assert finite_step_count(5, 8) == 1
+    assert finite_step_count(5, 8, epochs=1) == 1
 
 
 def test_gradients_deterministic():

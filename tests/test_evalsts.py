@@ -244,7 +244,7 @@ def _old_per_pair_scores(embed_side, task, latent=None):
 def test_scores_match_per_pair_composition(tiny_model, tiny_world,
                                            eval_pool):
     from sedkit import diffcore as dc
-    from sedkit.encoder import encode_batch
+    from sedkit.encoder import TRAIN_POOL, encode_batch, encode_many
     from sedkit.experiments import full_ensemble_predict
     from sedkit.flow import CouplingFlow, flow_forward
     from sedkit.objectives import EnsembleSpec, ensemble_mean_embeddings
@@ -261,8 +261,15 @@ def test_scores_match_per_pair_composition(tiny_model, tiny_world,
 
     other = tiny_model.clone()
     other.params["tok_emb"].data *= 0.9
-    spec = EnsembleSpec([tiny_model, other], target_pool=eval_pool)
-    ens_embed = functools.partial(ensemble_mean_embeddings, spec)
+    spec = EnsembleSpec([tiny_model, other])
+    ens_embed = functools.partial(ensemble_mean_embeddings, spec,
+                                  pool=eval_pool)
+    # at a pool other than the training one, the mean is the members' mean
+    # at that pool (two terms add alike in either order)
+    assert eval_pool != TRAIN_POOL
+    sents = [p.sentence_1 for p in task.pairs]
+    at_pool = [encode_many(m, sents, eval_pool) for m in (tiny_model, other)]
+    assert np.array_equal(ens_embed(sents), (at_pool[0] + at_pool[1]) / 2)
     old_ens = _old_per_pair_scores(ens_embed, task)
     assert np.array_equal(score_pairs(ens_embed, task), old_ens)
     report = full_ensemble_predict(EnsembleSpec([tiny_model, other]),
@@ -277,7 +284,8 @@ def test_scores_match_per_pair_composition(tiny_model, tiny_world,
     for prm in flow.parameters():
         prm.data = prm.data + rng.normal(0.0, 0.3, size=prm.data.shape)
     old_flow = _old_per_pair_scores(
-        encode_side, task, latent=lambda row: flow_forward(flow, row)[0])
+        encode_side, task,
+        latent=lambda row: flow_forward(flow, row[None])[0][0])
     new_flow = predict_scores(tiny_model, task, eval_pool, flow=flow)
     assert np.max(np.abs(new_flow - old_flow)) <= 1e-12
     assert not np.array_equal(new_flow, old)
@@ -388,6 +396,7 @@ def test_write_report_rounds_only_at_csv(tmp_path):
         average_pearson_x100=45.61728,
         average_spearman_x100=49.94077,
         metadata={"model": "demo"},
+        failed={},
     )
     out = tmp_path / "report.csv"
     write_report_csv(report, out)

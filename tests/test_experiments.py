@@ -35,8 +35,8 @@ from sedkit.experiments import (TRAIN_POOL, DataBundle, GridSearchResult,
                                 stability_study, train_ct, train_nli,
                                 train_sed, train_supervised_with_early_stopping,
                                 write_manifest)
-from sedkit.flow import CouplingFlow, fit_flow
-from sedkit.objectives import EnsembleSpec, RegressionTargetMap
+from sedkit.flow import fit_flow
+from sedkit.objectives import EnsembleSpec
 
 from conftest import TINY_ARCH
 
@@ -207,10 +207,10 @@ def test_precomputed_targets_match_batched_targets(tiny_model, tiny_corpus):
     members[1].params["tok_emb"].data *= 0.95
     ens = EnsembleSpec(members)
     sents = list(tiny_corpus[:20])
-    all_at_once = ensemble_mean_embeddings(ens, sents)
+    all_at_once = ensemble_mean_embeddings(ens, sents, TRAIN_POOL)
     for start in range(0, 20, 7):
         chunk = sents[start : start + 7]
-        assert np.array_equal(ensemble_mean_embeddings(ens, chunk),
+        assert np.array_equal(ensemble_mean_embeddings(ens, chunk, TRAIN_POOL),
                               all_at_once[start : start + 7])
 
 
@@ -226,9 +226,9 @@ def test_train_sed_computes_targets_once(tiny_model, tiny_corpus,
     cfg = dataclasses.replace(TINY_SED, epochs=3)
     calls = []
 
-    def counted(ensemble, sentences):
+    def counted(ensemble, sentences, pool):
         calls.append(list(sentences))
-        return ensemble_mean_embeddings(ensemble, sentences)
+        return ensemble_mean_embeddings(ensemble, sentences, pool)
 
     monkeypatch.setattr(ex, "ensemble_mean_embeddings", counted)
     student = train_sed(ens, tiny_corpus, cfg, seed=4,
@@ -242,7 +242,7 @@ def test_train_sed_computes_targets_once(tiny_model, tiny_corpus,
     for idx in dc.epoch_batches(np.random.default_rng(4), len(tiny_corpus),
                                 cfg.batch, cfg.epochs):
         sents = [tiny_corpus[i] for i in idx]
-        loss = sed_loss(ensemble_mean_embeddings(ens, sents),
+        loss = sed_loss(ensemble_mean_embeddings(ens, sents, TRAIN_POOL),
                         encode_batch(reference, sents, TRAIN_POOL))
         opt.zero_grad()
         loss.backward()
@@ -510,23 +510,37 @@ def test_grid_drops_diverged_cell(tiny_model, tiny_world, monkeypatch):
     with pytest.warns(UserWarning, match="bound=0.3 seed#0 failed.*nan"):
         result = grid_search_lower_bound(
             tiny_model, list(tiny_world.sts["train"].pairs),
-            tiny_world.sts["dev"], (0.0, 0.3), seeds_per_bound=1, cfg=cfg)
+            tiny_world.sts["dev"], (0.0, 0.3), seeds_per_bound=1, cfg=cfg,
+            master_seed=0)
     assert result.scores_by_bound[0.3] == ()
     assert len(result.scores_by_bound[0.0]) == 1
     assert result.selected_bound == 0.0
 
 
-def test_grid_argument_guards(tiny_model, tiny_world):
+def test_grid_argument_guards(tiny_model, tiny_world, monkeypatch):
     dev = tiny_world.sts["dev"]
     pairs = list(tiny_world.sts["train"].pairs)
+    cfg = GridSection(steps=2, batch=4, lr=1e-3)
+    trained = []
+    monkeypatch.setattr(ex, "_train_regression",
+                        lambda *args: trained.append(args))
+
+    def grid(bounds, pairs=pairs):
+        return grid_search_lower_bound(tiny_model, pairs, dev, bounds, 1,
+                                       cfg, 0)
+
+    with pytest.raises(ConfigError, match="at least one bound"):
+        grid(())
     with pytest.raises(ConfigError):
-        grid_search_lower_bound(tiny_model, pairs, dev, (), 1)
-    with pytest.raises(ConfigError):
-        grid_search_lower_bound(tiny_model, pairs, dev, (1.0,), 1)
+        grid((1.0,))
     with pytest.raises(ConfigError, match="0.97 outside"):
-        grid_search_lower_bound(tiny_model, pairs, dev, (0.3, 0.97), 1)
+        grid((0.3, 0.97))
+    # a repeated bound would train its cells twice and keep one score
+    with pytest.raises(ConfigError, match="repeats 0.3"):
+        grid((0.3, 0.0, 0.3))
+    assert trained == []
     with pytest.raises(DataError):
-        grid_search_lower_bound(tiny_model, [], dev, (0.1,), 1)
+        grid((0.1,), pairs=[])
 
 
 # -- supervised with early stopping ---------------------------------------
@@ -556,8 +570,7 @@ def test_early_stopping_on_degrading_dev(tiny_model, tiny_corpus):
     cfg = SupervisedSection(max_epochs=8, batch=4, lr=1e-3, patience=1,
                             lower_bound=0.0)
     model, traj = train_supervised_with_early_stopping(
-        tiny_model.clone(), train, dev, RegressionTargetMap(0.0), cfg,
-        seed=2)
+        tiny_model.clone(), train, dev, cfg, seed=2)
     assert len(traj) < cfg.max_epochs
     _, dev_s = evaluate_task(model, dev, TRAIN_POOL)
     assert dev_s == max(traj)
@@ -569,7 +582,7 @@ def test_returned_model_matches_trajectory_max(tiny_model, tiny_world):
                             lower_bound=0.5)
     model, traj = train_supervised_with_early_stopping(
         tiny_model.clone(), list(tiny_world.sts["train"].pairs),
-        tiny_world.sts["dev"], RegressionTargetMap(0.5), cfg, seed=0)
+        tiny_world.sts["dev"], cfg, seed=0)
     assert 1 <= len(traj) <= cfg.max_epochs
     _, dev_s = evaluate_task(model, tiny_world.sts["dev"], TRAIN_POOL)
     assert dev_s == max(traj)
@@ -584,16 +597,14 @@ def test_supervised_guards(tiny_model, tiny_world):
     pairs = list(tiny_world.sts["train"].pairs)
     with pytest.raises(DataError):
         train_supervised_with_early_stopping(
-            tiny_model.clone(), [], tiny_world.sts["dev"],
-            RegressionTargetMap(0.0), cfg)
+            tiny_model.clone(), [], tiny_world.sts["dev"], cfg, 0)
     # overlap detection catches reversed sentence order too
     p = pairs[0]
     leaky_dev = StsTask("leaky", (ScoredPair(p.sentence_2, p.sentence_1,
                                              p.gold),) + tuple(pairs[1:3]))
     with pytest.raises(DataError, match="shares"):
         train_supervised_with_early_stopping(
-            tiny_model.clone(), pairs, leaky_dev,
-            RegressionTargetMap(0.0), cfg)
+            tiny_model.clone(), pairs, leaky_dev, cfg, 0)
 
 
 # -- pooling ablation -----------------------------------------------------
@@ -665,13 +676,13 @@ def test_every_trainer_steps_through_diffcore_train(tiny_model, tiny_world,
                                  tiny_model.clone()),
         "grid": lambda: grid_search_lower_bound(
             tiny_model, train, dev, (0.3,), 2,
-            GridSection(steps=2, batch=4, lr=1e-3)),
+            GridSection(steps=2, batch=4, lr=1e-3), 0),
         "supervised": lambda: train_supervised_with_early_stopping(
-            tiny_model.clone(), train, dev, RegressionTargetMap(0.5),
-            SupervisedSection(max_epochs=2, batch=8, patience=5)),
+            tiny_model.clone(), train, dev,
+            SupervisedSection(max_epochs=2, batch=8, patience=5), 0),
         "flow": lambda: fit_flow(
-            CouplingFlow(8, 2), encode_many(tiny_model, corpus, TRAIN_POOL),
-            FlowSection(lr=1e-3, epochs=2, batch=8), 0),
+            encode_many(tiny_model, corpus, TRAIN_POOL),
+            FlowSection(layers=2, lr=1e-3, epochs=2, batch=8), 0, 0),
     }
     n_sup = math.ceil(len(train) / 8)
     expected = {"pretrain": [3], "ct": [TINY_CT.steps], "nli": [2],
@@ -720,7 +731,7 @@ def test_every_trainer_encodes_with_the_training_pool(tiny_model, tiny_world,
                                         corpus, tiny_model),
         "grid": lambda: grid_search_lower_bound(
             tiny_model, train, dev, cfg.grid.bounds,
-            cfg.grid.seeds_per_bound, cfg=cfg.grid),
+            cfg.grid.seeds_per_bound, cfg=cfg.grid, master_seed=0),
         "supervised": lambda: ex.supervised_stage(cfg, tiny_model, train,
                                                   dev),
     }

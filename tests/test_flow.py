@@ -31,13 +31,22 @@ def test_fresh_flow_is_identity():
     assert np.array_equal(log_det, np.zeros(5))
 
 
+def forward_one(flow, x):
+    """Latent and log |det J| of one (dim,) vector."""
+    z, log_det = flow_forward(flow, x[None])
+    return z[0], log_det[0]
+
+
 def test_single_vector_interface():
+    # flow_forward takes batches only; the inverse also takes one vector
     flow = perturbed_flow(4)
     v = np.array([0.3, -1.2, 0.5, 2.0])
-    z, ld = flow_forward(flow, v)
+    with pytest.raises(ShapeMismatchError):
+        flow_forward(flow, v)
+    z, ld = forward_one(flow, v)
     assert z.shape == (4,)
-    assert isinstance(ld, float)
     back = flow.inverse(z)
+    assert back.shape == (4,)
     assert np.allclose(back, v, atol=1e-12)
 
 
@@ -70,13 +79,13 @@ def test_log_det_matches_numerical_jacobian(dim):
     h = 1e-6
     for _ in range(3):
         x = rng.normal(size=dim)
-        _, ld = flow_forward(flow, x)
+        _, ld = forward_one(flow, x)
         J = np.empty((dim, dim))
         for j in range(dim):
             up = x.copy(); up[j] += h
             down = x.copy(); down[j] -= h
-            J[:, j] = (flow_forward(flow, up)[0]
-                       - flow_forward(flow, down)[0]) / (2.0 * h)
+            J[:, j] = (forward_one(flow, up)[0]
+                       - forward_one(flow, down)[0]) / (2.0 * h)
         _, ref = np.linalg.slogdet(J)
         assert abs(ld - ref) < 1e-5
 
@@ -89,7 +98,7 @@ def test_log_det_constructed_value():
         p.data[...] = 0.0
     flow.params["f0.bs"].data[...] = 1.0  # s = 1 on the 2 transformed dims
     x = np.array([0.5, -1.0, 2.0, 0.25])
-    z, ld = flow_forward(flow, x)
+    z, ld = forward_one(flow, x)
     assert abs(ld - 2.0) < 1e-15
     # layer 0 keeps dims 0-1 and scales dims 2-3 by e; layer 1 is identity
     expected = np.array([0.5, -1.0, 2.0 * math.e, 0.25 * math.e])
@@ -130,9 +139,9 @@ def test_nll_gradient_flows():
 def test_fit_reduces_nll_on_shifted_data():
     rng = np.random.default_rng(11)
     X = rng.normal(loc=5.0, scale=1.0, size=(256, 8))
-    flow = CouplingFlow(dim=8, n_layers=4, seed=0)
-    before = flow_nll_value(flow, X)
-    fit_flow(flow, X, FlowSection(lr=5e-3, epochs=40, batch=64), 0)
+    before = flow_nll_value(CouplingFlow(dim=8, n_layers=4, seed=0), X)
+    flow = fit_flow(X, FlowSection(layers=4, lr=5e-3, epochs=40, batch=64),
+                    0, 0)
     after = flow_nll_value(flow, X)
     assert after < before - 1.0, f"{before:.3f} -> {after:.3f}"
 
@@ -142,40 +151,50 @@ def test_fit_never_worse_than_initial():
     # a state no worse than the identity start
     rng = np.random.default_rng(13)
     X = rng.normal(size=(128, 4))
-    flow = CouplingFlow(dim=4, n_layers=2, seed=0)
-    before = flow_nll_value(flow, X)
-    fit_flow(flow, X, FlowSection(lr=5.0, epochs=3, batch=32), 0)
+    before = flow_nll_value(CouplingFlow(dim=4, n_layers=2, seed=0), X)
+    flow = fit_flow(X, FlowSection(layers=2, lr=5.0, epochs=3, batch=32),
+                    0, 0)
     assert flow_nll_value(flow, X) <= before + 1e-12
 
 
 def test_fit_zero_epochs_unchanged():
-    rng = np.random.default_rng(17)
-    X = rng.normal(size=(128, 4))
-    flow = perturbed_flow(4, seed=4)
-    snapshot = [p.data.copy() for p in flow.parameters()]
-    fit_flow(flow, X, FlowSection(epochs=0, batch=32), 0)
-    for p, s in zip(flow.parameters(), snapshot):
-        assert np.array_equal(p.data, s)
+    # the section is the one source of the layer count, the init seed the
+    # one source of the initial weights
+    X = np.random.default_rng(17).normal(size=(128, 4))
+    for layers in (2, 3):
+        flow = fit_flow(X, FlowSection(layers=layers, epochs=0, batch=32),
+                        5, 0)
+        fresh = CouplingFlow(4, layers, seed=5)
+        assert flow.n_layers == layers
+        assert list(flow.params) == list(fresh.params)
+        for p, q in zip(flow.parameters(), fresh.parameters()):
+            assert np.array_equal(p.data, q.data)
+
+
+def test_fit_builds_the_sections_layer_count():
+    X = np.random.default_rng(18).normal(size=(128, 4))
+    for layers in (2, 3):
+        flow = fit_flow(X, FlowSection(layers=layers, epochs=1, batch=32),
+                        0, 0)
+        assert flow.n_layers == len(flow.masks) == layers
 
 
 def test_fit_does_not_mutate_embeddings():
     rng = np.random.default_rng(19)
     X = rng.normal(size=(130, 4))
     before = X.copy()
-    fit_flow(CouplingFlow(4, 2), X, FlowSection(epochs=2, batch=32), 0)
+    fit_flow(X, FlowSection(layers=2, epochs=2, batch=32), 0, 0)
     assert np.array_equal(X, before)
 
 
 def test_fit_preconditions():
-    flow = CouplingFlow(dim=4, n_layers=2)
+    cfg = FlowSection(layers=2, batch=32)
     with pytest.raises(DataError):
-        fit_flow(flow, np.zeros((10, 4)) + np.arange(4),
-                 FlowSection(batch=32), 0)  # 10 < 2 * 32
+        fit_flow(np.zeros((10, 4)) + np.arange(4), cfg, 0, 0)  # 10 < 2 * 32
     with pytest.raises(ShapeMismatchError):
-        fit_flow(flow, np.zeros((100, 5)), FlowSection(batch=32), 0)
+        fit_flow(np.zeros(100), cfg, 0, 0)
     with pytest.warns(UserWarning, match="identical"):
-        fit_flow(CouplingFlow(4, 2), np.ones((64, 4)),
-                 FlowSection(epochs=1, batch=32), 0)
+        fit_flow(np.ones((64, 4)), cfg, 0, 0)
 
 
 def test_flow_score_metrics():
@@ -200,15 +219,17 @@ def test_flow_score_metrics():
 
 def test_flow_constructor_guards():
     with pytest.raises(DataError):
-        CouplingFlow(dim=4, n_layers=1)
+        CouplingFlow(dim=4, n_layers=1, seed=0)
 
 
 def test_forward_rejects_bad_input():
-    flow = CouplingFlow(4, 2)
+    flow = CouplingFlow(4, 2, seed=0)
     with pytest.raises(DataError):
-        flow_forward(flow, np.array([1.0, np.nan, 0.0, 0.0]))
+        flow_forward(flow, np.array([[1.0, np.nan, 0.0, 0.0]]))
     with pytest.raises(ShapeMismatchError):
-        flow_forward(flow, np.zeros(5))
+        flow_forward(flow, np.zeros((1, 5)))
+    with pytest.raises(ShapeMismatchError):
+        flow_forward(flow, np.zeros(4))
     with pytest.raises(DataError):
         flow.inverse(np.array([np.inf, 0.0, 0.0, 0.0]))
 
