@@ -23,6 +23,11 @@ seeds from `cfg.run.seed`, trains from its config section without
 touching its inputs, and returns the artifact with the seeds a manifest
 records; `run_pipeline`, the CLI and `stability_study` all use them.
 The first two train on the same `[data] corpus_size` corpus sample.
+
+Runs that share nothing but their inputs (grid cells, the members of
+one stage, stability members and students) go through `_run_each`,
+which spreads them over one forked worker process per usable CPU and
+returns what running them in turn would.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import io
 import itertools
 import json
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -71,6 +77,71 @@ def derive_seed(master: int, role: str, index: int) -> int:
     """Stable per-(role, index) seed; independent streams per stage."""
     ss = np.random.SeedSequence(master, spawn_key=(_ROLE_IDS[role], index))
     return int(ss.generate_state(1)[0])
+
+
+def _recorded(fn, job: tuple):
+    """`fn(*job)` and the warnings it raised, to be issued again."""
+    with warnings.catch_warnings(record=True) as caught:
+        result = fn(*job)
+    return result, [(w.message, w.category, w.filename, w.lineno)
+                    for w in caught]
+
+
+def _reissued(result, caught: list):
+    """`result`, after issuing again the warnings its job raised."""
+    for message, category, filename, lineno in caught:
+        warnings.warn_explicit(message, category, filename, lineno)
+    return result
+
+
+def _run_each(fn, jobs: list[tuple], seeds: list[int]) -> list:
+    """`[fn(*job) for job in jobs]`, run in one worker process per usable
+    CPU (`os.sched_getaffinity`), at most one per job.
+
+    The workers are forked, so they start from this process's state and
+    hash seed; with seeds derived by the caller, each result is the one
+    the job gives in this process. With one worker, or where the usable
+    CPUs are unknown or processes cannot fork, the jobs run here in
+    turn. Either way the warnings a job raises are issued here after the
+    job, in job order. A job's exception reaches the caller with its own
+    type; a worker that dies is a `ChildProcessError` naming the first
+    unfinished job and its seed.
+    """
+    usable = (os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity")
+              else ())
+    workers = min(len(jobs), len(usable))
+    if workers > 1:
+        # imported here, not at the top, so importing sedkit stays fast
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            return _run_forked(fn, jobs, seeds,
+                               multiprocessing.get_context("fork"), workers)
+    return [_reissued(*_recorded(fn, job)) for job in jobs]
+
+
+def _run_forked(fn, jobs: list[tuple], seeds: list[int], context,
+                workers: int) -> list:
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+    # a worker flushes the stdio buffers it was forked with as it exits;
+    # multiprocessing empties them before forking too, but privately
+    sys.stdout.flush()
+    sys.stderr.flush()
+    results = []
+    with ProcessPoolExecutor(workers, context) as pool:
+        futures = [pool.submit(_recorded, fn, job) for job in jobs]
+        try:
+            for future in futures:
+                results.append(_reissued(*future.result()))
+        except BrokenProcessPool:
+            i = len(results)
+            raise ChildProcessError(
+                f"a worker process died before job {i} of {len(jobs)} "
+                f"(seed {seeds[i]}) finished") from None
+        finally:
+            for future in futures:
+                future.cancel()
+    return results
 
 
 @dataclass
@@ -287,8 +358,12 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
                     manifest["input_hashes"]["nli"] = _hash_nli(bundle.nli)
                 data = corpus if current == "ct" else bundle.nli
                 sources = members if members else [base] * n_members
-                trained = [member_stage(current, cfg, src, data, i)
-                           for i, src in enumerate(sources)]
+                trained = _run_each(
+                    member_stage,
+                    [(current, cfg, src, data, i)
+                     for i, src in enumerate(sources)],
+                    [derive_seed(master, current, i)
+                     for i in range(len(sources))])
                 members = [m for m, _ in trained]
                 seeds[current] = [s for _, s in trained]
                 for i, m in enumerate(members):
@@ -381,39 +456,57 @@ def stability_study(base: EncoderModel, corpus: list[str],
     name, and the derived seeds (`ct` per member, `sed` per run, failed
     runs included).
     """
-    pool = PoolingSpec(cfg.eval.pool_k)
-
-    def avg_spearman(report: CorrelationReport) -> float:
-        if report.failed:
-            raise ConstantInputError(
-                "; ".join(report.failed.values())
-            )
-        return report.average_spearman_x100
-
-    members = []
-    member_scores = []
-    seeds: dict[str, list[int]] = {"ct": [], "sed": []}
-    for i in range(cfg.sed.members):
-        m, seed = member_stage("ct", cfg, base, corpus, i)
-        seeds["ct"].append(seed)
-        members.append(m)
-        member_scores.append(avg_spearman(evaluate_suite(m, tasks, pool)))
-    ensemble_score = avg_spearman(
-        full_ensemble_predict(EnsembleSpec(members), tasks, pool))
-    student_scores = []
-    for r in range(cfg.stability.runs):
-        seeds["sed"].append(derive_seed(cfg.run.seed, "sed", r))
-        try:
-            student, _ = distill_stage(cfg, members, corpus, base, r)
-            student_scores.append(avg_spearman(evaluate_suite(student, tasks, pool)))
-        except (DataError, ConstantInputError, DivergenceError) as exc:
-            warnings.warn(f"stability run {r} failed and was excluded: {exc}")
+    ct_seeds = [derive_seed(cfg.run.seed, "ct", i)
+                for i in range(cfg.sed.members)]
+    scored = _run_each(_scored_member,
+                       [(cfg, base, corpus, tasks, i)
+                        for i in range(cfg.sed.members)], ct_seeds)
+    members = [m for m, _ in scored]
+    ensemble_score = _average_spearman(full_ensemble_predict(
+        EnsembleSpec(members), tasks, PoolingSpec(cfg.eval.pool_k)))
+    sed_seeds = [derive_seed(cfg.run.seed, "sed", r)
+                 for r in range(cfg.stability.runs)]
+    student_scores = _run_each(_scored_student,
+                               [(cfg, members, corpus, base, tasks, r)
+                                for r in range(cfg.stability.runs)],
+                               sed_seeds)
     return {
-        "members": StabilityReport.from_values("members", member_scores),
+        "members": StabilityReport.from_values(
+            "members", [score for _, score in scored]),
         "full_ensemble": StabilityReport.from_values("full_ensemble",
                                                      [ensemble_score]),
-        "students": StabilityReport.from_values("students", student_scores),
-    }, seeds
+        "students": StabilityReport.from_values(
+            "students", [v for v in student_scores if v is not None]),
+    }, {"ct": ct_seeds, "sed": sed_seeds}
+
+
+def _average_spearman(report: CorrelationReport) -> float:
+    if report.failed:
+        raise ConstantInputError("; ".join(report.failed.values()))
+    return report.average_spearman_x100
+
+
+def _scored_member(cfg: RunConfig, base: EncoderModel, corpus: list[str],
+                   tasks: list[StsTask],
+                   index: int) -> tuple[EncoderModel, float]:
+    """Stability member `index` and its average Spearman."""
+    member, _ = member_stage("ct", cfg, base, corpus, index)
+    return member, _average_spearman(
+        evaluate_suite(member, tasks, PoolingSpec(cfg.eval.pool_k)))
+
+
+def _scored_student(cfg: RunConfig, members: list[EncoderModel],
+                    corpus: list[str], base: EncoderModel,
+                    tasks: list[StsTask], run: int) -> float | None:
+    """The average Spearman of stability run `run`'s student, or None,
+    with a warning, when the run failed."""
+    try:
+        student, _ = distill_stage(cfg, members, corpus, base, run)
+        return _average_spearman(
+            evaluate_suite(student, tasks, PoolingSpec(cfg.eval.pool_k)))
+    except (DataError, ConstantInputError, DivergenceError) as exc:
+        warnings.warn(f"stability run {run} failed and was excluded: {exc}")
+        return None
 
 
 def stability_csv(reports: dict[str, StabilityReport]) -> str:
@@ -465,32 +558,40 @@ def grid_search_lower_bound(base: EncoderModel, train_pairs, dev_task: StsTask,
     target_maps = [RegressionTargetMap(b) for b in bounds]
     if not train_pairs:
         raise DataError("no training pairs")
+    seeds = [derive_seed(master_seed, "grid", i)
+             for i in range(len(bounds) * seeds_per_bound)]
+    dev_scores = _run_each(
+        _grid_cell,
+        [(base, train_pairs, target_map, cfg, dev_task, s,
+          seeds[bi * seeds_per_bound + s])
+         for bi, target_map in enumerate(target_maps)
+         for s in range(seeds_per_bound)], seeds)
     scores: dict[float, tuple] = {}
     means: dict[float, float] = {}
-    seeds = []
-    for bi, (bound, target_map) in enumerate(zip(bounds, target_maps)):
-        cell_scores = []
-        for s in range(seeds_per_bound):
-            seed = derive_seed(master_seed, "grid", bi * seeds_per_bound + s)
-            seeds.append(seed)
-            try:
-                model = _train_regression(
-                    base.clone(), train_pairs, target_map,
-                    cfg.steps, cfg.batch, cfg.lr, seed,
-                )
-                _, dev_s = evaluate_task(model, dev_task, TRAIN_POOL)
-                cell_scores.append(dev_s)
-            except (DataError, ConstantInputError, DivergenceError) as exc:
-                warnings.warn(
-                    f"grid cell bound={bound} seed#{s} failed: {exc}"
-                )
-        scores[bound] = tuple(cell_scores)
-        if cell_scores:
-            means[bound] = float(np.mean(cell_scores))
+    for bi, bound in enumerate(bounds):
+        cells = dev_scores[bi * seeds_per_bound:(bi + 1) * seeds_per_bound]
+        scores[bound] = tuple(v for v in cells if v is not None)
+        if scores[bound]:
+            means[bound] = float(np.mean(scores[bound]))
     if not means:
         raise DataError("every grid cell failed")
     return GridSearchResult(bounds, scores, means, select_bound(means),
                             tuple(seeds))
+
+
+def _grid_cell(base: EncoderModel, train_pairs, target_map, cfg,
+               dev_task: StsTask, s: int, seed: int) -> float | None:
+    """The dev Spearman of seed `s` of one bound, or None, with a
+    warning, when the cell failed."""
+    try:
+        model = _train_regression(base.clone(), train_pairs, target_map,
+                                  cfg.steps, cfg.batch, cfg.lr, seed)
+        _, dev_s = evaluate_task(model, dev_task, TRAIN_POOL)
+        return dev_s
+    except (DataError, ConstantInputError, DivergenceError) as exc:
+        warnings.warn(f"grid cell bound={target_map.lower_bound} seed#{s} "
+                      f"failed: {exc}")
+        return None
 
 
 def select_bound(means: dict) -> float:

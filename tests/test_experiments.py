@@ -451,6 +451,8 @@ def test_stability_study_drops_diverged_run(tiny_model, tiny_world,
         return loss * np.nan if len(calls) == 1 else loss
 
     monkeypatch.setattr(ex, "sed_loss", first_student_diverges)
+    # one usable CPU: the runs share `calls`, which a worker would copy
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     cfg = tiny_run_config(("pretrain", "ct", "sed"))
     cfg = dataclasses.replace(cfg, stability=StabilitySection(runs=3))
     with pytest.warns(UserWarning, match="stability run 0 failed.*nan"):
@@ -662,6 +664,8 @@ def test_every_trainer_steps_through_diffcore_train(tiny_model, tiny_world,
         steps.append(opt.step_count - before)
 
     monkeypatch.setattr(dc, "train", counting)
+    # one usable CPU: a worker would count the grid cells' steps in its copy
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     corpus, train = tiny_world.corpus, list(tiny_world.sts["train"].pairs)
     dev = tiny_world.sts["dev"]
     runs = {
