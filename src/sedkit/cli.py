@@ -206,19 +206,20 @@ def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
     tasks = _load_tasks(args)
     flow = _load(args.flow, CouplingFlow) if args.flow else None
     report = evaluate_suite(model, tasks, PoolingSpec(cfg.eval.pool_k),
-                            flow=flow, metadata={"model": str(args.model),
-                                                 "seed": cfg.run.seed})
-    if not report.per_task:
-        raise DataError("no task evaluated: "
-                        + "; ".join(report.failed.values()))
+                            flow=flow)
     path = os.path.join(out, "report.csv")
     write_report_csv(report, path)
+    inputs = {"model": _hash_file(args.model),
+              "tasks": {t.name: _hash_task(t) for t in tasks}}
+    if args.flow:
+        inputs["flow"] = _hash_file(args.flow)
+    _write_manifest(out, "evaluate", cfg, {}, inputs, {})
     for name, res in report.per_task.items():
         print(f"{name}: pearson {res.pearson_x100:.2f} "
               f"spearman {res.spearman_x100:.2f}")
     print(f"Avg.: pearson {report.average_pearson_x100:.2f} "
           f"spearman {report.average_spearman_x100:.2f}")
-    if report.partial:
+    if report.failed:
         print(f"partial report; failed tasks: {sorted(report.failed)}",
               file=sys.stderr)
     print(f"wrote {path}")
@@ -253,20 +254,25 @@ def _cmd_ablate_pooling(args, cfg: RunConfig, out: str) -> None:
         paths[name] = path
     models = {name: _load(path, EncoderModel) for name, path in paths.items()}
     tasks = _load_tasks(args)
-    table = pooling_ablation(models, tasks)
+    text = ablation_csv(pooling_ablation(models, tasks))
     path = os.path.join(out, "pooling_ablation.csv")
-    write_atomic(path, ablation_csv(table).encode("utf-8"))
-    print(ablation_csv(table), end="")
+    write_atomic(path, text.encode("utf-8"))
+    _write_manifest(out, "ablate_pooling", cfg, {},
+                    {"models": {name: _hash_file(p)
+                                for name, p in paths.items()},
+                     "tasks": {t.name: _hash_task(t) for t in tasks}}, {})
+    print(text, end="")
     print(f"wrote {path}")
 
 
+_WORLD_FLAGS = ("clusters", "sentences_per_cluster", "vocab_size",
+                "sts_pairs", "nli_pairs")
+
+
 def _cmd_gen_synthetic(args, cfg: RunConfig, out: str) -> None:
-    spec = SyntheticWorldSpec(
-        clusters=args.clusters, sentences_per_cluster=args.sentences_per_cluster,
-        vocab_size=args.vocab_size, sts_pairs=args.sts_pairs,
-        nli_pairs=args.nli_pairs, seed=cfg.run.seed,
-    )
-    gen_synthetic_world(spec, out)
+    given = {key: getattr(args, key) for key in _WORLD_FLAGS
+             if getattr(args, key) is not None}
+    gen_synthetic_world(SyntheticWorldSpec(seed=cfg.run.seed, **given), out)
     print(f"wrote synthetic world to {out}")
 
 
@@ -343,11 +349,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="STS task files")
 
     p = add("gen-synthetic", _cmd_gen_synthetic, help="generate a toy world")
-    p.add_argument("--clusters", type=int, default=6)
-    p.add_argument("--sentences-per-cluster", type=int, default=30)
-    p.add_argument("--vocab-size", type=int, default=120)
-    p.add_argument("--sts-pairs", type=int, default=60)
-    p.add_argument("--nli-pairs", type=int, default=120)
+    for key in _WORLD_FLAGS:
+        p.add_argument("--" + key.replace("_", "-"), type=int,
+                       help=f"SyntheticWorldSpec.{key}")
 
     return parser
 

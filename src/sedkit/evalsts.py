@@ -3,7 +3,9 @@
 One scorer serves a model, a model+flow and a full ensemble: per task,
 `score_pairs` embeds each unique sentence once and scores every pair by
 cosine (in the flow's latent space when there is one); `score_suite`
-builds the `CorrelationReport`.
+builds the `CorrelationReport`. A report holds only what was measured;
+what was scored, and with which checkpoints, is recorded by the caller's
+manifest.
 
 Correlations are computed from scratch (sample Pearson; Spearman as
 Pearson over fractional average ranks) and reported in the conventional
@@ -53,12 +55,11 @@ class StsTask:
 class TaskResult:
     pearson_x100: float
     spearman_x100: float
-    n_pairs: int
 
 
 @dataclass
 class CorrelationReport:
-    """Per-task correlations, their unweighted mean, and run metadata.
+    """Per-task correlations and their unweighted mean.
 
     `failed` maps task names to error messages; a non-empty dict marks
     the report partial. Raw (unrounded) values live here; rounding to
@@ -68,12 +69,7 @@ class CorrelationReport:
     per_task: dict[str, TaskResult]
     average_pearson_x100: float
     average_spearman_x100: float
-    metadata: dict
     failed: dict[str, str]
-
-    @property
-    def partial(self) -> bool:
-        return len(self.failed) > 0
 
 
 def cosine(u, v) -> float:
@@ -167,11 +163,11 @@ def evaluate_task(model: EncoderModel, task: StsTask,
     return _correlate(task, predict_scores(model, task, pool))
 
 
-def score_suite(tasks: list[StsTask], predict,
-                metadata: dict) -> CorrelationReport:
+def score_suite(tasks: list[StsTask], predict) -> CorrelationReport:
     """Correlate `predict(task)` with gold per task; failures are recorded,
-    not fatal. The average is the unweighted mean over the tasks that
-    evaluated successfully."""
+    not fatal unless no task evaluates (`DataError` naming each failure).
+    The average is the unweighted mean over the tasks that evaluated
+    successfully."""
     if len(tasks) == 0:
         raise DataError("suite needs at least one task")
     names = [t.name for t in tasks]
@@ -182,24 +178,20 @@ def score_suite(tasks: list[StsTask], predict,
     for task in tasks:
         try:
             p, s = _correlate(task, predict(task))
-            per_task[task.name] = TaskResult(p, s, len(task.pairs))
+            per_task[task.name] = TaskResult(p, s)
         except (ConstantInputError, DataError) as exc:
             failed[task.name] = str(exc)
-    if per_task:
-        avg_p = float(np.mean([r.pearson_x100 for r in per_task.values()]))
-        avg_s = float(np.mean([r.spearman_x100 for r in per_task.values()]))
-    else:
-        avg_p = avg_s = float("nan")
-    return CorrelationReport(per_task, avg_p, avg_s, dict(metadata), failed)
+    if not per_task:
+        raise DataError("no task evaluated: " + "; ".join(failed.values()))
+    avg_p = float(np.mean([r.pearson_x100 for r in per_task.values()]))
+    avg_s = float(np.mean([r.spearman_x100 for r in per_task.values()]))
+    return CorrelationReport(per_task, avg_p, avg_s, failed)
 
 
 def evaluate_suite(model: EncoderModel, tasks: list[StsTask],
-                   pool: PoolingSpec, flow=None,
-                   metadata: dict | None = None) -> CorrelationReport:
+                   pool: PoolingSpec, flow=None) -> CorrelationReport:
     """Evaluate every task with `model` (and `flow`); see `score_suite`."""
-    meta = {"pool_k": pool.k, "flow": flow is not None, **(metadata or {})}
-    return score_suite(
-        tasks, lambda t: predict_scores(model, t, pool, flow), meta)
+    return score_suite(tasks, lambda t: predict_scores(model, t, pool, flow))
 
 
 def load_sts_tsv(path) -> StsTask:
@@ -216,7 +208,7 @@ def write_report_csv(report: CorrelationReport, path) -> None:
     """CSV with task, pearson_x100, spearman_x100 rows plus an Avg. row.
 
     Values are rounded to 2 decimals here and only here. A JSON sidecar
-    at `path` + ".meta.json" carries the metadata and failure list.
+    at `path` + ".meta.json" carries the failed tasks' messages.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -227,11 +219,6 @@ def write_report_csv(report: CorrelationReport, path) -> None:
     writer.writerow(["Avg.", f"{report.average_pearson_x100:.2f}",
                      f"{report.average_spearman_x100:.2f}"])
     write_atomic(path, buf.getvalue().encode("utf-8"))
-    sidecar = {
-        "metadata": report.metadata,
-        "failed": report.failed,
-        "partial": report.partial,
-        "n_tasks": len(report.per_task),
-    }
-    text = json.dumps(sidecar, indent=2, sort_keys=True) + "\n"
+    text = json.dumps({"failed": report.failed}, indent=2,
+                      sort_keys=True) + "\n"
     write_atomic(f"{path}.meta.json", text.encode("utf-8"))

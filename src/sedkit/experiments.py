@@ -247,10 +247,8 @@ def train_sed(ensemble: EnsembleSpec, corpus: list[str], cfg, seed: int,
 def full_ensemble_predict(ensemble: EnsembleSpec, tasks: list[StsTask],
                           pool: PoolingSpec) -> CorrelationReport:
     """Score pairs with the mean embedding of all members under `pool`."""
-    meta = {"model": "full-ensemble", "n_members": len(ensemble.members),
-            "pool_k": pool.k}
     embed = functools.partial(ensemble_mean_embeddings, ensemble, pool=pool)
-    return score_suite(tasks, lambda t: score_pairs(embed, t), meta)
+    return score_suite(tasks, lambda t: score_pairs(embed, t))
 
 
 def pretrain_stage(cfg: RunConfig, corpus: list[str]) -> tuple[EncoderModel, int]:
@@ -316,7 +314,8 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
     """Execute `cfg.run.stages` in order and evaluate the final model.
 
     On a stage failure the manifest of completed stages is still written
-    (when `out_dir` is given) before the error propagates.
+    (when `out_dir` is given) before the error propagates; an evaluation
+    in which no task scores raises `DataError` and writes nothing.
     """
     master, stages = cfg.run.seed, cfg.run.stages
     corpus = _sized_corpus(cfg, bundle.corpus)
@@ -387,18 +386,13 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
             write_manifest(manifest, _manifest_path(out_dir))
         raise
     final = student or (members[0] if members else base)
-    report = evaluate_suite(
-        final, bundle.tasks, PoolingSpec(cfg.eval.pool_k), flow=flow_model,
-        metadata={"stages": "-".join(stages), "seed": master},
-    )
+    report = evaluate_suite(final, bundle.tasks,
+                            PoolingSpec(cfg.eval.pool_k), flow=flow_model)
     manifest["report"] = {
         "average_pearson_x100": report.average_pearson_x100,
         "average_spearman_x100": report.average_spearman_x100,
-        "per_task": {
-            name: {"pearson_x100": r.pearson_x100,
-                   "spearman_x100": r.spearman_x100}
-            for name, r in report.per_task.items()
-        },
+        "per_task": {name: dataclasses.asdict(r)
+                     for name, r in report.per_task.items()},
     }
     models["final"] = final
     if out_dir is not None:
@@ -415,7 +409,10 @@ def _manifest_path(out_dir) -> str:
 
 
 def write_manifest(manifest: dict, path) -> None:
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    """`manifest` as sorted JSON; a non-finite number is a `ValueError`,
+    so no manifest holds one."""
+    text = json.dumps(manifest, indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
     write_atomic(path, text.encode("utf-8"))
 
 
@@ -687,13 +684,8 @@ def pooling_ablation(models: dict[str, EncoderModel],
             raise DataError(
                 f"model {name!r} is too shallow for k=3 pooling"
             )
-        row = {}
-        for k in (1, 2, 3):
-            report = evaluate_suite(model, tasks, PoolingSpec(k))
-            if report.failed:
-                raise ConstantInputError("; ".join(report.failed.values()))
-            row[k] = report.average_spearman_x100
-        table[name] = row
+        table[name] = {k: _average_spearman(
+            evaluate_suite(model, tasks, PoolingSpec(k))) for k in (1, 2, 3)}
     return table
 
 

@@ -31,7 +31,8 @@ from sedkit.evalsts import load_sts_tsv
 from sedkit.experiments import (DataBundle, _hash_task, derive_seed,
                                 run_pipeline, sample_corpus)
 from sedkit.flow import CouplingFlow
-from sedkit.synthetic import load_nli_tsv
+from sedkit.synthetic import (SyntheticWorldSpec, gen_synthetic_world,
+                              load_nli_tsv)
 
 WORLD_ARGS = ["--clusters", "3", "--sentences-per-cluster", "10",
               "--vocab-size", "30", "--sts-pairs", "12",
@@ -216,6 +217,18 @@ def test_gen_synthetic_byte_identical(tmp_path):
     assert names == sorted(os.listdir(b))
     for name in names:
         assert sha(a / name) == sha(b / name), name
+
+
+def test_gen_synthetic_defaults_are_the_spec_defaults(tmp_path):
+    """With no world flags, gen-synthetic writes the world of
+    SyntheticWorldSpec's own defaults."""
+    assert main(["gen-synthetic", "--seed", "7",
+                 "--out", str(tmp_path / "cli")]) == 0
+    gen_synthetic_world(SyntheticWorldSpec(seed=7), tmp_path / "lib")
+    names = sorted(os.listdir(tmp_path / "lib"))
+    assert sorted(os.listdir(tmp_path / "cli")) == names
+    for name in names:
+        assert sha(tmp_path / "cli" / name) == sha(tmp_path / "lib" / name)
 
 
 def test_gen_synthetic_seed_changes_output(tmp_path):
@@ -574,6 +587,8 @@ def test_setting_flags_are_validated_like_their_keys(workspace, tmp_path,
 
 
 def test_fit_flow_then_evaluate_with_flow(workspace, tmp_path, capsys):
+    """evaluate --flow records the flow's digest, the one fit-flow's
+    manifest records for it, beside the model's."""
     rc = main(["fit-flow", "--config", workspace["ini"],
                "--model", workspace["base"], "--corpus", workspace["corpus"],
                "--out", str(tmp_path)])
@@ -585,8 +600,11 @@ def test_fit_flow_then_evaluate_with_flow(workspace, tmp_path, capsys):
                "--out", str(tmp_path)])
     assert rc == 0
     capsys.readouterr()
-    sidecar = json.loads((tmp_path / "report.csv.meta.json").read_text())
-    assert sidecar["metadata"]["flow"] is True
+    hashes = json.loads(
+        (tmp_path / "evaluate_manifest.json").read_text())["input_hashes"]
+    flow = json.loads((tmp_path / "flow_manifest.json").read_text())
+    assert hashes["flow"] == flow["checkpoints"]["flow"]
+    assert hashes["model"] == flow["input_hashes"]["model"]
 
 
 # -- evaluation commands --------------------------------------------------
@@ -602,8 +620,50 @@ def test_evaluate_writes_report(workspace, tmp_path, capsys):
     text = (tmp_path / "report.csv").read_text()
     assert text.splitlines()[0] == "task,pearson_x100,spearman_x100"
     sidecar = json.loads((tmp_path / "report.csv.meta.json").read_text())
-    assert sidecar["metadata"]["pool_k"] == 2
-    assert sidecar["metadata"]["flow"] is False
+    assert sidecar == {"failed": {}}
+    manifest = json.loads((tmp_path / "evaluate_manifest.json").read_text())
+    assert manifest["stage"] == "evaluate"
+    assert parse_config(manifest["config_text"]) == cli_config()
+    assert manifest["derived_seeds"] == {} and manifest["checkpoints"] == {}
+    pretrain = json.loads((workspace["runs"] / "pretrain_manifest.json")
+                          .read_text())
+    assert manifest["input_hashes"] == {
+        "model": pretrain["checkpoints"]["base"],
+        "tasks": {"sts_test": _hash_task(
+            load_sts_tsv(workspace["world"] / "sts_test.tsv"))}}
+
+
+def test_evaluate_records_the_checkpoint_not_its_path(workspace, tmp_path,
+                                                      capsys):
+    """One checkpoint (and flow) evaluated from two directories gives
+    the same report, sidecar and manifest, byte for byte."""
+    task = str(workspace["world"] / "sts_test.tsv")
+    assert main(["fit-flow", "--config", workspace["ini"],
+                 "--model", workspace["base"], "--corpus",
+                 workspace["corpus"], "--out", str(tmp_path / "flow")]) == 0
+    copies = []
+    for sub in ("a", "b"):
+        copy = tmp_path / sub
+        copy.mkdir()
+        shutil.copy(workspace["base"], copy / "base.ckpt")
+        shutil.copy(tmp_path / "flow" / "flow.ckpt", copy / "flow.ckpt")
+        copies.append(copy)
+    names = ("report.csv", "report.csv.meta.json", "evaluate_manifest.json")
+    for flow in ([], ["--flow"]):
+        outs = []
+        for copy in copies:
+            out = copy / ("out_flow" if flow else "out")
+            argv = ["evaluate", "--config", workspace["ini"],
+                    "--model", str(copy / "base.ckpt"), "--task", task,
+                    "--out", str(out)]
+            assert main(argv + flow + ([str(copy / "flow.ckpt")] if flow
+                                       else [])) == 0
+            outs.append(out)
+        for name in names:
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes(), (flow, name)
+        assert sorted(os.listdir(outs[0])) == sorted(names)
+    capsys.readouterr()
 
 
 def test_evaluate_one_task_flag_several_files(workspace, tmp_path, capsys):
@@ -676,15 +736,17 @@ def test_evaluate_exits_1_when_no_task_evaluates(workspace, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: no task evaluated: task 'constant':")
     assert "constant input" in err
-    assert not (tmp_path / "report.csv").exists()
+    assert os.listdir(tmp_path) == ["constant.tsv"]
     good = str(workspace["world"] / "sts_test.tsv")
     assert main(argv + ["--task", good]) == 0
     captured = capsys.readouterr()
     assert "partial report; failed tasks: ['constant']" in captured.err
     assert "sts_test:" in captured.out
     sidecar = json.loads((tmp_path / "report.csv.meta.json").read_text())
-    assert sidecar["partial"] is True and sidecar["n_tasks"] == 1
+    assert list(sidecar) == ["failed"]
     assert list(sidecar["failed"]) == ["constant"]
+    manifest = json.loads((tmp_path / "evaluate_manifest.json").read_text())
+    assert set(manifest["input_hashes"]["tasks"]) == {"constant", "sts_test"}
 
 
 def test_evaluate_requires_some_task(workspace, tmp_path, capsys):
@@ -707,14 +769,32 @@ def test_stability_command(workspace, tmp_path, capsys):
 
 
 def test_ablate_pooling_command(workspace, tmp_path, capsys):
+    """The table goes to the CSV and stdout; the manifest maps each
+    --model name to its checkpoint's digest."""
+    ct = tmp_path / "ct"
+    assert main(["train-ct", "--config", workspace["ini"],
+                 "--base", workspace["base"], "--corpus",
+                 workspace["corpus"], "--out", str(ct)]) == 0
+    capsys.readouterr()
+    task = workspace["world"] / "sts_test.tsv"
+    out = tmp_path / "out"
     rc = main(["ablate-pooling", "--config", workspace["ini"],
                "--model", f"base={workspace['base']}",
-               "--task", str(workspace["world"] / "sts_test.tsv"),
-               "--out", str(tmp_path)])
+               "--model", str(ct / "ct_0.ckpt"),
+               "--task", str(task), "--out", str(out)])
     assert rc == 0
-    text = (tmp_path / "pooling_ablation.csv").read_text()
+    text = (out / "pooling_ablation.csv").read_text()
     assert text.splitlines()[0] == "model,k1,k2,k3"
-    assert "base," in capsys.readouterr().out
+    written = out / "pooling_ablation.csv"
+    assert capsys.readouterr().out == f"{text}wrote {written}\n"
+    manifest = json.loads((out / "ablate_pooling_manifest.json").read_text())
+    assert manifest["stage"] == "ablate_pooling"
+    assert parse_config(manifest["config_text"]) == cli_config()
+    assert manifest["derived_seeds"] == {} and manifest["checkpoints"] == {}
+    assert manifest["input_hashes"] == {
+        "models": {"base": sha(workspace["base"]),
+                   "ct_0.ckpt": sha(ct / "ct_0.ckpt")},
+        "tasks": {"sts_test": _hash_task(load_sts_tsv(task))}}
 
 
 def test_ablate_pooling_rejects_two_models_of_one_name(workspace, tmp_path,

@@ -17,8 +17,8 @@ from sedkit.errors import ConstantInputError, DataError, ShapeMismatchError
 from sedkit.evalsts import (CorrelationReport, ScoredPair, StsTask,
                             TaskResult, cosine, evaluate_suite,
                             evaluate_task, fractional_ranks, load_sts_tsv,
-                            pearson, predict_scores, score_pairs, spearman,
-                            write_report_csv)
+                            pearson, predict_scores, score_pairs,
+                            score_suite, spearman, write_report_csv)
 
 
 # -- independent oracle: naive O(n^2) ranks, explicit-loop moments --------
@@ -211,13 +211,10 @@ def test_evaluate_suite_average_and_partial(tiny_model, tiny_world,
         ScoredPair(p.sentence_1, p.sentence_2, 3.0)
         for p in good1.pairs[:5]))
     report = evaluate_suite(tiny_model, [good1, good2, bad], eval_pool)
-    assert report.partial
     assert set(report.per_task) == {good1.name, "other"}
-    assert "constant" in report.failed
+    assert list(report.failed) == ["constant"]
     vals = [r.spearman_x100 for r in report.per_task.values()]
     assert abs(report.average_spearman_x100 - np.mean(vals)) < 1e-12
-    assert report.metadata["pool_k"] == eval_pool.k
-    assert report.metadata["flow"] is False
 
 
 def test_evaluate_suite_unique_names(tiny_model, tiny_world, eval_pool):
@@ -325,11 +322,22 @@ def test_non_finite_predictions_fail_the_task(tiny_model, tiny_world,
         spearman(nan, np.arange(5.0))
     broken = tiny_model.clone()
     broken.params["tok_emb"].data[:] = np.nan
-    task = tiny_world.sts["test"]
+    task, good = tiny_world.sts["test"], StsTask("good",
+                                                 tiny_world.sts["dev"].pairs)
     assert np.all(np.isnan(predict_scores(broken, task, eval_pool)))
-    report = evaluate_suite(broken, [task], eval_pool)
-    assert report.per_task == {}
+    # beside a task that scores, the broken one fails alone: a partial
+    # report whose averages are the good task's
+    report = score_suite(
+        [task, good], lambda t: predict_scores(
+            broken if t is task else tiny_model, t, eval_pool))
+    assert list(report.per_task) == ["good"]
     assert "non-finite" in report.failed[task.name]
+    assert report.average_spearman_x100 == \
+        report.per_task["good"].spearman_x100
+    # alone, no task scores, so there is no average to report
+    with pytest.raises(DataError, match=f"^no task evaluated: task "
+                                        f"'{task.name}': .*non-finite"):
+        evaluate_suite(broken, [task], eval_pool)
 
 
 # -- TSV loading ----------------------------------------------------------
@@ -391,12 +399,11 @@ def test_load_sts_tsv_no_valid_lines(tmp_path):
 
 def test_write_report_rounds_only_at_csv(tmp_path):
     report = CorrelationReport(
-        per_task={"t1": TaskResult(41.23456, 39.87654, 10),
-                  "t2": TaskResult(50.0, 60.005, 12)},
+        per_task={"t1": TaskResult(41.23456, 39.87654),
+                  "t2": TaskResult(50.0, 60.005)},
         average_pearson_x100=45.61728,
         average_spearman_x100=49.94077,
-        metadata={"model": "demo"},
-        failed={},
+        failed={"t3": "task 't3': constant input"},
     )
     out = tmp_path / "report.csv"
     write_report_csv(report, out)
@@ -406,10 +413,9 @@ def test_write_report_rounds_only_at_csv(tmp_path):
     assert rows[3] == ["Avg.", "45.62", "49.94"]
     # raw values stay unrounded on the report object
     assert report.per_task["t1"].pearson_x100 == 41.23456
+    # the sidecar carries the failures only; provenance is the manifest's
     sidecar = json.loads((tmp_path / "report.csv.meta.json").read_text())
-    assert sidecar["metadata"]["model"] == "demo"
-    assert sidecar["partial"] is False
-    assert sidecar["n_tasks"] == 2
+    assert sidecar == {"failed": {"t3": "task 't3': constant input"}}
 
 
 def test_written_average_matches_rows(tiny_model, tiny_world, eval_pool,

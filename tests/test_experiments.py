@@ -274,12 +274,8 @@ def test_full_ensemble_single_member_equals_plain_eval(tiny_model,
     ens_report = full_ensemble_predict(EnsembleSpec([tiny_model]), tasks,
                                        pool)
     plain = evaluate_suite(tiny_model, tasks, pool)
-    for name in ens_report.per_task:
-        assert (ens_report.per_task[name].spearman_x100
-                == plain.per_task[name].spearman_x100)
-        assert (ens_report.per_task[name].pearson_x100
-                == plain.per_task[name].pearson_x100)
-    assert ens_report.metadata["n_members"] == 1
+    # every correlation, both averages and the failures, exactly
+    assert ens_report == plain
 
 
 # -- pipelines ------------------------------------------------------------
@@ -364,6 +360,30 @@ def test_pipeline_failure_preserves_manifest(pipeline_bundle, tmp_path):
     assert manifest["failed_stage"] == "nli"
     assert manifest["completed_stages"] == ["pretrain"]
     assert "NLI pairs" in manifest["error"]
+
+
+def test_no_task_scoring_is_an_error_not_a_nan(pipeline_bundle, tiny_model,
+                                              tmp_path):
+    """A task with constant gold has no correlation. Alone in a bundle it
+    leaves no average to report: the ensemble scorer and the pipeline
+    raise `DataError` naming it, and no manifest is written (a manifest
+    cannot hold a non-finite number)."""
+    constant = StsTask("constant", tuple(
+        ScoredPair(p.sentence_1, p.sentence_2, 2.0)
+        for p in pipeline_bundle.tasks[0].pairs))
+    message = "^no task evaluated: task 'constant': .*constant input"
+    with pytest.raises(DataError, match=message):
+        full_ensemble_predict(EnsembleSpec([tiny_model]), [constant],
+                              PoolingSpec(2))
+    bundle = DataBundle(pipeline_bundle.corpus, [constant])
+    with pytest.raises(DataError, match=message):
+        run_pipeline(tiny_run_config(("pretrain",)), bundle,
+                     out_dir=tmp_path)
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_manifest({"report": {"average_spearman_x100": math.nan}},
+                       tmp_path / "manifest.json")
+    assert os.listdir(tmp_path) == []
 
 
 def test_pipeline_ct_without_base_fails():
