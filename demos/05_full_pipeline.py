@@ -9,7 +9,7 @@ import dataclasses
 
 import numpy as np
 
-from sedkit.config import default_config, RunSection
+from sedkit.config import RunConfig, RunSection
 from sedkit.encoder import PoolingSpec
 from sedkit.evalsts import evaluate_suite
 from sedkit.experiments import (DataBundle, full_ensemble_predict,
@@ -20,7 +20,7 @@ from sedkit.synthetic import SyntheticWorldSpec, build_synthetic_world
 world = build_synthetic_world(SyntheticWorldSpec(seed=7))
 tasks = [world.sts["test"]]
 
-cfg = default_config()
+cfg = RunConfig()
 cfg = dataclasses.replace(
     cfg, run=RunSection(stages=("pretrain", "ct", "sed", "flow"), seed=7))
 # The config is the whole description of the run, its stage list included.

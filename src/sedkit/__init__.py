@@ -22,7 +22,7 @@ from .objectives import (CtPair, EnsembleSpec, LabeledNliPair, NliHead,
                          ensemble_mean_embeddings, nli_siamese_loss,
                          sample_ct_batches, sed_loss, sts_regression_loss)
 from .checkpoint import load_checkpoint, save_checkpoint
-from .config import RunConfig, default_config, load_config, parse_config, render_config
+from .config import RunConfig, load_config, parse_config, render_config
 from .experiments import (DataBundle, GridSearchResult, PipelineResult,
                           StabilityReport, derive_seed,
                           full_ensemble_predict, grid_search_lower_bound,

@@ -17,8 +17,7 @@ import sys
 
 from .checkpoint import (load_checkpoint, read_lines, save_checkpoint,
                          write_atomic)
-from .config import (RunConfig, _parse_value, default_config, load_config,
-                     render_config)
+from .config import RunConfig, _parse_value, load_config, render_config
 from .encoder import EncoderModel, PoolingSpec
 from .errors import DataError
 from .evalsts import evaluate_suite, load_sts_tsv, write_report_csv
@@ -61,7 +60,7 @@ def _load_cfg(args) -> RunConfig:
     """The --config file (or the defaults) with each given setting flag
     parsed as its key's INI value and put in its place; the rebuilt
     section checks the value as it checks the key."""
-    cfg = load_config(args.config) if args.config else default_config()
+    cfg = load_config(args.config) if args.config else RunConfig()
     for key, name in _SETTING_FLAGS.items():
         text = getattr(args, key, None)
         if text is not None:

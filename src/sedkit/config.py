@@ -328,6 +328,3 @@ def load_config(path) -> RunConfig:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-
-def default_config() -> RunConfig:
-    return RunConfig()

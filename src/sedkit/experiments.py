@@ -15,7 +15,9 @@ and checkpoint hashes) sufficient to reproduce it bit-identically. Text
 inputs are hashed as read, the same in `run_pipeline` and the CLI: the
 corpus by its lines (`_hash_lines`), an STS task by its name and pairs
 (`_hash_task`), NLI pairs by their fields (`_hash_nli`). Checkpoint
-inputs are hashed by their file bytes.
+inputs are hashed by their file bytes. `run_pipeline` saves each
+checkpoint once, as its stage completes, and writes one manifest when
+the run ends, a failed run (`failed_stage`, `error`) included.
 
 Each stage has one function (`pretrain_stage`, `member_stage`,
 `distill_stage`, `flow_stage`, `supervised_stage`) that derives its
@@ -311,11 +313,15 @@ def _sized_corpus(cfg: RunConfig, lines: list[str]) -> list[str]:
 
 def run_pipeline(cfg: RunConfig, bundle: DataBundle,
                  out_dir=None) -> PipelineResult:
-    """Execute `cfg.run.stages` in order and evaluate the final model.
+    """Execute `cfg.run.stages` in order and evaluate the final model:
+    the student if there is one, else member 0, else the base.
 
-    On a stage failure the manifest of completed stages is still written
-    (when `out_dir` is given) before the error propagates; an evaluation
-    in which no task scores raises `DataError` and writes nothing.
+    With `out_dir`, the directory is made before the first stage, each
+    artifact is saved as `{name}.ckpt` as its stage completes, and
+    `manifest.json` is written when the run ends, however it ends. A
+    run that raises (a stage, or the final evaluation as stage
+    `evaluate`) records `failed_stage` and `error` in it and raises the
+    same exception; its `checkpoints` name exactly the files saved.
     """
     master, stages = cfg.run.seed, cfg.run.stages
     corpus = _sized_corpus(cfg, bundle.corpus)
@@ -336,19 +342,22 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
     }
     models: dict = {}
     members: list[EncoderModel] = []
-    student = None
-    flow_model = None
-    current = None
+    final = flow_model = current = None
+    if out_dir is not None:
+        os.makedirs(out_dir, exist_ok=True)
 
     def keep(key: str, model) -> None:
         models[key] = model
-        checkpoints[key] = checkpoint_hash(model)
+        checkpoints[key] = (
+            checkpoint_hash(model) if out_dir is None else
+            save_checkpoint(model, os.path.join(out_dir, f"{key}.ckpt")))
 
     try:
         for current in stages:
             if current == "pretrain":
                 base, seeds["pretrain"] = pretrain_stage(cfg, corpus)
                 keep("base", base)
+                final = base
             elif current in ("nli", "ct"):
                 if current == "nli":
                     if bundle.nli is None:
@@ -367,45 +376,37 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
                 seeds[current] = [s for _, s in trained]
                 for i, m in enumerate(members):
                     keep(f"member_{i}", m)
+                if "student" not in models:
+                    final = members[0]
             elif current == "sed":
                 init = cfg.sed.student_init
                 source = (base if init == "base"
                           else members[int(init.split(":", 1)[1])])
-                student, seeds["sed"] = distill_stage(cfg, members, corpus,
-                                                      source)
-                keep("student", student)
+                final, seeds["sed"] = distill_stage(cfg, members, corpus,
+                                                    source)
+                keep("student", final)
             elif current == "flow":
-                target = student or (members[0] if members else base)
-                flow_model, seeds["flow"] = flow_stage(cfg, target, corpus)
+                flow_model, seeds["flow"] = flow_stage(cfg, final, corpus)
                 keep("flow", flow_model)
             manifest["completed_stages"].append(current)
-    except Exception as exc:
+        current = "evaluate"
+        report = evaluate_suite(final, bundle.tasks,
+                                PoolingSpec(cfg.eval.pool_k), flow=flow_model)
+        manifest["report"] = {
+            "average_pearson_x100": report.average_pearson_x100,
+            "average_spearman_x100": report.average_spearman_x100,
+            "per_task": {name: dataclasses.asdict(r)
+                         for name, r in report.per_task.items()},
+        }
+    except BaseException as exc:
         manifest["failed_stage"] = current
-        manifest["error"] = str(exc)
-        if out_dir is not None:
-            write_manifest(manifest, _manifest_path(out_dir))
+        manifest["error"] = str(exc) or type(exc).__name__
         raise
-    final = student or (members[0] if members else base)
-    report = evaluate_suite(final, bundle.tasks,
-                            PoolingSpec(cfg.eval.pool_k), flow=flow_model)
-    manifest["report"] = {
-        "average_pearson_x100": report.average_pearson_x100,
-        "average_spearman_x100": report.average_spearman_x100,
-        "per_task": {name: dataclasses.asdict(r)
-                     for name, r in report.per_task.items()},
-    }
+    finally:
+        if out_dir is not None:
+            write_manifest(manifest, os.path.join(out_dir, "manifest.json"))
     models["final"] = final
-    if out_dir is not None:
-        os.makedirs(str(out_dir), exist_ok=True)
-        for name in checkpoints:
-            save_checkpoint(models[name],
-                            os.path.join(str(out_dir), f"{name}.ckpt"))
-        write_manifest(manifest, _manifest_path(out_dir))
     return PipelineResult(models, report, manifest)
-
-
-def _manifest_path(out_dir) -> str:
-    return os.path.join(str(out_dir), "manifest.json")
 
 
 def write_manifest(manifest: dict, path) -> None:

@@ -23,11 +23,11 @@ from sedkit.encoder import (EncoderArch, PoolingSpec, Vocabulary,
                             encode_batch, encode_many, init_encoder,
                             pretrain_base)
 from sedkit.evalsts import ScoredPair, StsTask, evaluate_suite, pearson, spearman
-from sedkit.experiments import (TRAIN_POOL, DataBundle,
-                                derive_seed,
+from sedkit.experiments import (TRAIN_POOL, DataBundle, _run_each,
+                                derive_seed, distill_stage,
                                 full_ensemble_predict,
-                                grid_search_lower_bound, pooling_ablation,
-                                run_pipeline, train_ct, train_sed)
+                                grid_search_lower_bound, member_stage,
+                                pooling_ablation, run_pipeline)
 from sedkit.flow import (CouplingFlow, fit_flow, flow_forward, flow_nll,
                          flow_nll_value)
 from sedkit.objectives import (CtPair, EnsembleSpec, LabeledNliPair, NliHead,
@@ -60,17 +60,21 @@ def base(world):
 
 @pytest.fixture(scope="module")
 def cohort(world, base):
-    """Four CT teachers, three SED students, and their test-suite scores."""
+    """Four CT teachers, three SED students, and their test-suite scores.
+    Each group trains through the stage runner, fanned out like the
+    stability study's; stage seeds come from `MASTER_SEED`, and the
+    `[ct]` and `[sed]` sections are the defaults."""
     t0 = time.monotonic()
     corpus = world.corpus
-    teachers = [train_ct(base["model"], corpus, CtSection(),
-                         derive_seed(MASTER_SEED, "ct", i))
-                for i in range(4)]
-    ens = EnsembleSpec(teachers)
-    students = [train_sed(ens, corpus, SedSection(),
-                          derive_seed(MASTER_SEED, "sed", r),
-                          base["model"].clone())
-                for r in range(3)]
+    cfg = RunConfig(run=RunSection(seed=MASTER_SEED))
+    teachers = [m for m, _ in _run_each(
+        member_stage, [("ct", cfg, base["model"], corpus, i)
+                       for i in range(4)],
+        [derive_seed(MASTER_SEED, "ct", i) for i in range(4)])]
+    students = [m for m, _ in _run_each(
+        distill_stage, [(cfg, teachers, corpus, base["model"], r)
+                        for r in range(3)],
+        [derive_seed(MASTER_SEED, "sed", r) for r in range(3)])]
     tasks = [world.sts["test"]]
     t_scores = [evaluate_suite(m, tasks, EVAL_POOL).average_spearman_x100
                 for m in teachers]

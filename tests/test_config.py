@@ -7,27 +7,27 @@ import pytest
 from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
                            GridSection, NliSection, PretrainSection,
                            RunConfig, SedSection, StabilitySection,
-                           SupervisedSection, default_config, load_config,
+                           SupervisedSection, load_config,
                            parse_config, render_config)
 from sedkit.encoder import EncoderArch
 from sedkit.errors import ConfigError
 
 
 def test_render_parse_round_trip():
-    cfg = default_config()
+    cfg = RunConfig()
     assert parse_config(render_config(cfg)) == cfg
 
 
 def test_render_is_stable_text():
-    a = render_config(default_config())
+    a = render_config(RunConfig())
     b = render_config(parse_config(a))
     assert a == b
 
 
 def test_round_trip_preserves_non_defaults():
     cfg = dataclasses.replace(
-        default_config(),
-        run=dataclasses.replace(default_config().run, seed=42,
+        RunConfig(),
+        run=dataclasses.replace(RunConfig().run, seed=42,
                                 stages=("pretrain", "nli", "sed", "flow")),
         grid=GridSection(bounds=(0.0, 0.25, 0.5), seeds_per_bound=3,
                          steps=10, batch=8, lr=5e-4),
@@ -39,7 +39,7 @@ def test_round_trip_preserves_non_defaults():
 
 
 def test_float_fields_round_trip_exactly():
-    text = render_config(default_config())
+    text = render_config(RunConfig())
     cfg = parse_config(text)
     assert cfg.ct.start_lr == 3e-5
     assert cfg.ct.end_lr == 6e-6
@@ -47,7 +47,7 @@ def test_float_fields_round_trip_exactly():
 
 
 def test_default_bounds_grid():
-    cfg = default_config()
+    cfg = RunConfig()
     assert len(cfg.grid.bounds) == 20
     assert cfg.grid.bounds[0] == 0.0
     assert cfg.grid.bounds[-1] == 0.95
@@ -63,7 +63,7 @@ def test_partial_config_uses_defaults():
 
 
 def test_empty_text_is_all_defaults():
-    assert parse_config("") == default_config()
+    assert parse_config("") == RunConfig()
 
 
 def test_unknown_section_rejected():
@@ -193,13 +193,13 @@ def test_sections_check_themselves_when_built():
 
 def test_default_config_is_valid():
     # every section checks its keys when built: the defaults pass
-    assert default_config() == RunConfig()
+    assert isinstance(RunConfig(), RunConfig)
 
 
 def test_save_load_file_round_trip(tmp_path):
     cfg = dataclasses.replace(
-        default_config(),
-        run=dataclasses.replace(default_config().run, seed=3),
+        RunConfig(),
+        run=dataclasses.replace(RunConfig().run, seed=3),
     )
     path = tmp_path / "run.ini"
     path.write_text(render_config(cfg), encoding="utf-8")
@@ -207,12 +207,12 @@ def test_save_load_file_round_trip(tmp_path):
 
 
 def test_every_section_and_key_appears_in_render():
-    text = render_config(default_config())
+    text = render_config(RunConfig())
     for section_name in ("run", "arch", "data", "pretrain", "nli", "ct",
                          "sed", "flow", "supervised", "grid", "stability",
                          "eval"):
         assert f"[{section_name}]" in text
-    cfg = default_config()
+    cfg = RunConfig()
     for section_name in ("run", "arch", "sed", "grid"):
         section = getattr(cfg, section_name)
         for f in dataclasses.fields(section):

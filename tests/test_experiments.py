@@ -5,6 +5,7 @@ training loop every trainer steps through."""
 
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -349,25 +350,71 @@ def test_pipeline_student_init_from_member(pipeline_bundle):
             == result.manifest["checkpoints"]["member_0"])
 
 
+def _saved_checkpoints(out_dir) -> dict:
+    """{name: sha256} of the `.ckpt` files in `out_dir`."""
+    return {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in out_dir.glob("*.ckpt")}
+
+
 def test_pipeline_failure_preserves_manifest(pipeline_bundle, tmp_path):
+    """A failed stage leaves the checkpoints of the completed ones and a
+    manifest naming exactly them, in a directory the run makes if it
+    does not exist yet."""
+    out_dir = tmp_path / "run"
     cfg = tiny_run_config(("pretrain", "nli"))
     bundle = DataBundle(pipeline_bundle.corpus, pipeline_bundle.tasks,
                         nli=None)
     with pytest.raises(DataError, match="NLI pairs"):
-        run_pipeline(cfg, bundle,
-                     out_dir=tmp_path)
-    manifest = json.loads((tmp_path / "manifest.json").read_text())
+        run_pipeline(cfg, bundle, out_dir=out_dir)
+    manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["failed_stage"] == "nli"
     assert manifest["completed_stages"] == ["pretrain"]
     assert "NLI pairs" in manifest["error"]
+    assert "report" not in manifest
+    assert manifest["checkpoints"] == _saved_checkpoints(out_dir)
+    assert set(manifest["checkpoints"]) == {"base"}
+
+
+def test_pipeline_out_dir_that_is_a_file_fails_before_training(
+        pipeline_bundle, tmp_path, monkeypatch):
+    trained = []
+    monkeypatch.setattr(ex, "pretrain_stage",
+                        lambda *args: trained.append(args))
+    out_file = tmp_path / "taken"
+    out_file.write_text("")
+    with pytest.raises(OSError):
+        run_pipeline(tiny_run_config(("pretrain",)), pipeline_bundle,
+                     out_dir=out_file)
+    assert trained == []
+    assert out_file.read_text() == ""
+
+
+def test_pipeline_interrupt_recorded_as_failed_stage(pipeline_bundle,
+                                                     tmp_path, monkeypatch):
+    """An exception that is not an `Exception` (Ctrl-C) is recorded like
+    any failure: no manifest without a report lacks `failed_stage`."""
+    def interrupted(*args):
+        raise KeyboardInterrupt
+    monkeypatch.setattr(ex, "distill_stage", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_pipeline(tiny_run_config(("pretrain", "ct", "sed")),
+                     pipeline_bundle, out_dir=tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "sed"
+    assert manifest["error"] == "KeyboardInterrupt"
+    assert manifest["completed_stages"] == ["pretrain", "ct"]
+    assert "report" not in manifest
+    assert manifest["checkpoints"] == _saved_checkpoints(tmp_path)
+    assert set(manifest["checkpoints"]) == {"base", "member_0", "member_1"}
 
 
 def test_no_task_scoring_is_an_error_not_a_nan(pipeline_bundle, tiny_model,
                                               tmp_path):
     """A task with constant gold has no correlation. Alone in a bundle it
     leaves no average to report: the ensemble scorer and the pipeline
-    raise `DataError` naming it, and no manifest is written (a manifest
-    cannot hold a non-finite number)."""
+    raise `DataError` naming it. The pipeline keeps its trained stages
+    and records the failure as stage `evaluate`, with no report (a
+    manifest cannot hold a non-finite number)."""
     constant = StsTask("constant", tuple(
         ScoredPair(p.sentence_1, p.sentence_2, 2.0)
         for p in pipeline_bundle.tasks[0].pairs))
@@ -379,11 +426,19 @@ def test_no_task_scoring_is_an_error_not_a_nan(pipeline_bundle, tiny_model,
     with pytest.raises(DataError, match=message):
         run_pipeline(tiny_run_config(("pretrain",)), bundle,
                      out_dir=tmp_path)
-    assert os.listdir(tmp_path) == []
+    assert sorted(os.listdir(tmp_path)) == ["base.ckpt", "manifest.json"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["failed_stage"] == "evaluate"
+    assert manifest["completed_stages"] == ["pretrain"]
+    assert "no task evaluated" in manifest["error"]
+    assert "report" not in manifest
+    assert manifest["checkpoints"] == _saved_checkpoints(tmp_path)
+    before = (tmp_path / "manifest.json").read_bytes()
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_manifest({"report": {"average_spearman_x100": math.nan}},
                        tmp_path / "manifest.json")
-    assert os.listdir(tmp_path) == []
+    assert sorted(os.listdir(tmp_path)) == ["base.ckpt", "manifest.json"]
+    assert (tmp_path / "manifest.json").read_bytes() == before
 
 
 def test_pipeline_ct_without_base_fails():
@@ -403,6 +458,7 @@ def test_pipeline_divergence_recorded_as_failed_stage(pipeline_bundle,
     assert manifest["failed_stage"] == "ct"
     assert manifest["completed_stages"] == ["pretrain"]
     assert "nan" in manifest["error"]
+    assert manifest["checkpoints"] == _saved_checkpoints(tmp_path)
 
 
 def test_write_manifest_round_trip(tmp_path):
