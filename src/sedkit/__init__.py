@@ -11,8 +11,8 @@ from .diffcore import (Adam, LinearDecay, RMSProp, Tensor,
 from .encoder import (EncoderArch, EncoderModel, PoolingSpec, Vocabulary,
                       encode_batch, init_encoder, pretrain_base, tokenize)
 from .errors import (CheckpointError, CheckpointVersionError, ConfigError,
-                     ConstantInputError, DataError, DivergenceError,
-                     ShapeMismatchError)
+                     ConstantInputError, DataError, DetachedParameterError,
+                     DivergenceError, ShapeMismatchError)
 from .evalsts import (CorrelationReport, ScoredPair, StsTask, cosine,
                       evaluate_suite, evaluate_task, load_sts_tsv, pearson,
                       spearman, write_report_csv)

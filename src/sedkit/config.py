@@ -70,10 +70,15 @@ class RunSection:
             raise ConfigError("duplicate pipeline stages")
         if "flow" in stages and stages[-1] != "flow":
             raise ConfigError("flow must be the last stage")
-        if "sed" in stages and not {"nli", "ct"} & set(
-                stages[:stages.index("sed")]):
-            raise ConfigError(
-                "sed needs an ensemble from a preceding nli or ct stage")
+        if "sed" in stages:
+            cut = stages.index("sed")
+            if not {"nli", "ct"} & set(stages[:cut]):
+                raise ConfigError(
+                    "sed needs an ensemble from a preceding nli or ct stage")
+            # the student is final and flow fits it, so nothing would
+            # read members trained after it
+            if {"nli", "ct"} & set(stages[cut:]):
+                raise ConfigError("nli and ct must come before sed")
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,33 @@ with any draws the loss makes from the same generator.
 
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, ShapeMismatchError
+from .errors import DetachedParameterError, DivergenceError, ShapeMismatchError
 
 _GRAD_ENABLED = True
+
+
+def _keep_heap_top() -> None:
+    """Raise glibc's mmap threshold to 16 MiB and its trim threshold to
+    32 MiB; without `mallopt` (not glibc), do nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
+    # A packed optimizer allocates nothing per step, so glibc trims the heap
+    # top after each large free and scoring faults it back in; both are set
+    # because the trim threshold alone freezes the dynamic mmap threshold.
+    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_heap_top()
 
 
 class no_grad:
@@ -97,7 +116,7 @@ class Tensor:
 
     def zero_grad(self):
         if self.requires_grad:
-            self.grad = np.zeros_like(self.data)
+            self.grad.fill(0.0)
 
     @property
     def shape(self) -> tuple:
@@ -310,7 +329,7 @@ class Tensor:
             if g is None:
                 continue
             if node.requires_grad:
-                node.grad = node.grad + g
+                node.grad += g
             if node._backward is None:
                 continue
             for parent, pg in zip(node._parents, node._backward(g)):
@@ -510,53 +529,102 @@ _RHO = 0.9  # RMSProp squared-gradient decay
 _EPS = 1e-8
 
 
-class Adam:
+class _PackedOptimizer:
+    """An optimizer that owns its parameters' values and gradients.
+
+    At construction it copies the parameters into one flat float64 buffer,
+    `data`, and their gradients into another, `grad`, and rebinds each
+    parameter's ``data`` and ``grad`` to reshaped views of its slice, so a
+    step is a few whole-buffer ufunc calls. Write into those arrays in
+    place; a parameter whose ``data`` or ``grad`` is rebound makes the next
+    `step` raise `DetachedParameterError`.
+    """
+
+    def __init__(self, params):
+        self.params = list(params)
+        self.step_count = 0
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise ShapeMismatchError("a parameter is listed twice")
+        for p in self.params:
+            if p.grad is None or p.grad.shape != p.data.shape:
+                raise ShapeMismatchError("gradient shape differs from parameter")
+        size = sum(p.data.size for p in self.params)
+        self.data, self.grad = np.empty(size), np.empty(size)
+        self._views = []
+        start = 0
+        for p in self.params:
+            stop = start + p.data.size
+            data = self.data[start:stop].reshape(p.data.shape)
+            grad = self.grad[start:stop].reshape(p.data.shape)
+            data[...], grad[...] = p.data, p.grad
+            p.data, p.grad = data, grad
+            self._views.append((data, grad))
+            start = stop
+        self._tmp, self._tmp2 = np.empty(size), np.empty(size)
+
+    def zero_grad(self):
+        self.grad.fill(0.0)
+
+    def _next_step(self) -> int:
+        for p, (data, grad) in zip(self.params, self._views):
+            if p.data is not data or p.grad is not grad:
+                raise DetachedParameterError(
+                    f"a parameter of shape {data.shape} no longer holds its "
+                    "optimizer's arrays; write into p.data and p.grad in "
+                    "place")
+        self.step_count += 1
+        return self.step_count
+
+    # Each step below keeps the operand order of the per-tensor form
+    # (``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g``,
+    # ``p - lr*m_hat / (sqrt(v_hat) + eps)``), so every bit is the same.
+
+    def _square_average(self, acc: np.ndarray, decay: float) -> None:
+        """``acc = decay*acc + (1-decay)*grad*grad``, in place."""
+        tmp = np.multiply(self.grad, 1.0 - decay, out=self._tmp)
+        np.multiply(tmp, self.grad, out=tmp)
+        np.multiply(acc, decay, out=acc)
+        np.add(acc, tmp, out=acc)
+
+    def _descend(self, scaled: np.ndarray, square: np.ndarray) -> None:
+        """``data = data - scaled / (sqrt(square) + eps)``, in place;
+        overwrites `scaled`."""
+        root = np.sqrt(square, out=self._tmp2)
+        np.add(root, _EPS, out=root)
+        np.divide(scaled, root, out=scaled)
+        np.subtract(self.data, scaled, out=self.data)
+
+
+class Adam(_PackedOptimizer):
     """Adam with bias-corrected moment estimates."""
 
     def __init__(self, params):
-        self.params = list(params)
-        self.step_count = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        super().__init__(params)
+        self.m = np.zeros_like(self.data)
+        self.v = np.zeros_like(self.data)
 
     def step(self, lr: float):
-        self.step_count += 1
-        t = self.step_count
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g.shape != p.data.shape:
-                raise ShapeMismatchError("gradient shape differs from parameter")
-            self.m[i] = _BETA1 * self.m[i] + (1.0 - _BETA1) * g
-            self.v[i] = _BETA2 * self.v[i] + (1.0 - _BETA2) * g * g
-            m_hat = self.m[i] / (1.0 - _BETA1**t)
-            v_hat = self.v[i] / (1.0 - _BETA2**t)
-            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + _EPS)
+        t = self._next_step()
+        tmp = np.multiply(self.grad, 1.0 - _BETA1, out=self._tmp)
+        np.multiply(self.m, _BETA1, out=self.m)
+        np.add(self.m, tmp, out=self.m)
+        self._square_average(self.v, _BETA2)
+        m_hat = np.divide(self.m, 1.0 - _BETA1**t, out=self._tmp)
+        v_hat = np.divide(self.v, 1.0 - _BETA2**t, out=self._tmp2)
+        self._descend(np.multiply(m_hat, lr, out=m_hat), v_hat)
 
 
-class RMSProp:
+class RMSProp(_PackedOptimizer):
     """RMSProp with a running average of squared gradients."""
 
     def __init__(self, params):
-        self.params = list(params)
-        self.step_count = 0
-        self.v = [np.zeros_like(p.data) for p in self.params]
-
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        super().__init__(params)
+        self.v = np.zeros_like(self.data)
 
     def step(self, lr: float):
-        self.step_count += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g.shape != p.data.shape:
-                raise ShapeMismatchError("gradient shape differs from parameter")
-            self.v[i] = _RHO * self.v[i] + (1.0 - _RHO) * g * g
-            p.data = p.data - lr * g / (np.sqrt(self.v[i]) + _EPS)
+        self._next_step()
+        self._square_average(self.v, _RHO)
+        self._descend(np.multiply(self.grad, lr, out=self._tmp), self.v)
 
 
 # -- learning-rate schedules ---------------------------------------------

@@ -27,3 +27,8 @@ class CheckpointVersionError(CheckpointError):
 
 class DivergenceError(ValueError):
     """Training produced a non-finite loss."""
+
+
+class DetachedParameterError(ValueError):
+    """A parameter's values or gradient were rebound away from the arrays
+    its optimizer owns, so a step would not reach them."""

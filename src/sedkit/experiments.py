@@ -376,8 +376,7 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
                 seeds[current] = [s for _, s in trained]
                 for i, m in enumerate(members):
                     keep(f"member_{i}", m)
-                if "student" not in models:
-                    final = members[0]
+                final = members[0]
             elif current == "sed":
                 init = cfg.sed.student_init
                 source = (base if init == "base"
@@ -643,7 +642,7 @@ def train_supervised_with_early_stopping(
     rng = np.random.default_rng(seed)
     trajectory: list[float] = []
     best_score = -np.inf
-    best_state = [p.data.copy() for p in model.parameters()]
+    best_state = opt.data.copy()
     bad_epochs = 0
     for _ in range(cfg.max_epochs):
         dc.train(opt, dc.epoch_batches(rng, len(train_pairs), cfg.batch),
@@ -654,14 +653,13 @@ def train_supervised_with_early_stopping(
         trajectory.append(dev_s)
         if dev_s > best_score:
             best_score = dev_s
-            best_state = [p.data.copy() for p in model.parameters()]
+            best_state = opt.data.copy()
             bad_epochs = 0
         else:
             bad_epochs += 1
             if bad_epochs >= cfg.patience:
                 break
-    for p, data in zip(model.parameters(), best_state):
-        p.data = data
+    opt.data[...] = best_state
     return model, trajectory
 
 

@@ -151,19 +151,18 @@ def fit_flow(embeddings, cfg, init_seed: int, seed: int) -> CouplingFlow:
     if np.allclose(X, X[0]):
         warnings.warn("all embeddings identical; flow fit is degenerate")
 
-    best_nll = flow_nll_value(flow, X)
-    best_state = [p.data.copy() for p in flow.parameters()]
-    rng = np.random.default_rng(seed)
     opt = dc.Adam(flow.parameters())
+    best_nll = flow_nll_value(flow, X)
+    best_state = opt.data.copy()
+    rng = np.random.default_rng(seed)
     for _ in range(cfg.epochs):
         dc.train(opt, dc.epoch_batches(rng, X.shape[0], cfg.batch),
                  lambda idx: flow_nll(flow, X[idx]), cfg.lr)
         nll = flow_nll_value(flow, X)
         if nll < best_nll:
             best_nll = nll
-            best_state = [p.data.copy() for p in flow.parameters()]
-    for p, data in zip(flow.parameters(), best_state):
-        p.data = data
+            best_state = opt.data.copy()
+    opt.data[...] = best_state
     return flow
 
 

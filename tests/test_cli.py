@@ -152,6 +152,21 @@ def test_config_file_is_read_like_every_text_input(workspace, tmp_path,
     assert names in err, err
 
 
+def test_member_stage_after_sed_exits_1(workspace, tmp_path, capsys):
+    """An INI that trains members after the student is refused before
+    any stage runs."""
+    ini = tmp_path / "late.ini"
+    ini.write_text(render_config(cli_config()).replace(
+        "stages = pretrain, ct, sed", "stages = pretrain, ct, sed, nli"))
+    out = tmp_path / "out"
+    rc = main(["pretrain", "--config", str(ini), "--corpus",
+               workspace["corpus"], "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "before sed" in err, err
+    assert not out.exists()
+
+
 def test_missing_file_exits_1(tmp_path, capsys):
     rc = main(["pretrain", "--corpus", str(tmp_path / "nope.txt"),
                "--out", str(tmp_path)])

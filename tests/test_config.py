@@ -140,13 +140,15 @@ def test_validation_rules():
 
 def test_stage_list_rules():
     """[run] stages starts with pretrain, names each stage once, puts
-    sed after ct or nli, and flow last."""
+    sed after ct or nli and before either, and flow last."""
     for stages, match in (("sed, pretrain", "start with pretrain"),
                           ("ct", "start with pretrain"),
                           ("", "start with pretrain"),
                           ("pretrain, ct, ct", "duplicate pipeline stages"),
                           ("pretrain, flow, ct", "flow must be the last"),
-                          ("pretrain, sed, ct", "sed needs an ensemble")):
+                          ("pretrain, sed, ct", "sed needs an ensemble"),
+                          ("pretrain, ct, sed, nli", "before sed"),
+                          ("pretrain, nli, sed, ct, flow", "before sed")):
         with pytest.raises(ConfigError, match=match):
             parse_config(f"[run]\nstages = {stages}\n")
     cfg = parse_config("[run]\nstages = pretrain, nli, ct, sed, flow\n")

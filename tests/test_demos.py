@@ -5,10 +5,12 @@ end-to-end demo, 05_full_pipeline.py, is left out: it trains a desk-scale
 pipeline (pretrain, four CT members, distillation, flow) for 20-50 s on
 one core, ten times the other four together, and the acceptance tests
 and test_cli.py::test_cli_stages_match_pipeline_bytes already run that
-path through run_pipeline. So is the margin table, 06_margin_table.py,
-which trains the acceptance cohort once per world seed it is given.
-Every demo, 05 and 06 included, is also parsed without running it, and
-each name it imports from sedkit must exist.
+path through run_pipeline. So are the margin table, 06_margin_table.py,
+which trains the acceptance cohort once per world seed it is given, and
+the byte probe, 07_artifact_digests.py, which runs a small CLI chain and
+two pipelines to list the digests of what they write. Every demo, 05 to
+07 included, is also parsed without running it, and each name it imports
+from sedkit must exist.
 """
 
 import ast

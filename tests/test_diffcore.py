@@ -1,7 +1,8 @@
 """Autodiff core: gradients against central finite differences, the fused
 nodes against the composed chains they stand for, optimizer single-step
-oracles worked by hand, schedule values, and the training loop with its
-batch samplers."""
+oracles worked by hand, the packed optimizers against the per-tensor form
+they replaced, schedule values, and the training loop with its batch
+samplers."""
 
 import math
 
@@ -13,7 +14,8 @@ from sedkit.diffcore import (Adam, LinearDecay, RMSProp, Tensor,
                              WarmupThenConstant, attention, bce_with_logits,
                              concat, finite_step_count, layer_norm, linear,
                              softmax_cross_entropy, take_rows)
-from sedkit.errors import DivergenceError, ShapeMismatchError
+from sedkit.errors import (DetachedParameterError, DivergenceError,
+                           ShapeMismatchError)
 
 FD_H = 1e-6
 TOL = 1e-4
@@ -375,9 +377,9 @@ def test_adam_second_step_oracle():
     g = np.array([1.0])
     p = Tensor(np.zeros(1), requires_grad=True)
     opt = Adam([p])
-    p.grad = g.copy()
+    p.grad[...] = g
     opt.step(lr=0.1)
-    p.grad = g.copy()
+    p.grad[...] = g
     opt.step(lr=0.1)
     m2 = 0.9 * 0.1 + 0.1 * 1.0           # raw first moment after 2 steps
     v2 = 0.999 * 0.001 + 0.001 * 1.0
@@ -403,6 +405,110 @@ def test_optimizer_rejects_mismatched_grad():
     p.grad = np.zeros(3)
     with pytest.raises(ShapeMismatchError):
         Adam([p]).step(lr=0.1)
+
+
+def test_optimizer_rejects_a_parameter_listed_twice():
+    p = Tensor(np.zeros(2), requires_grad=True)
+    for opt in (Adam, RMSProp):
+        with pytest.raises(ShapeMismatchError, match="listed twice"):
+            opt([p, p])
+
+
+class PerTensorAdam:
+    """The reference: Adam one tensor at a time, each moment and update a
+    new array, in the expressions the packed `Adam` must reproduce."""
+
+    def __init__(self, params):
+        self.params = list(params)
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
+
+    def zero_grad(self):
+        for p in self.params:
+            p.grad = np.zeros_like(p.data)
+
+    def step(self, lr):
+        self.step_count += 1
+        t = self.step_count
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.m[i] = 0.9 * self.m[i] + (1.0 - 0.9) * g
+            self.v[i] = 0.999 * self.v[i] + (1.0 - 0.999) * g * g
+            m_hat = self.m[i] / (1.0 - 0.9**t)
+            v_hat = self.v[i] / (1.0 - 0.999**t)
+            p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+class PerTensorRMSProp(PerTensorAdam):
+    """The reference RMSProp, one tensor at a time."""
+
+    def step(self, lr):
+        self.step_count += 1
+        for i, p in enumerate(self.params):
+            g = p.grad
+            self.v[i] = 0.9 * self.v[i] + (1.0 - 0.9) * g * g
+            p.data = p.data - lr * g / (np.sqrt(self.v[i]) + 1e-8)
+
+
+def _trained(optimizer, kind):
+    """An optimizer and the models it trained for five steps: Adam on
+    one model's STS regression, or RMSProp on two models' contrastive
+    loss, as `train_ct` builds it."""
+    from sedkit.encoder import EncoderArch, Vocabulary, init_encoder
+    from sedkit.evalsts import ScoredPair
+    from sedkit.objectives import (RegressionTargetMap, ct_loss,
+                                   sample_ct_batches, sts_regression_loss)
+    rng = np.random.default_rng(1)
+    words = [f"w{i}" for i in range(12)]
+    sents = [" ".join(rng.choice(words, size=n)) for n in
+             (3, 12, 5, 9, 7, 14, 2, 8)]
+    base = init_encoder(EncoderArch(layers=2, hidden=8, heads=2, ff=16,
+                                    max_len=16), Vocabulary(words), seed=3)
+    if kind == "adam":
+        models = [base]
+        pairs = [ScoredPair(a, b, float(g)) for a, b, g in
+                 zip(sents, sents[::-1], rng.integers(0, 6, size=8))]
+        batches = [pairs[i:i + 3] for i in range(5)]
+        opt = optimizer(base.parameters())
+        dc.train(opt, batches, lambda batch: sts_regression_loss(
+            base, batch, RegressionTargetMap(0.3)), 1e-2)
+    else:
+        models = [base.clone(), base.clone()]
+        batches = sample_ct_batches(sents, 3, 8, seed=5)
+        opt = optimizer(models[0].parameters() + models[1].parameters())
+        dc.train(opt, (next(batches) for _ in range(5)),
+                 lambda batch: ct_loss(*models, batch),
+                 LinearDecay(1e-2, 1e-3, 5).lr)
+    return opt, models
+
+
+@pytest.mark.parametrize("kind, packed, reference", [
+    ("adam", Adam, PerTensorAdam), ("rmsprop", RMSProp, PerTensorRMSProp)])
+def test_packed_optimizer_keeps_views_and_bits(kind, packed, reference):
+    opt, models = _trained(packed, kind)
+    _, expected = _trained(reference, kind)
+    params = [p for m in models for p in m.parameters()]
+    assert params == opt.params and opt.step_count == 5
+    for p in params:
+        assert np.shares_memory(p.data, opt.data)
+        assert np.shares_memory(p.grad, opt.grad)
+        assert p.data.shape == p.grad.shape
+    for model, ref in zip(models, expected):
+        for name, p in model.params.items():
+            assert p.data.shape == ref.params[name].data.shape
+            assert np.array_equal(p.data, ref.params[name].data), name
+    # a rebound gradient or value is an error, not a silently lost update
+    p = params[-1]
+    view = p.grad
+    p.grad = view.copy()
+    with pytest.raises(DetachedParameterError):
+        opt.step(1e-2)
+    p.grad = view
+    p.data = p.data.copy()
+    with pytest.raises(DetachedParameterError):
+        opt.step(1e-2)
+    assert opt.step_count == 5
 
 
 def test_adam_converges_on_quadratic():
