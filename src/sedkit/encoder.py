@@ -35,7 +35,14 @@ _MIN_BUCKET = 8  # numpy's pairwise sum runs 8 lanes
 _ENCODE_CHUNK = 64  # sentences per `encode_many` forward
 
 class Vocabulary:
-    """Dense token-to-id map with pad/unk/mask specials at ids 0/1/2."""
+    """Dense token-to-id map with pad/unk/mask specials at ids 0/1/2.
+
+    The encoder tokenizes each text once per vocabulary: a private memo
+    holds one tuple of ids per distinct text for the vocabulary's
+    lifetime, shared by every model cloned from one that uses it. The
+    memo is not pickled, so a vocabulary sent to or from a worker process
+    arrives with an empty one.
+    """
 
     PAD, UNK, MASK = "<pad>", "<unk>", "<mask>"
 
@@ -47,6 +54,17 @@ class Vocabulary:
         self.pad_id = 0
         self.unk_id = 1
         self.mask_id = 2
+        self._ids: dict[str, tuple[int, ...]] = {}
+
+    def __reduce__(self):
+        return type(self), (self.tokens[3:],)
+
+    def _token_ids(self, text: str) -> tuple[int, ...]:
+        """`tokenize(text, self)` as a tuple, from the memo."""
+        ids = self._ids.get(text)
+        if ids is None:
+            ids = self._ids[text] = tuple(tokenize(text, self))
+        return ids
 
     @property
     def size(self) -> int:
@@ -222,8 +240,10 @@ def _bucket_len(n: int, max_len: int) -> int:
     return min(T, max_len)
 
 
-def _token_lists(model: EncoderModel, sentences) -> list[list[int]]:
-    return [tokenize(s, model.vocab)[: model.arch.max_len] for s in sentences]
+def _token_lists(model: EncoderModel,
+                 sentences) -> list[tuple[int, ...]]:
+    ids, max_len = model.vocab._token_ids, model.arch.max_len
+    return [ids(s)[:max_len] for s in sentences]
 
 
 def _pad(model: EncoderModel, token_lists,

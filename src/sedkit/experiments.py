@@ -184,7 +184,9 @@ def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderMo
     """Contrastive tension from a shared init; the second model is kept.
 
     Two clones of `base` encode the two sides of each pair; RMSProp with
-    a linearly decaying learning rate drives the dot-product logits.
+    a linearly decaying learning rate drives the dot-product logits. The
+    kept model is copied out of the optimizer's buffers, which also hold
+    the discarded model and both gradients.
     """
     model_a = base.clone()
     model_b = base.clone()
@@ -194,7 +196,7 @@ def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderMo
              itertools.islice(batches, cfg.steps),
              lambda b: ct_loss(model_a, model_b, b),
              dc.LinearDecay(cfg.start_lr, cfg.end_lr, cfg.steps).lr)
-    return model_b
+    return model_b.clone()
 
 
 def train_nli(base: EncoderModel, pairs, cfg, seed: int) -> EncoderModel:

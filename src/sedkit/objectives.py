@@ -11,6 +11,12 @@ or after averaging. Targets are produced under no_grad, so distillation
 updates only the student: member parameter gradients stay exactly zero.
 The teachers are frozen, so `train_sed` computes the targets once per
 call, for its whole corpus.
+
+The siamese losses (NLI, STS regression) run one forward over both
+sides of a batch and split it in halves. A sentence's embedding does
+not depend on its batch, so the embeddings and the loss are
+bit-identical to one forward per side; only the order in which the
+weight gradient sums its rows differs.
 """
 
 from __future__ import annotations
@@ -157,13 +163,22 @@ class NliHead:
         return [self.weight, self.bias]
 
 
+def _encode_sides(model: EncoderModel, lefts: list[str],
+                  rights: list[str]) -> tuple[Tensor, Tensor]:
+    """The embeddings of both sides of a siamese batch, from one
+    `encode_batch` over `lefts + rights`."""
+    e = enc.encode_batch(model, lefts + rights, TRAIN_POOL)
+    n = len(lefts)
+    return e[:n], e[n:]
+
+
 def nli_siamese_loss(model: EncoderModel, head: NliHead, batch) -> Tensor:
     """Mean softmax cross entropy of the siamese 3-way classifier."""
     batch = list(batch)
     if not batch:
         raise DataError("NLI batch is empty")
-    u = enc.encode_batch(model, [p.premise for p in batch], TRAIN_POOL)
-    v = enc.encode_batch(model, [p.hypothesis for p in batch], TRAIN_POOL)
+    u, v = _encode_sides(model, [p.premise for p in batch],
+                         [p.hypothesis for p in batch])
     feats = dc.concat([u, v, (u - v).abs()], axis=1)
     logits = dc.linear(feats, head.weight, head.bias)
     targets = np.array([NLI_LABELS.index(p.label) for p in batch])
@@ -189,8 +204,8 @@ def sts_regression_loss(model: EncoderModel, pairs,
     pairs = list(pairs)
     if not pairs:
         raise DataError("regression batch is empty")
-    u = enc.encode_batch(model, [p.sentence_1 for p in pairs], TRAIN_POOL)
-    v = enc.encode_batch(model, [p.sentence_2 for p in pairs], TRAIN_POOL)
+    u, v = _encode_sides(model, [p.sentence_1 for p in pairs],
+                         [p.sentence_2 for p in pairs])
     cos = cosine_tensor(u, v)
     targets = Tensor(np.array([target_map.target(p.gold) for p in pairs]))
     return (cos - targets).square().mean()

@@ -1,6 +1,8 @@
 """Encoder behavior: tokenization, length buckets and padding invariance,
 pooling, and the masked-token pretraining loop."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -59,6 +61,33 @@ def test_tokenize_unknown_and_empty():
 def test_tokenize_lowercases():
     v = Vocabulary(["hello"])
     assert tokenize("HeLLo", v) == [3]
+
+
+def test_encoder_tokenizes_each_text_once(wide_model, monkeypatch):
+    """A second `encode_batch` of the same sentences reads their ids from
+    the vocabulary's memo and gives the same bits; a list `tokenize`
+    returns is the caller's own; the memo is not pickled."""
+    model = pickle.loads(pickle.dumps(wide_model))
+    vocab = model.vocab
+    assert vocab._ids == {} and vocab.tokens == wide_model.vocab.tokens
+    batch = [words(vocab, n, start=n) for n in (3, 12, 25)]
+    split = []
+    real_split = enc.split_tokens
+    monkeypatch.setattr(enc, "split_tokens",
+                        lambda text: split.append(text) or real_split(text))
+    with dc.no_grad():
+        first = encode_batch(model, batch, PoolingSpec(1)).data
+        assert split == batch
+        again = encode_batch(model.clone(), batch, PoolingSpec(1)).data
+    assert split == batch  # the clone shares the memo
+    assert np.array_equal(first, again)
+    ids = tokenize(batch[0], vocab)
+    expected = list(ids)
+    ids[0] = vocab.mask_id
+    ids.append(vocab.unk_id)
+    assert tokenize(batch[0], vocab) == expected
+    assert list(vocab._token_ids(batch[0])) == expected
+    assert pickle.loads(pickle.dumps(vocab))._ids == {}
 
 
 def test_arch_validates_head_divisibility():

@@ -124,6 +124,15 @@ def test_train_ct_deterministic_and_nonmutating(tiny_model, tiny_corpus):
                for a, b in zip(m1.parameters(), m3.parameters()))
 
 
+def test_train_ct_member_owns_its_arrays(tiny_model, tiny_corpus):
+    """The member keeps no view of the optimizer's buffers, which also
+    hold the discarded model and both models' gradients."""
+    member = train_ct(tiny_model, tiny_corpus, TINY_CT, seed=4)
+    for p in member.parameters():
+        for a in (p.data, p.grad):
+            assert (a if a.base is None else a.base).size == a.size
+
+
 def test_train_nli_returns_model_only(tiny_model, tiny_world):
     cfg = NliSection(steps=4, batch=8, peak_lr=2e-4, warmup_fraction=0.1)
     out = train_nli(tiny_model, tiny_world.nli, cfg, seed=2)

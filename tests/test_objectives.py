@@ -9,7 +9,8 @@ import pytest
 import sedkit.diffcore as dc
 import sedkit.encoder as enc
 from sedkit.diffcore import Tensor
-from sedkit.encoder import PoolingSpec, encode_batch, init_encoder
+from sedkit.encoder import (EncoderArch, PoolingSpec, encode_batch,
+                            init_encoder, tokenize)
 from sedkit.errors import ConfigError, DataError, ShapeMismatchError
 from sedkit.objectives import (CtPair, EnsembleSpec, LabeledNliPair,
                                NliHead, RegressionTargetMap, cosine_tensor,
@@ -283,6 +284,72 @@ def test_regression_loss_hand_value(tiny_model, tiny_corpus):
     loss = sts_regression_loss(tiny_model, pairs,
                                RegressionTargetMap(0.3)).item()
     assert abs(loss - (c - target) ** 2) < 1e-12
+
+
+# -- siamese batches ------------------------------------------------------
+
+def test_siamese_losses_run_one_forward_with_two_forward_bits(tiny_vocab,
+                                                              monkeypatch):
+    """Each siamese loss encodes both sides of its batch in one
+    `encode_batch` call, and its value equals, bit for bit, the loss from
+    one call per side; the batch spans the 8-, 16- and 32-slot buckets.
+    Only the order of the weight-gradient sums differs."""
+    model = init_encoder(EncoderArch(layers=2, hidden=8, heads=2, ff=16,
+                                     max_len=32), tiny_vocab, seed=0)
+    head = NliHead.init(8, seed=1)
+    words = tiny_vocab.tokens[3:]
+
+    def sentence(n, start):
+        return " ".join(words[(start + i) % len(words)] for i in range(n))
+
+    lefts = [sentence(3, 0), sentence(12, 1), sentence(25, 2)]
+    rights = [sentence(20, 3), sentence(5, 4), sentence(30, 5)]
+    assert {enc._bucket_len(len(tokenize(s, tiny_vocab)), 32)
+            for s in lefts + rights} == {8, 16, 32}
+    scored = [ScoredPair(a, b, g) for a, b, g in zip(lefts, rights,
+                                                      (1.0, 3.5, 5.0))]
+    nli = [LabeledNliPair(a, b, label) for a, b, label in zip(
+        lefts, rights, ("entailment", "neutral", "contradiction"))]
+    target_map = RegressionTargetMap(0.3)
+
+    def two_forward_regression():
+        u, v = (encode_batch(model, side, POOL) for side in (lefts, rights))
+        targets = Tensor(np.array([target_map.target(p.gold)
+                                   for p in scored]))
+        return (cosine_tensor(u, v) - targets).square().mean()
+
+    def two_forward_nli():
+        u, v = (encode_batch(model, side, POOL) for side in (lefts, rights))
+        feats = dc.concat([u, v, (u - v).abs()], axis=1)
+        logits = dc.linear(feats, head.weight, head.bias)
+        targets = np.array([0, 1, 2])
+        return dc.softmax_cross_entropy(logits, targets).mean()
+
+    params = model.parameters() + head.parameters()
+
+    def value_and_grads(loss_fn):
+        loss = loss_fn()
+        loss.backward()
+        grads = [p.grad.copy() for p in params]
+        for p in params:
+            p.zero_grad()
+        return loss.item(), grads
+
+    references = [value_and_grads(two_forward_regression),
+                  value_and_grads(two_forward_nli)]
+    calls = []
+    real_encode = enc.encode_batch
+    monkeypatch.setattr(enc, "encode_batch",
+                        lambda *a: calls.append(a[1]) or real_encode(*a))
+    losses = [lambda: sts_regression_loss(model, scored, target_map),
+              lambda: nli_siamese_loss(model, head, nli)]
+    for loss_fn, (ref_value, ref_grads) in zip(losses, references):
+        calls.clear()
+        value, grads = value_and_grads(loss_fn)
+        assert calls == [lefts + rights]
+        assert value == ref_value
+        for got, ref in zip(grads, ref_grads):
+            assert np.allclose(got, ref, rtol=1e-9, atol=1e-15)
 
 
 def test_empty_batches_rejected(tiny_model):
