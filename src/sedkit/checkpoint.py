@@ -78,8 +78,11 @@ def _rebuild(meta: dict):
         return _build_encoder(EncoderArch(**meta["arch"]),
                               Vocabulary(meta["vocab"]), np.empty)
     if meta["kind"] == "flow":
-        return CouplingFlow(meta["dim"], meta["n_layers"], meta["hidden"],
-                            seed=0)
+        if meta["hidden"] != 2 * meta["dim"]:
+            raise CheckpointError(
+                f"flow hidden width {meta['hidden']} is not 2 * dim = "
+                f"{2 * meta['dim']}")
+        return CouplingFlow(meta["dim"], meta["n_layers"], seed=0)
     raise CheckpointError(f"unknown artifact kind {meta['kind']!r}")
 
 
@@ -191,8 +194,9 @@ class _Reader:
 
 
 def load_checkpoint(path):
-    """Load an encoder or flow; refuses corrupt, truncated or newer files
-    and any whose tensors are not exactly those its metadata implies."""
+    """Load an encoder or flow; refuses corrupt or truncated files, any
+    format version but `VERSION`, and any file whose tensors are not
+    exactly those its metadata implies."""
     with open(str(path), "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 + 32:
@@ -204,10 +208,10 @@ def load_checkpoint(path):
     if r.take(4) != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
     (version,) = struct.unpack("<I", r.take(4))
-    if version > VERSION:
+    if version != VERSION:
         raise CheckpointVersionError(
-            f"checkpoint version {version} is newer than supported {VERSION}"
-        )
+            f"checkpoint version {version} is not supported; only version "
+            f"{VERSION} is")
     raw_meta = r.section()
     try:
         meta = json.loads(raw_meta.decode("utf-8"))

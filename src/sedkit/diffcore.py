@@ -8,6 +8,15 @@ with a zero gradient, so parameters that a loss never touches report an
 exact zero. A parent that is neither such a leaf nor computed from one
 (a mask, a scale, a target) gets no gradient at all.
 
+Each kind of op has one written gradient rule: `Tensor._binary` serves
+``+ - * /`` (and is where the no-gradient-toward-constants rule and the
+undoing of broadcasting live), `Tensor._unary` every op of one input
+but the fused nodes, and one backward both reductions. Indexing
+is the one gather: a basic key (ints, slices, None, Ellipsis) assigns
+its gradient, and any other key (an integer array or a list, such as
+embedding ids) accumulates it, so an index that repeats gets the sum of
+its picks' gradients.
+
 `linear`, `layer_norm` and `attention` are fused nodes: each is one graph
 node that gives the exact bits of the chain of ops it stands for, forward
 and backward, with the per-node cost paid once.
@@ -133,50 +142,39 @@ class Tensor:
 
     # -- arithmetic ------------------------------------------------------
 
-    def __add__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-
-        def backward(g):
-            return (_unbroadcast(g, a.shape) if _wants_grad(a) else None,
-                    _unbroadcast(g, b.shape) if _wants_grad(b) else None)
-
-        return Tensor._node(a.data + b.data, (a, b), backward)
-
-    def __sub__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-
-        def backward(g):
-            return (_unbroadcast(g, a.shape) if _wants_grad(a) else None,
-                    _unbroadcast(-g, b.shape) if _wants_grad(b) else None)
-
-        return Tensor._node(a.data - b.data, (a, b), backward)
-
-    def __mul__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
+    def _binary(self, other, op, grad_a, grad_b) -> "Tensor":
+        """The node ``op(self, other)`` for a numpy ufunc `op`. Backward
+        sends ``grad_a(g, a, b)`` toward `self` and ``grad_b(g, a, b)``
+        toward `other` (`a` and `b` are the operands' arrays), each summed
+        down to its operand's shape, and None toward an operand that
+        wants no gradient."""
+        a, b = self, Tensor._coerce(other)
 
         def backward(g):
             return (
-                _unbroadcast(g * b.data, a.shape) if _wants_grad(a) else None,
-                _unbroadcast(g * a.data, b.shape) if _wants_grad(b) else None,
-            )
-
-        return Tensor._node(a.data * b.data, (a, b), backward)
-
-    def __truediv__(self, other):
-        other = Tensor._coerce(other)
-        a, b = self, other
-
-        def backward(g):
-            return (
-                _unbroadcast(g / b.data, a.shape) if _wants_grad(a) else None,
-                _unbroadcast(-g * a.data / (b.data * b.data), b.shape)
+                _unbroadcast(grad_a(g, a.data, b.data), a.shape)
+                if _wants_grad(a) else None,
+                _unbroadcast(grad_b(g, a.data, b.data), b.shape)
                 if _wants_grad(b) else None,
             )
 
-        return Tensor._node(a.data / b.data, (a, b), backward)
+        return Tensor._node(op(a.data, b.data), (a, b), backward)
+
+    def __add__(self, other):
+        return self._binary(other, np.add, lambda g, a, b: g,
+                            lambda g, a, b: g)
+
+    def __sub__(self, other):
+        return self._binary(other, np.subtract, lambda g, a, b: g,
+                            lambda g, a, b: -g)
+
+    def __mul__(self, other):
+        return self._binary(other, np.multiply, lambda g, a, b: g * b,
+                            lambda g, a, b: g * a)
+
+    def __truediv__(self, other):
+        return self._binary(other, np.divide, lambda g, a, b: g / b,
+                            lambda g, a, b: -g * a / (b * b))
 
     def __matmul__(self, other):
         other = Tensor._coerce(other)
@@ -187,117 +185,88 @@ class Tensor:
         return Tensor._node(np.matmul(a.data, b.data), (a, b),
                             lambda g: _matmul_grads(a, b, g))
 
-    # -- elementwise -----------------------------------------------------
+    # -- elementwise, reductions and shape -------------------------------
+
+    def _unary(self, data, grad) -> "Tensor":
+        """The node of value `data` computed from `self` alone; backward
+        sends ``grad(g)`` toward `self`."""
+        return Tensor._node(data, (self,), lambda g: (grad(g),))
 
     def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def backward(g):
-            return (g * out_data,)
-
-        return Tensor._node(out_data, (a,), backward)
+        out = np.exp(self.data)
+        return self._unary(out, lambda g: g * out)
 
     def sqrt(self):
-        a = self
-        out_data = np.sqrt(a.data)
-
-        def backward(g):
-            return (g * 0.5 / out_data,)
-
-        return Tensor._node(out_data, (a,), backward)
+        out = np.sqrt(self.data)
+        return self._unary(out, lambda g: g * 0.5 / out)
 
     def square(self):
-        a = self
-
-        def backward(g):
-            return (g * 2.0 * a.data,)
-
-        return Tensor._node(a.data * a.data, (a,), backward)
+        a = self.data
+        return self._unary(a * a, lambda g: g * 2.0 * a)
 
     def tanh(self):
-        a = self
-        out_data = np.tanh(a.data)
-
-        def backward(g):
-            return (g * (1.0 - out_data * out_data),)
-
-        return Tensor._node(out_data, (a,), backward)
+        out = np.tanh(self.data)
+        return self._unary(out, lambda g: g * (1.0 - out * out))
 
     def relu(self):
-        a = self
-
-        def backward(g):
-            return (g * (a.data > 0.0),)
-
-        return Tensor._node(np.maximum(a.data, 0.0), (a,), backward)
+        a = self.data
+        return self._unary(np.maximum(a, 0.0), lambda g: g * (a > 0.0))
 
     def abs(self):
-        a = self
+        a = self.data
+        return self._unary(np.abs(a), lambda g: g * np.sign(a))
 
-        def backward(g):
-            return (g * np.sign(a.data),)
+    def _reduce(self, data, axis, keepdims: bool, count: int) -> "Tensor":
+        """The node `data`, a sum or mean of `self` over `axis`; backward
+        divides `g` by `count` (1 for a sum) and broadcasts it back."""
+        def grad(g):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return np.broadcast_to(g / count, self.shape).copy()
 
-        return Tensor._node(np.abs(a.data), (a,), backward)
-
-    # -- reductions and shape --------------------------------------------
+        return self._unary(data, grad)
 
     def sum(self, axis=None, keepdims: bool = False):
-        a = self
-
-        def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g, a.shape).copy(),)
-            g_exp = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g_exp, a.shape).copy(),)
-
-        return Tensor._node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
+        return self._reduce(self.data.sum(axis=axis, keepdims=keepdims),
+                            axis, keepdims, 1)
 
     def mean(self, axis=None, keepdims: bool = False):
-        a = self
-        if axis is None:
-            count = a.data.size
-        else:
-            count = a.data.shape[axis]
-
-        def backward(g):
-            if axis is None:
-                return (np.broadcast_to(g / count, a.shape).copy(),)
-            g_exp = g if keepdims else np.expand_dims(g, axis)
-            return (np.broadcast_to(g_exp / count, a.shape).copy(),)
-
-        return Tensor._node(a.data.mean(axis=axis, keepdims=keepdims), (a,), backward)
+        count = self.data.size if axis is None else self.data.shape[axis]
+        return self._reduce(self.data.mean(axis=axis, keepdims=keepdims),
+                            axis, keepdims, count)
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-
-        def backward(g):
-            return (g.reshape(a.shape),)
-
-        return Tensor._node(a.data.reshape(shape), (a,), backward)
+        return self._unary(self.data.reshape(shape),
+                           lambda g: g.reshape(self.shape))
 
     def transpose(self, *axes):
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
-        a = self
         inverse = tuple(np.argsort(axes))
-
-        def backward(g):
-            return (g.transpose(inverse),)
-
-        return Tensor._node(a.data.transpose(axes), (a,), backward)
+        return self._unary(self.data.transpose(axes),
+                           lambda g: g.transpose(inverse))
 
     def __getitem__(self, key):
-        a = self
+        """``self[key]``, the one gather. A basic key (ints, slices, None,
+        Ellipsis, or a tuple of these) picks each element at most once, so
+        its gradient is assigned into zeros; any other key (an integer
+        array or a list, such as embedding ids) may pick an element more
+        than once, and its gradients accumulate."""
+        parts = key if isinstance(key, tuple) else (key,)
+        basic = all(k is None or k is Ellipsis
+                    or isinstance(k, (int, np.integer, slice)) for k in parts)
 
-        def backward(g):
-            out = np.zeros_like(a.data)
-            out[key] = g
-            return (out,)
+        def grad(g):
+            out = np.zeros_like(self.data)
+            if basic:
+                out[key] = g
+            else:
+                np.add.at(out, key, g)
+            return out
 
-        return Tensor._node(a.data[key], (a,), backward)
+        return self._unary(self.data[key], grad)
 
     # -- backward pass ---------------------------------------------------
 
@@ -366,19 +335,6 @@ def concat(tensors, axis: int) -> Tensor:
 
     data = np.concatenate([p.data for p in parts], axis=axis)
     return Tensor._node(data, tuple(parts), backward)
-
-
-def take_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Row lookup ``table[indices]`` for integer index arrays (embeddings)."""
-    a = Tensor._coerce(table)
-    idx = np.asarray(indices)
-
-    def backward(g):
-        out = np.zeros_like(a.data)
-        np.add.at(out, idx.reshape(-1), g.reshape(-1, a.data.shape[-1]))
-        return (out,)
-
-    return Tensor._node(a.data[idx], (a,), backward)
 
 
 def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
@@ -492,18 +448,18 @@ def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     t = np.asarray(targets, dtype=np.intp)
     if a.data.ndim != 2 or t.shape != (a.data.shape[0],):
         raise ShapeMismatchError("expected logits (N, C) and targets (N,)")
-    shifted = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1)) + a.data.max(axis=1)
-    losses = lse - a.data[np.arange(t.size), t]
-    probs = np.exp(shifted)
-    probs /= probs.sum(axis=1, keepdims=True)
+    top = a.data.max(axis=1, keepdims=True)
+    probs = np.exp(a.data - top)
+    total = probs.sum(axis=1, keepdims=True)
+    losses = (np.log(total) + top)[:, 0] - a.data[np.arange(t.size), t]
+    probs /= total
 
-    def backward(g):
-        grad = probs * g[:, None]
-        grad[np.arange(t.size), t] -= g
-        return (grad,)
+    def grad(g):
+        out = probs * g[:, None]
+        out[np.arange(t.size), t] -= g
+        return out
 
-    return Tensor._node(losses, (a,), backward)
+    return a._unary(losses, grad)
 
 
 def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
@@ -515,10 +471,7 @@ def bce_with_logits(logits: Tensor, labels: np.ndarray) -> Tensor:
     x = a.data
     losses = np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x)))
 
-    def backward(g):
-        return (g * (_sigmoid(x) - y),)
-
-    return Tensor._node(losses, (a,), backward)
+    return a._unary(losses, lambda g: g * (_sigmoid(x) - y))
 
 
 # -- optimizers ----------------------------------------------------------

@@ -167,7 +167,7 @@ class EncoderModel:
         if T > arch.max_len:
             raise ShapeMismatchError(
                 f"ids have {T} positions, max_len is {arch.max_len}")
-        h = dc.take_rows(p["tok_emb"], ids) + p["pos_emb"][:T]
+        h = p["tok_emb"][ids] + p["pos_emb"][:T]
         key_bias = (1.0 - mask)[:, None, None, :] * _NEG_BIAS
         hiddens = [h]
         for layer in range(arch.layers):
@@ -286,7 +286,7 @@ def encode_batch(model: EncoderModel, sentences, pool: PoolingSpec) -> Tensor:
         order.extend(rows)
     if len(parts) == 1:  # rows already in input order; skip two graph nodes
         return parts[0]
-    return dc.take_rows(dc.concat(parts, axis=0), np.argsort(order))
+    return dc.concat(parts, axis=0)[np.argsort(order)]
 
 
 def _pool(hiddens: list[Tensor], mask: np.ndarray, k: int) -> Tensor:

@@ -22,7 +22,7 @@ class CheckpointError(ValueError):
 
 
 class CheckpointVersionError(CheckpointError):
-    """Checkpoint was written by an unsupported (newer) format version."""
+    """Checkpoint claims a format version other than the supported one."""
 
 
 class DivergenceError(ValueError):

@@ -71,7 +71,6 @@ _ROLE_IDS = {
     "flow": 4,
     "supervised": 5,
     "grid": 6,
-    "stability": 7,
 }
 
 
@@ -527,14 +526,17 @@ class GridSearchResult:
     seeds: tuple[int, ...]  # one per cell, bound-major, failed cells too
 
 
-def _train_regression(model: EncoderModel, pairs, target_map, steps: int,
-                      batch: int, lr: float, seed: int) -> EncoderModel:
+def _train_regression(model: EncoderModel, pairs, target_map, cfg,
+                      seed: int) -> EncoderModel:
+    """`model` after `cfg.steps` Adam steps of STS regression on random
+    batches of `cfg.batch` pairs at `cfg.lr`; `cfg` is a `[grid]`
+    section."""
     dc.train(dc.Adam(model.parameters()),
-             dc.sample_batches(np.random.default_rng(seed), len(pairs), batch,
-                               steps),
+             dc.sample_batches(np.random.default_rng(seed), len(pairs),
+                               cfg.batch, cfg.steps),
              lambda idx: sts_regression_loss(model, [pairs[i] for i in idx],
                                              target_map),
-             lr)
+             cfg.lr)
     return model
 
 
@@ -583,8 +585,8 @@ def _grid_cell(base: EncoderModel, train_pairs, target_map, cfg,
     """The dev Spearman of seed `s` of one bound, or None, with a
     warning, when the cell failed."""
     try:
-        model = _train_regression(base.clone(), train_pairs, target_map,
-                                  cfg.steps, cfg.batch, cfg.lr, seed)
+        model = _train_regression(base.clone(), train_pairs, target_map, cfg,
+                                  seed)
         _, dev_s = evaluate_task(model, dev_task, TRAIN_POOL)
         return dev_s
     except (DataError, ConstantInputError, DivergenceError) as exc:

@@ -30,13 +30,12 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class CouplingFlow:
     """Stack of affine coupling layers over a fixed embedding dimension."""
 
-    def __init__(self, dim: int, n_layers: int, hidden: int | None = None, *,
-                 seed: int):
+    def __init__(self, dim: int, n_layers: int, *, seed: int):
         if n_layers < 2:
             raise DataError("need >= 2 coupling layers so every dim transforms")
         self.dim = dim
         self.n_layers = n_layers
-        self.hidden = 2 * dim if hidden is None else hidden
+        self.hidden = 2 * dim  # width of each layer's subnetwork
         self.masks: list[np.ndarray] = []
         half = dim // 2
         for layer in range(n_layers):

@@ -145,16 +145,24 @@ def test_corrupted_metadata_refused(tiny_model, tmp_path):
         load_checkpoint(bad)
 
 
+def _with_version(tiny_model, tmp_path, version: int):
+    """A re-signed copy of `tiny_model`'s checkpoint claiming `version`."""
+    blob = bytearray(checkpoint_bytes(tiny_model)[:-32])
+    blob[4:8] = struct.pack("<I", version)
+    path = tmp_path / f"v{version}.ckpt"
+    path.write_bytes(bytes(blob) + hashlib.sha256(bytes(blob)).digest())
+    return path
+
+
 def test_future_version_refused(tiny_model, tmp_path):
-    path = tmp_path / "m.ckpt"
-    save_checkpoint(tiny_model, path)
-    blob = bytearray(path.read_bytes()[:-32])
-    blob[4:8] = struct.pack("<I", cp.VERSION + 1)
-    signed = bytes(blob) + hashlib.sha256(bytes(blob)).digest()
-    future = tmp_path / "future.ckpt"
-    future.write_bytes(signed)
     with pytest.raises(CheckpointVersionError):
-        load_checkpoint(future)
+        load_checkpoint(_with_version(tiny_model, tmp_path, cp.VERSION + 1))
+
+
+def test_version_zero_refused(tiny_model, tmp_path):
+    """Version 1 is the only version: an older number is refused too."""
+    with pytest.raises(CheckpointVersionError, match="version 0"):
+        load_checkpoint(_with_version(tiny_model, tmp_path, 0))
 
 
 def test_bad_magic_refused(tiny_model, tmp_path):
@@ -239,13 +247,18 @@ def _negative_dim(meta, payloads):
     meta["dim"] = -4
 
 
+# a flow's hidden width is always 2 * dim, so the two edits below grow
+# `dim` with it to reach the constructor
+
+
 def _overflowing_hidden(meta, payloads):
-    meta["hidden"] = 10**30
+    meta["dim"], meta["hidden"] = 10**30, 2 * 10**30
 
 
 def _unallocatable_hidden(meta, payloads):
-    # 2**62 bytes: beyond any address space, so allocation fails at once
-    meta["hidden"] = 2**56
+    # 2**58 bytes per mask: beyond any address space, so allocation fails
+    # at once
+    meta["dim"], meta["hidden"] = 2**55, 2**56
 
 
 def _unknown_kind(meta, payloads):
@@ -268,6 +281,19 @@ def test_loader_rejects_metadata_that_disagrees_with_constructor(
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(_resealed(checkpoint_bytes(model), edit))
     with pytest.raises(CheckpointError):
+        load_checkpoint(bad)
+
+
+def test_flow_hidden_other_than_twice_dim_refused(tmp_path):
+    """A flow's subnetwork width is always 2 * dim; a file recording any
+    other width is refused, naming both values."""
+    def widen(meta, payloads):
+        meta["hidden"] = 12
+
+    bad = tmp_path / "wide.ckpt"
+    bad.write_bytes(_resealed(checkpoint_bytes(CouplingFlow(8, 2, seed=0)),
+                              widen))
+    with pytest.raises(CheckpointError, match="hidden width 12 .* 16"):
         load_checkpoint(bad)
 
 

@@ -13,7 +13,7 @@ import sedkit.diffcore as dc
 from sedkit.diffcore import (Adam, LinearDecay, RMSProp, Tensor,
                              WarmupThenConstant, attention, bce_with_logits,
                              concat, finite_step_count, layer_norm, linear,
-                             softmax_cross_entropy, take_rows)
+                             softmax_cross_entropy)
 from sedkit.errors import (DetachedParameterError, DivergenceError,
                            ShapeMismatchError)
 
@@ -249,7 +249,7 @@ def test_encoder_training_matches_the_chains(monkeypatch):
         assert np.array_equal(p.data, chained.params[name].data), name
 
 
-def test_take_rows_and_attention_grads():
+def test_gather_and_attention_grads():
     rng = np.random.default_rng(3)
     table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     idx = rng.integers(0, 6, size=(2, 8))
@@ -259,10 +259,38 @@ def test_take_rows_and_attention_grads():
     weights = rng.normal(size=(2, 8, 4))
 
     def loss():
-        out = attention(q + take_rows(table, idx), k, v, 2, key_bias)
+        out = attention(q + table[idx], k, v, 2, key_bias)
         return (out * weights).sum()
 
     check_grads_fd(loss, [table, q, k, v])
+
+
+def test_gather_accumulates_repeated_indices():
+    """Indexing with an integer array or a list adds up the gradient of
+    every pick, so a row picked twice gets twice the gradient."""
+    t = Tensor(np.arange(3.0), requires_grad=True)
+    t[np.array([0, 0, 2])].sum().backward()
+    assert np.array_equal(t.grad, [2.0, 0.0, 1.0])
+    rng = np.random.default_rng(11)
+    table = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    for key in (np.array([0, 0, 2]), [3, 1, 3, 3],
+                np.array([[1, 1, 0], [2, 1, 1]])):
+        weights = rng.normal(size=np.shape(key) + (3,))
+        check_grads_fd(lambda key=key, weights=weights:
+                       (table[key].tanh() * weights).sum(), [table])
+
+
+def test_embedding_gather_grad_equals_flat_add_at():
+    """The gradient of an embedding lookup by a (B, T) id grid is, bit for
+    bit, ``np.add.at`` of the flattened rows into zeros."""
+    rng = np.random.default_rng(5)
+    table = Tensor(rng.normal(size=(7, 4)), requires_grad=True)
+    ids = rng.integers(0, 7, size=(3, 9))
+    g = rng.normal(size=(3, 9, 4))
+    (table[ids] * g).sum().backward()
+    want = np.zeros((7, 4))
+    np.add.at(want, ids.reshape(-1), g.reshape(-1, 4))
+    assert np.array_equal(table.grad, want)
 
 
 def test_attention_ignores_padded_values():

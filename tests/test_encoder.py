@@ -184,7 +184,7 @@ def test_bucket_invariance_bitwise(wide_model):
 def test_gradients_through_bucket_split(tiny_vocab):
     """Finite differences of a scalar loss of `encode_batch` over a batch
     split into the 8 and 16 buckets: covers the backward of the per-bucket
-    `concat`, the `take_rows` that restores input order and the
+    `concat`, the gather that restores input order and the
     `pos_emb[:T]` slice."""
     arch = EncoderArch(layers=1, hidden=8, heads=2, ff=16, max_len=16)
     model = init_encoder(arch, tiny_vocab, seed=1)
