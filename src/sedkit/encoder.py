@@ -7,13 +7,15 @@ then the mean of those k pooled vectors, in that order.
 
 A sentence is padded to the bucket set by its own length: the smallest
 of 8, 16, 32, ... that holds it, capped at `max_len`. `encode_batch` runs
-one forward per bucket present, so a sentence runs at the same padded
-length whatever it is batched with, and its embedding is bit-identical
-alone or inside any batch. Padding to the batch's longest sentence would
-break that: the sums over token positions (softmax, `attn @ v`, token
-mean) round differently at different lengths. Padded positions add exact
-zeros and numpy's pairwise sum runs 8 lanes, so padding a sentence past
-its bucket leaves its embedding unchanged.
+one forward per bucket present, over the batch's distinct sentences only,
+then one gather puts the rows in input order and repeats each repeated
+sentence's row. So a sentence runs at the same padded length whatever it
+is batched with, and its embedding is bit-identical alone or inside any
+batch. Padding to the batch's longest sentence would break that: the sums
+over token positions (softmax, `attn @ v`, token mean) round differently
+at different lengths. Padded positions add exact zeros and numpy's
+pairwise sum runs 8 lanes, so padding a sentence past its bucket leaves
+its embedding unchanged.
 """
 
 from __future__ import annotations
@@ -267,7 +269,11 @@ def batch_ids(model: EncoderModel, sentences) -> tuple[np.ndarray, np.ndarray]:
 def encode_batch(model: EncoderModel, sentences, pool: PoolingSpec) -> Tensor:
     """Embeddings (B, hidden) for a list of sentences, in input order.
 
-    One forward per length bucket present. Token mean first (padding
+    One forward per length bucket present, over the distinct sentences
+    only: sentences with the same token ids share one row. One gather
+    then restores input order and repeats shared rows, so a repeated
+    row's gradients are summed. A batch without repeats in one bucket
+    needs no gather. Pooling takes the token mean first (padding
     positions excluded), then the mean over the final k layers,
     accumulated from the last layer backwards so the summation order is
     reproducible.
@@ -277,16 +283,20 @@ def encode_batch(model: EncoderModel, sentences, pool: PoolingSpec) -> Tensor:
     toks = _token_lists(model, sentences)
     if not toks:
         return Tensor(np.zeros((0, model.arch.hidden)))
-    buckets = [_bucket_len(len(t), model.arch.max_len) for t in toks]
+    slots: dict[tuple[int, ...], int] = {}  # distinct id tuple -> its row
+    inverse = [slots.setdefault(t, len(slots)) for t in toks]
+    distinct = list(slots)
+    buckets = [_bucket_len(len(t), model.arch.max_len) for t in distinct]
     parts, order = [], []
     for T in sorted(set(buckets)):
         rows = [i for i, b in enumerate(buckets) if b == T]
-        ids, mask = _pad(model, [toks[i] for i in rows], T)
+        ids, mask = _pad(model, [distinct[i] for i in rows], T)
         parts.append(_pool(model.forward_ids(ids, mask), mask, pool.k))
         order.extend(rows)
-    if len(parts) == 1:  # rows already in input order; skip two graph nodes
-        return parts[0]
-    return dc.concat(parts, axis=0)[np.argsort(order)]
+    if len(parts) == 1 and len(distinct) == len(toks):
+        return parts[0]  # rows already in input order: no gather
+    out = parts[0] if len(parts) == 1 else dc.concat(parts, axis=0)
+    return out[np.argsort(order)[inverse]]
 
 
 def _pool(hiddens: list[Tensor], mask: np.ndarray, k: int) -> Tensor:

@@ -126,7 +126,10 @@ def score_pairs(embed, task: StsTask) -> np.ndarray:
     """Cosine similarity per pair, in task order. `embed` maps sentences
     to an (n, D) array and sees each unique sentence once, in first-seen
     order; encoding is batch-invariant, so deduplication changes no
-    embedding."""
+    embedding. `encode_batch` dedups too, but only within one call, so it
+    does not reach across `encode_many`'s 64-sentence chunks; and the
+    flow and the ensemble that `embed` may run must see distinct rows
+    only. So the task-wide dedup stays here."""
     unique = dict.fromkeys(s for p in task.pairs
                            for s in (p.sentence_1, p.sentence_2))
     index = {s: i for i, s in enumerate(unique)}

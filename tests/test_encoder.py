@@ -217,6 +217,129 @@ def test_gradients_through_bucket_split(tiny_vocab):
         assert worst < 1e-4, f"{name}: worst relative error {worst:.2e}"
 
 
+def _grads(model, loss_fn):
+    """loss_fn()'s value and a copy of every parameter gradient."""
+    for p in model.parameters():
+        p.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), [p.grad.copy() for p in model.parameters()]
+
+
+def test_repeats_encode_once_across_buckets(tiny_vocab, monkeypatch):
+    """A batch repeating sentences in the 8-, 16- and 32-slot buckets (one
+    copy differs only in case, so it tokenizes alike) sends each distinct
+    sentence through `forward_ids` once. Every row equals, bit for bit,
+    the sentence encoded alone; the parameter gradients match one forward
+    per copy (only their summation order differs) and finite
+    differences."""
+    model = init_encoder(EncoderArch(layers=1, hidden=8, heads=2, ff=16,
+                                     max_len=32), tiny_vocab, seed=2)
+    vocab, pool = model.vocab, PoolingSpec(2)
+    short, mid, long = (words(vocab, 3), words(vocab, 12, 4),
+                        words(vocab, 25, 9))
+    batch = [mid, short, long, short.upper(), mid, long, short]
+    shapes = []
+    real_forward = model.forward_ids
+    monkeypatch.setattr(model, "forward_ids", lambda ids, mask: (
+        shapes.append(ids.shape) or real_forward(ids, mask)))
+    with dc.no_grad():
+        out = encode_batch(model, batch, pool).data
+    assert sorted(shapes) == [(1, 8), (1, 16), (1, 32)]
+    for row, sentence in zip(out, batch):
+        assert np.array_equal(row, encode_many(model, [sentence], pool)[0])
+
+    weights = np.random.default_rng(0).normal(size=(len(batch), 8))
+
+    def loss():
+        return (encode_batch(model, batch, pool) * Tensor(weights)).sum()
+
+    def loss_per_copy():
+        terms = [(encode_batch(model, [s], pool) * Tensor(w[None])).sum()
+                 for s, w in zip(batch, weights)]
+        return sum(terms[1:], terms[0])
+
+    value, grads = _grads(model, loss)
+    ref_value, ref_grads = _grads(model, loss_per_copy)
+    assert np.isclose(value, ref_value, rtol=1e-12, atol=0)
+    # atol covers the key biases, whose gradient is zero up to rounding:
+    # a key bias shifts all of a query's scores alike
+    for name, got, ref in zip(model.params, grads, ref_grads):
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-15), name
+
+    grad_of = dict(zip(model.params, grads))
+    h = 1e-6
+    short_ids = list(vocab._token_ids(short))
+    checks = [("l0.wq", idx) for idx in np.ndindex(8, 8)] + [
+        ("tok_emb", (i, j)) for i in short_ids for j in range(8)]
+    worst = 0.0
+    for name, idx in checks:
+        p = model.params[name]
+        orig = p.data[idx]
+        with dc.no_grad():
+            p.data[idx] = orig + h
+            f_plus = loss().item()
+            p.data[idx] = orig - h
+            f_minus = loss().item()
+        p.data[idx] = orig
+        worst = max(worst, max_rel_err(grad_of[name][idx],
+                                       (f_plus - f_minus) / (2 * h)))
+    assert worst < 1e-4, f"worst relative error {worst:.2e}"
+
+
+def _graph_nodes(t: Tensor) -> int:
+    """Interior nodes of the graph that ends at `t`, each counted once."""
+    seen, stack = set(), [t]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+def _encode_every_row(model, sentences, pool):
+    """Reference graph: one forward per bucket over every row, repeats
+    included, then a concat and the gather that restores input order,
+    both skipped when the batch fills one bucket."""
+    toks = enc._token_lists(model, sentences)
+    buckets = [enc._bucket_len(len(t), model.arch.max_len) for t in toks]
+    parts, order = [], []
+    for T in sorted(set(buckets)):
+        rows = [i for i, b in enumerate(buckets) if b == T]
+        ids, mask = enc._pad(model, [toks[i] for i in rows], T)
+        parts.append(enc._pool(model.forward_ids(ids, mask), mask, pool.k))
+        order.extend(rows)
+    if len(parts) == 1:
+        return parts[0]
+    return dc.concat(parts, axis=0)[np.argsort(order)]
+
+
+def test_batch_graph_gains_one_gather_only_for_repeats(wide_model):
+    """Without repeats `encode_batch` builds the reference graph, with its
+    bits and gradient bits. Repeats add one gather to a one-bucket batch;
+    across buckets they fold into the gather that restores input order."""
+    vocab, pool = wide_model.vocab, PoolingSpec(2)
+    short, other, mid, long = (words(vocab, 3), words(vocab, 5, 2),
+                               words(vocab, 12, 4), words(vocab, 25, 9))
+    cases = [([long, short, mid, other], 0), ([short, other], 0),
+             ([short, other, short], 1), ([mid, short, long, short, mid], 0)]
+    weights = np.random.default_rng(1).normal(size=(5, WIDE_ARCH.hidden))
+    for batch, extra in cases:
+        w = Tensor(weights[: len(batch)])
+        got, ref = (fn(wide_model, batch, pool)
+                    for fn in (encode_batch, _encode_every_row))
+        assert _graph_nodes(got) == _graph_nodes(ref) + extra, batch
+        assert np.array_equal(got.data, ref.data)
+        if len(set(batch)) == len(batch):
+            _, got_grads = _grads(wide_model, lambda: (
+                encode_batch(wide_model, batch, pool) * w).sum())
+            _, ref_grads = _grads(wide_model, lambda: (
+                _encode_every_row(wide_model, batch, pool) * w).sum())
+            for a, b in zip(got_grads, ref_grads):
+                assert np.array_equal(a, b)
+
+
 def test_forward_ids_rejects_more_than_max_len(tiny_model):
     T = tiny_model.arch.max_len
     ids = np.zeros((2, T + 1), dtype=np.intp)

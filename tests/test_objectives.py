@@ -168,6 +168,22 @@ def test_ct_loss_gradients_reach_both_models(tiny_model, tiny_corpus):
     assert any(np.max(np.abs(p.grad)) > 0 for p in b.parameters())
 
 
+def test_ct_loss_encodes_each_anchor_once(tiny_model, tiny_corpus,
+                                          monkeypatch):
+    """A batch of 2 anchors, each with itself and 7 negatives, sends
+    `model_a` through `forward_ids` with 2 rows, not 16."""
+    batch = next(sample_ct_batches(tiny_corpus, 7, 16, seed=0))
+    assert len({p.sentence_a for p in batch}) == 2
+    model_a, model_b = tiny_model.clone(), tiny_model.clone()
+    rows = []
+    real_forward = model_a.forward_ids
+    monkeypatch.setattr(model_a, "forward_ids", lambda ids, mask: (
+        rows.append(ids.shape[0]) or real_forward(ids, mask)))
+    ct_loss(model_a, model_b, batch).backward()
+    assert sum(rows) == 2
+    assert any(np.max(np.abs(p.grad)) > 0 for p in model_a.parameters())
+
+
 def test_ct_batch_structure():
     corpus = [f"s{i}" for i in range(30)]
     it = sample_ct_batches(corpus, negatives_per_positive=7, batch_size=16,
