@@ -197,13 +197,22 @@ def load_checkpoint(path):
     """Load an encoder or flow; refuses corrupt or truncated files, any
     format version but `VERSION`, and any file whose tensors are not
     exactly those its metadata implies."""
+    return read_checkpoint(path)[0]
+
+
+def read_checkpoint(path) -> tuple:
+    """``(artifact, digest)``: what `load_checkpoint(path)` returns, and
+    the hex SHA-256 of the file bytes it was loaded from; the file is
+    read once."""
     with open(str(path), "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 4 + 32:
         raise CheckpointError("checkpoint truncated")
     body, digest = blob[:-32], blob[-32:]
-    if hashlib.sha256(body).digest() != digest:
+    sha = hashlib.sha256(body)
+    if sha.digest() != digest:
         raise CheckpointError("checkpoint checksum mismatch")
+    sha.update(digest)  # now the SHA-256 of the whole file
     r = _Reader(body)
     if r.take(4) != MAGIC:
         raise CheckpointError("not a checkpoint file (bad magic)")
@@ -233,4 +242,4 @@ def load_checkpoint(path):
         t.data = np.frombuffer(raw, dtype="<f8").reshape(t.data.shape).copy()
     if r.off != len(body):
         raise CheckpointError("trailing bytes after final tensor section")
-    return artifact
+    return artifact, sha.hexdigest()

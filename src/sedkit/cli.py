@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .checkpoint import (load_checkpoint, read_lines, save_checkpoint,
+from .checkpoint import (read_checkpoint, read_lines, save_checkpoint,
                          write_atomic)
 from .config import RunConfig, _parse_value, load_config, render_config
 from .encoder import EncoderModel, PoolingSpec
@@ -78,13 +78,14 @@ def _load_tasks(args) -> list:
     return [load_sts_tsv(p) for p in args.task]
 
 
-def _load(path, cls):
-    """The checkpoint at `path`, which must hold a `cls`."""
-    artifact = load_checkpoint(path)
+def _load(path, cls) -> tuple:
+    """The checkpoint at `path`, which must hold a `cls`, and the digest
+    of the bytes it was loaded from, which a manifest records."""
+    artifact, digest = read_checkpoint(path)
     if not isinstance(artifact, cls):
         raise DataError(f"checkpoint {path} holds "
                         f"{type(artifact).__name__}, expected {cls.__name__}")
-    return artifact
+    return artifact, digest
 
 
 def _write_manifest(out: str, name: str, cfg: RunConfig, seeds: dict,
@@ -106,12 +107,6 @@ def _save_stage(out: str, name: str, cfg: RunConfig, seeds: dict,
     return path
 
 
-def _hash_file(path) -> str:
-    import hashlib
-    with open(str(path), "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
-
-
 def _cmd_pretrain(args, cfg: RunConfig, out: str) -> None:
     corpus, corpus_hash = _resolve_corpus(args, cfg)
     model, seed = pretrain_stage(cfg, corpus)
@@ -121,52 +116,53 @@ def _cmd_pretrain(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_train_ct(args, cfg: RunConfig, out: str) -> None:
-    base = _load(args.base, EncoderModel)
+    base, base_hash = _load(args.base, EncoderModel)
     corpus, corpus_hash = _resolve_corpus(args, cfg)
     model, seed = member_stage("ct", cfg, base, corpus, args.member)
     name = f"ct_{args.member}"
     path = _save_stage(out, name, cfg, {"ct": seed},
-                       {"corpus": corpus_hash,
-                        "base": _hash_file(args.base)}, name, model)
+                       {"corpus": corpus_hash, "base": base_hash}, name,
+                       model)
     print(f"wrote {path}")
 
 
 def _cmd_train_nli(args, cfg: RunConfig, out: str) -> None:
-    base = _load(args.base, EncoderModel)
+    base, base_hash = _load(args.base, EncoderModel)
     pairs = load_nli_tsv(args.nli)
     model, seed = member_stage("nli", cfg, base, pairs, args.member)
     name = f"nli_{args.member}"
     path = _save_stage(out, name, cfg, {"nli": seed},
-                       {"nli": _hash_nli(pairs),
-                        "base": _hash_file(args.base)}, name, model)
+                       {"nli": _hash_nli(pairs), "base": base_hash}, name,
+                       model)
     print(f"wrote {path}")
 
 
 def _cmd_train_sed(args, cfg: RunConfig, out: str) -> None:
-    teachers = [_load(p, EncoderModel) for p in args.teachers]
-    init = _load(args.student_init, EncoderModel)
+    teachers, teacher_hashes = zip(*(_load(p, EncoderModel)
+                                     for p in args.teachers))
+    init, init_hash = _load(args.student_init, EncoderModel)
     corpus, corpus_hash = _resolve_corpus(args, cfg)
-    model, seed = distill_stage(cfg, teachers, corpus, init)
+    model, seed = distill_stage(cfg, list(teachers), corpus, init)
     path = _save_stage(out, "sed", cfg, {"sed": seed},
                        {"corpus": corpus_hash,
-                        "teachers": [_hash_file(p) for p in args.teachers],
-                        "student_init": _hash_file(args.student_init)},
+                        "teachers": list(teacher_hashes),
+                        "student_init": init_hash},
                        "student", model)
     print(f"wrote {path}")
 
 
 def _cmd_fit_flow(args, cfg: RunConfig, out: str) -> None:
-    model = _load(args.model, EncoderModel)
+    model, model_hash = _load(args.model, EncoderModel)
     corpus, corpus_hash = _resolve_corpus(args, cfg)
     flow, seeds = flow_stage(cfg, model, corpus)
     path = _save_stage(out, "flow", cfg, {"flow": seeds},
-                       {"corpus": corpus_hash,
-                        "model": _hash_file(args.model)}, "flow", flow)
+                       {"corpus": corpus_hash, "model": model_hash}, "flow",
+                       flow)
     print(f"wrote {path}")
 
 
 def _cmd_train_supervised(args, cfg: RunConfig, out: str) -> None:
-    model = _load(args.model, EncoderModel)
+    model, model_hash = _load(args.model, EncoderModel)
     train_task = load_sts_tsv(args.train_pairs)
     dev_task = load_sts_tsv(args.dev_task)
     trained, trajectory, seed = supervised_stage(
@@ -177,13 +173,13 @@ def _cmd_train_supervised(args, cfg: RunConfig, out: str) -> None:
     path = _save_stage(out, "supervised", cfg, {"supervised": seed},
                        {"train_pairs": _hash_task(train_task),
                         "dev_task": _hash_task(dev_task),
-                        "model": _hash_file(args.model)},
+                        "model": model_hash},
                        "supervised", trained)
     print(f"wrote {path} (best dev spearman x100: {max(trajectory):.2f})")
 
 
 def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
-    model = _load(args.model, EncoderModel)
+    model, model_hash = _load(args.model, EncoderModel)
     train_task = load_sts_tsv(args.train_pairs)
     dev_task = load_sts_tsv(args.dev_task)
     result = grid_search_lower_bound(
@@ -195,23 +191,24 @@ def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
     _write_manifest(out, "grid_search", cfg, {"grid": list(result.seeds)},
                     {"train_pairs": _hash_task(train_task),
                      "dev_task": _hash_task(dev_task),
-                     "model": _hash_file(args.model)}, {})
+                     "model": model_hash}, {})
     print(f"selected lower bound: {result.selected_bound}")
     print(f"wrote {path}")
 
 
 def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
-    model = _load(args.model, EncoderModel)
+    model, model_hash = _load(args.model, EncoderModel)
     tasks = _load_tasks(args)
-    flow = _load(args.flow, CouplingFlow) if args.flow else None
+    flow, flow_hash = (_load(args.flow, CouplingFlow) if args.flow
+                       else (None, None))
     report = evaluate_suite(model, tasks, PoolingSpec(cfg.eval.pool_k),
                             flow=flow)
     path = os.path.join(out, "report.csv")
     write_report_csv(report, path)
-    inputs = {"model": _hash_file(args.model),
+    inputs = {"model": model_hash,
               "tasks": {t.name: _hash_task(t) for t in tasks}}
     if args.flow:
-        inputs["flow"] = _hash_file(args.flow)
+        inputs["flow"] = flow_hash
     _write_manifest(out, "evaluate", cfg, {}, inputs, {})
     for name, res in report.per_task.items():
         print(f"{name}: pearson {res.pearson_x100:.2f} "
@@ -225,14 +222,14 @@ def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
 
 
 def _cmd_stability(args, cfg: RunConfig, out: str) -> None:
-    base = _load(args.base, EncoderModel)
+    base, base_hash = _load(args.base, EncoderModel)
     corpus, corpus_hash = _resolve_corpus(args, cfg)
     tasks = _load_tasks(args)
     reports, seeds = stability_study(base, corpus, tasks, cfg)
     path = os.path.join(out, "stability.csv")
     write_atomic(path, stability_csv(reports).encode("utf-8"))
     _write_manifest(out, "stability", cfg, seeds,
-                    {"corpus": corpus_hash, "base": _hash_file(args.base),
+                    {"corpus": corpus_hash, "base": base_hash,
                      "tasks": {t.name: _hash_task(t) for t in tasks}}, {})
     for name, rep in reports.items():
         print(f"{name}: max {rep.max:.2f} mean {rep.mean:.2f} "
@@ -251,14 +248,15 @@ def _cmd_ablate_pooling(args, cfg: RunConfig, out: str) -> None:
             raise DataError(f"two --model entries are named {name!r}; "
                             "give each a distinct name=path")
         paths[name] = path
-    models = {name: _load(path, EncoderModel) for name, path in paths.items()}
+    loaded = {name: _load(path, EncoderModel) for name, path in paths.items()}
+    models = {name: model for name, (model, _) in loaded.items()}
     tasks = _load_tasks(args)
     text = ablation_csv(pooling_ablation(models, tasks))
     path = os.path.join(out, "pooling_ablation.csv")
     write_atomic(path, text.encode("utf-8"))
     _write_manifest(out, "ablate_pooling", cfg, {},
-                    {"models": {name: _hash_file(p)
-                                for name, p in paths.items()},
+                    {"models": {name: digest
+                                for name, (_, digest) in loaded.items()},
                      "tasks": {t.name: _hash_task(t) for t in tasks}}, {})
     print(text, end="")
     print(f"wrote {path}")

@@ -18,8 +18,11 @@ embedding ids) accumulates it, so an index that repeats gets the sum of
 its picks' gradients.
 
 `linear`, `layer_norm` and `attention` are fused nodes: each is one graph
-node that gives the exact bits of the chain of ops it stands for, forward
-and backward, with the per-node cost paid once.
+node whose forward gives the exact bits of the chain of ops it stands
+for, with the per-node cost paid once. Backward gives the chain's bits
+too, but for two rules re-derived for speed, `linear`'s weight gradient
+and `layer_norm`'s input gradient, which equal the chain's up to
+rounding.
 
 All arithmetic is float64; there is no GPU path and no mixed precision.
 
@@ -182,8 +185,15 @@ class Tensor:
         if a.data.ndim < 2 or b.data.ndim < 2:
             raise ShapeMismatchError("matmul operands must be at least 2-D")
 
-        return Tensor._node(np.matmul(a.data, b.data), (a, b),
-                            lambda g: _matmul_grads(a, b, g))
+        def backward(g):
+            return (
+                _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
+                             a.shape) if _wants_grad(a) else None,
+                _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
+                             b.shape) if _wants_grad(b) else None,
+            )
+
+        return Tensor._node(np.matmul(a.data, b.data), (a, b), backward)
 
     # -- elementwise, reductions and shape -------------------------------
 
@@ -337,21 +347,15 @@ def concat(tensors, axis: int) -> Tensor:
     return Tensor._node(data, tuple(parts), backward)
 
 
-def _matmul_grads(a: Tensor, b: Tensor, g: np.ndarray) -> tuple:
-    """Gradients of ``a @ b`` toward `a` and `b`, given the output's `g`."""
-    return (
-        _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)
-        if _wants_grad(a) else None,
-        _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)
-        if _wants_grad(b) else None,
-    )
-
-
 # The fused nodes below each stand for a chain of the ops above. Forward
-# and backward run the chain's numpy expressions in the chain's order, so
-# every value and gradient is bit-identical to it; the one liberty taken
-# is that a (..., 1) column the chain would broadcast into a full copy is
-# broadcast inside the elementwise op that uses it.
+# runs the chain's numpy expressions in the chain's order, so every value
+# is bit-identical to it; the one liberty taken is that a (..., 1) column
+# the chain would broadcast into a full copy is broadcast inside the
+# elementwise op that uses it. Backward gives the chain's bits too, but
+# for two rules re-derived for speed, which equal the chain's only up to
+# rounding: `linear`'s weight gradient is one gemm over all rows, not one
+# product per batch entry summed, and `layer_norm`'s input gradient is
+# the closed form, not a replay of the chain's ops.
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -359,8 +363,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x, w, b = Tensor._coerce(x), Tensor._coerce(w), Tensor._coerce(b)
 
     def backward(g):
-        return _matmul_grads(x, w, g) + (
-            _unbroadcast(g, b.shape) if _wants_grad(b) else None,)
+        rows = g.reshape(-1, g.shape[-1])
+        return (
+            np.matmul(g, w.data.T) if _wants_grad(x) else None,
+            np.matmul(x.data.reshape(-1, x.shape[-1]).T, rows)
+            if _wants_grad(w) else None,
+            rows.sum(axis=0) if _wants_grad(b) else None,
+        )
 
     return Tensor._node(np.matmul(x.data, w.data) + b.data, (x, w, b),
                         backward)
@@ -377,16 +386,13 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     var = (centered * centered).mean(axis=-1, keepdims=True)
     sd = np.sqrt(var + eps)
     xhat = centered / sd
-    count = x.data.shape[-1]
 
     def backward(g):
         g_xhat = g * gamma.data
-        g_sd = _unbroadcast(-g_xhat * centered / (sd * sd), sd.shape)
-        g_var = g_sd * 0.5 / sd
-        g_centered = g_xhat / sd + g_var / count * 2.0 * centered
-        g_mu = _unbroadcast(-g_centered, mu.shape)
         return (
-            g_centered + g_mu / count if _wants_grad(x) else None,
+            (g_xhat - g_xhat.mean(axis=-1, keepdims=True)
+             - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)) / sd
+            if _wants_grad(x) else None,
             _unbroadcast(g * xhat, gamma.shape)
             if _wants_grad(gamma) else None,
             _unbroadcast(g, beta.shape) if _wants_grad(beta) else None,

@@ -469,6 +469,65 @@ def test_cli_stages_match_pipeline_bytes(workspace, tmp_path, capsys):
             assert sha(cli_path) == sha(pipe_dir / f"{key}.ckpt"), (kind, key)
 
 
+def test_each_checkpoint_is_opened_once_and_its_bytes_recorded(
+        workspace, tmp_path, capsys, monkeypatch):
+    """Every subcommand that takes checkpoints opens each of them once,
+    and its manifest records the SHA-256 of those bytes."""
+    world, ini, base = workspace["world"], workspace["ini"], workspace["base"]
+    corpus = ["--corpus", workspace["corpus"]]
+    prep = tmp_path / "prep"
+    for argv in (["train-ct", "--base", base], ["fit-flow", "--model", base]):
+        assert main(argv + corpus + ["--config", ini, "--out", str(prep)]) == 0
+    ct, flow = str(prep / "ct_0.ckpt"), str(prep / "flow.ckpt")
+    sts = ["--train-pairs", str(world / "sts_train.tsv"),
+           "--dev-task", str(world / "sts_dev.tsv")]
+    task = ["--task", str(world / "sts_test.tsv")]
+    # subcommand, its arguments, its manifest, and each checkpoint it
+    # takes with the keys under which its manifest records its digest
+    runs = [
+        ("train-ct", ["--base", base] + corpus, "ct_0", [(base, "base")]),
+        ("train-nli", ["--base", base, "--nli", str(world / "nli.tsv")],
+         "nli_0", [(base, "base")]),
+        ("train-sed", ["--teachers", ct, "--student-init", base] + corpus,
+         "sed", [(ct, "teachers", 0), (base, "student_init")]),
+        ("fit-flow", ["--model", ct] + corpus, "flow", [(ct, "model")]),
+        ("train-supervised", ["--model", base] + sts, "supervised",
+         [(base, "model")]),
+        ("grid-search", ["--model", base] + sts, "grid_search",
+         [(base, "model")]),
+        ("evaluate", ["--model", ct, "--flow", flow] + task, "evaluate",
+         [(ct, "model"), (flow, "flow")]),
+        ("stability", ["--base", base] + corpus + task, "stability",
+         [(base, "base")]),
+        ("ablate-pooling", ["--model", f"base={base}", "--model",
+                            f"ct={ct}"] + task, "ablate_pooling",
+         [(base, "models", "base"), (ct, "models", "ct")]),
+    ]
+    opened = []
+    real_open = open
+
+    def counted_open(file, *args, **kwargs):
+        opened.append(os.path.abspath(str(file)))
+        return real_open(file, *args, **kwargs)
+
+    for command, argv, manifest, inputs in runs:
+        out = tmp_path / command
+        opened.clear()
+        monkeypatch.setattr("builtins.open", counted_open)
+        assert main([command, "--config", ini, "--out", str(out)]
+                    + argv) == 0
+        monkeypatch.undo()
+        capsys.readouterr()
+        recorded = json.loads((out / f"{manifest}_manifest.json")
+                              .read_text())["input_hashes"]
+        for path, *keys in inputs:
+            digest = recorded
+            for key in keys:
+                digest = digest[key]
+            assert digest == sha(path), (command, keys)
+            assert opened.count(os.path.abspath(path)) == 1, (command, path)
+
+
 def test_train_supervised_trajectory_file(workspace, tmp_path):
     rc = main(["train-supervised", "--config", workspace["ini"],
                "--model", workspace["base"],
