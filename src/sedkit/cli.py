@@ -244,6 +244,9 @@ def _cmd_ablate_pooling(args, cfg: RunConfig, out: str) -> None:
             name, path = entry.split("=", 1)
         else:
             name, path = os.path.basename(entry), entry
+        if not name:
+            raise DataError(f"--model {entry!r} gives no name; "
+                            "give name=path")
         if name in paths:
             raise DataError(f"two --model entries are named {name!r}; "
                             "give each a distinct name=path")
@@ -273,6 +276,14 @@ def _cmd_gen_synthetic(args, cfg: RunConfig, out: str) -> None:
     print(f"wrote synthetic world to {out}")
 
 
+def _member_index(text: str) -> int:
+    """A --member value: decimal digits, so an integer >= 0."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sedkit",
@@ -294,13 +305,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("train-ct", _cmd_train_ct, help="contrastive tension member")
     p.add_argument("--base", required=True)
     p.add_argument("--corpus", required=True)
-    p.add_argument("--member", type=int, default=0,
+    p.add_argument("--member", type=_member_index, default=0,
                    help="member index (seeds differ per member)")
 
     p = add("train-nli", _cmd_train_nli, help="siamese NLI member")
     p.add_argument("--base", required=True)
     p.add_argument("--nli", required=True, help="premise/hypothesis/label TSV")
-    p.add_argument("--member", type=int, default=0)
+    p.add_argument("--member", type=_member_index, default=0)
 
     p = add("train-sed", _cmd_train_sed, help="distill an ensemble")
     p.add_argument("--teachers", nargs="+", required=True)

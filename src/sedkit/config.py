@@ -60,6 +60,7 @@ class RunSection:
     seed: int = 0
 
     def __post_init__(self):
+        _at_least("run", self, seed=0)
         stages = self.stages
         for stage in stages:
             if stage not in STAGE_NAMES:

@@ -37,7 +37,6 @@ with any draws the loss makes from the same generator.
 
 from __future__ import annotations
 
-import ctypes
 import math
 from dataclasses import dataclass
 
@@ -46,24 +45,6 @@ import numpy as np
 from .errors import DetachedParameterError, DivergenceError, ShapeMismatchError
 
 _GRAD_ENABLED = True
-
-
-def _keep_heap_top() -> None:
-    """Raise glibc's mmap threshold to 16 MiB and its trim threshold to
-    32 MiB; without `mallopt` (not glibc), do nothing."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int] * 2, ctypes.c_int
-    # A packed optimizer allocates nothing per step, so glibc trims the heap
-    # top after each large free and scoring faults it back in; both are set
-    # because the trim threshold alone freezes the dynamic mmap threshold.
-    mallopt(-3, 16 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 32 << 20)  # M_TRIM_THRESHOLD
-
-
-_keep_heap_top()
 
 
 class no_grad:

@@ -54,6 +54,11 @@ class SyntheticWorldSpec:
             raise DataError("vocabulary too small for the cluster count")
         if not (2 <= self.min_len <= self.max_len):
             raise DataError("bad sentence length range")
+        for key in ("latent_dim", "sts_pairs", "nli_pairs"):
+            if getattr(self, key) < 1:
+                raise DataError(f"{key} must be >= 1")
+        if not (np.isfinite(self.temperature) and self.temperature > 0):
+            raise DataError("temperature must be finite and > 0")
         # every sentence of the world is distinct, and there are at most
         # vocab_size^L sentences of each length L
         needed = self.clusters * self.sentences_per_cluster

@@ -12,6 +12,9 @@ with `*args` or `**kwargs` counts as both. A default no call omits is a
 required parameter in disguise, and one no call overrides is a constant.
 The INI sections and `EncoderArch` are exempt: their defaults are the
 config's.
+
+No module imports `ctypes` or names `mallopt`, so importing sedkit leaves
+the allocator of the importing process as it was.
 """
 
 import ast
@@ -170,3 +173,30 @@ def test_every_default_is_both_passed_and_omitted_by_program_code():
     # an allow-listed default that gains its missing caller leaves the list
     assert set(DEFAULTS_ALLOWED) <= one_sided, sorted(
         set(DEFAULTS_ALLOWED) - one_sided)
+
+
+def test_no_module_reaches_into_the_c_library():
+    """Read from the sources: numpy imports `ctypes` itself, so
+    `sys.modules` cannot show whether sedkit does."""
+    found = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "sedkit", "**",
+                                              "*.py"), recursive=True)):
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Import):
+                names = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [(node.module or "").split(".")[0]]
+                names += [alias.name for alias in node.names]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                names = [node.value]
+            else:
+                continue
+            found += [f"{os.path.basename(path)}:{node.lineno}: {name}"
+                      for name in names
+                      if name == "ctypes" or "mallopt" in name]
+    assert found == [], found

@@ -366,6 +366,24 @@ def test_train_ct_member_index_in_artifacts(workspace, tmp_path):
     assert "ct_1" in manifest["checkpoints"]
 
 
+@pytest.mark.parametrize("command", ["train-ct", "train-nli"])
+def test_negative_member_is_a_usage_error(workspace, tmp_path, capsys,
+                                          monkeypatch, command):
+    """--member -1 exits 2 naming the flag, before any input loads."""
+    import sedkit.cli as cli
+    loaded = []
+    monkeypatch.setattr(cli, "_load", lambda *a: loaded.append(a))
+    data = {"train-ct": "--corpus", "train-nli": "--nli"}[command]
+    out = tmp_path / "out"
+    assert main([command, "--base", workspace["base"],
+                 data, workspace["corpus"], "--member", "-1",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert ("argument --member: expected an integer >= 0, got '-1'"
+            in err), err
+    assert loaded == [] and not out.exists()
+
+
 def test_train_ct_on_nan_base_exits_1(workspace, tmp_path, capsys):
     from sedkit.checkpoint import load_checkpoint, save_checkpoint
     base = load_checkpoint(workspace["base"])
@@ -651,7 +669,10 @@ def test_setting_flags_are_validated_like_their_keys(workspace, tmp_path,
             (["evaluate", "--model", base, "--task",
               str(world / "sts_test.tsv"), "--pool", "4"], "eval.pool_k"),
             (["pretrain", "--corpus", workspace["corpus"], "--seed", "1.5"],
-             "[run] seed = '1.5': expected int")):
+             "[run] seed = '1.5': expected int"),
+            (["pretrain", "--corpus", workspace["corpus"], "--seed", "-1"],
+             "run.seed must be >= 0"),
+            (["gen-synthetic", "--seed", "-1"], "run.seed must be >= 0")):
         assert main(argv + ["--config", workspace["ini"],
                             "--out", str(out)]) == 1
         err = capsys.readouterr().err
@@ -894,6 +915,22 @@ def test_ablate_pooling_rejects_two_models_of_one_name(workspace, tmp_path,
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err, err
     assert loaded == []
+    assert not (out / "pooling_ablation.csv").exists()
+
+
+def test_ablate_pooling_rejects_an_empty_model_name(workspace, tmp_path,
+                                                    capsys):
+    """A --model entry whose name is empty, given as `=path` or left to
+    the basename of a path ending in a separator, exits 1 naming the
+    entry; no CSV is written."""
+    out = tmp_path / "out"
+    for entry in (f"={workspace['base']}", str(tmp_path) + os.sep):
+        assert main(["ablate-pooling", "--config", workspace["ini"],
+                     "--model", entry,
+                     "--task", str(workspace["world"] / "sts_test.tsv"),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --model ") and "no name" in err, err
     assert not (out / "pooling_ablation.csv").exists()
 
 

@@ -6,8 +6,8 @@ import pytest
 
 from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
                            GridSection, NliSection, PretrainSection,
-                           RunConfig, SedSection, StabilitySection,
-                           SupervisedSection, load_config,
+                           RunConfig, RunSection, SedSection,
+                           StabilitySection, SupervisedSection, load_config,
                            parse_config, render_config)
 from sedkit.encoder import EncoderArch
 from sedkit.errors import ConfigError
@@ -105,6 +105,7 @@ def test_validation_rules():
     with pytest.raises(ConfigError, match="student_init"):
         parse_config("[sed]\nstudent_init = teacher\n")
     for probe, match in (
+        ("[run]\nseed = -5\n", "run.seed must be >= 0"),
         ("[ct]\nsteps = -5\n", "ct.steps"),
         ("[pretrain]\nbatch = 0\n", "pretrain.batch"),
         ("[sed]\nbatch = -1\n", "sed.batch"),
@@ -171,6 +172,7 @@ def test_sections_check_themselves_when_built():
             (lambda: PretrainSection(mask_prob=1.5),
              "pretrain.mask_prob must be in \\[0, 1\\]"),
             (lambda: PretrainSection(mask_prob=-0.1), "pretrain.mask_prob"),
+            (lambda: RunSection(seed=-1), "run.seed must be >= 0"),
             (lambda: DataSection(corpus_size=-5),
              "data.corpus_size must be >= 0"),
             (lambda: PretrainSection(lr=0.0),

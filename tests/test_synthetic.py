@@ -39,6 +39,18 @@ def test_spec_validation():
         SyntheticWorldSpec(sentences_per_cluster=2)  # cannot fill 3 splits
 
 
+@pytest.mark.parametrize("field, value", [
+    ("latent_dim", 0), ("sts_pairs", 0), ("nli_pairs", 0), ("nli_pairs", -3),
+    ("temperature", 0.0), ("temperature", -1.0), ("temperature", float("nan")),
+    ("temperature", float("inf"))])
+def test_spec_rejects_out_of_range_fields(field, value):
+    """A world with no latent axis (every gold 5.0), no pairs, or a
+    temperature that makes no sampling distribution is refused when the
+    spec is built, naming the field."""
+    with pytest.raises(DataError, match=f"^{field} must be "):
+        SyntheticWorldSpec(**{field: value})
+
+
 def test_sts_pairs_bounded_by_the_smallest_split():
     """3 clusters of 12 sentences leave dev and test 6 sentences each,
     15 distinct pairs: one more is rejected, not drawn for ever."""
