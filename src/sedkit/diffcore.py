@@ -11,18 +11,22 @@ exact zero. A parent that is neither such a leaf nor computed from one
 Each kind of op has one written gradient rule: `Tensor._binary` serves
 ``+ - * /`` (and is where the no-gradient-toward-constants rule and the
 undoing of broadcasting live), `Tensor._unary` every op of one input
-but the fused nodes, and one backward both reductions. Indexing
-is the one gather: a basic key (ints, slices, None, Ellipsis) assigns
-its gradient, and any other key (an integer array or a list, such as
-embedding ids) accumulates it, so an index that repeats gets the sum of
-its picks' gradients.
+but the fused nodes, and one backward both reductions. Indexing is the
+one gather, for any numpy key: its gradient is one `np.bincount` of the
+output's gradient over the flat positions the key picks, which adds each
+pick's gradient into zeros in pick order; so an element picked more
+than once gets the sum of its picks' gradients.
 
-`linear`, `layer_norm` and `attention` are fused nodes: each is one graph
+`linear` and `transformer_block` are fused nodes: each is one graph
 node whose forward gives the exact bits of the chain of ops it stands
-for, with the per-node cost paid once. Backward gives the chain's bits
-too, but for two rules re-derived for speed, `linear`'s weight gradient
-and `layer_norm`'s input gradient, which equal the chain's up to
-rounding.
+for, with the per-node cost paid once. `linear` (``x @ w + b``) serves
+the flow and the NLI head; `transformer_block` is a whole post-norm
+encoder block (attention, output projection and residual, layer norm,
+ReLU feed-forward and residual, layer norm), so an encoder forward adds
+one node per layer. The two share one written linear rule. Backward
+gives the chain's bits too, but for two rules re-derived for speed,
+every linear weight gradient and the layer norms' input gradient, which
+equal the chain's up to rounding.
 
 All arithmetic is float64; there is no GPU path and no mixed precision.
 
@@ -199,10 +203,6 @@ class Tensor:
         out = np.tanh(self.data)
         return self._unary(out, lambda g: g * (1.0 - out * out))
 
-    def relu(self):
-        a = self.data
-        return self._unary(np.maximum(a, 0.0), lambda g: g * (a > 0.0))
-
     def abs(self):
         a = self.data
         return self._unary(np.abs(a), lambda g: g * np.sign(a))
@@ -240,22 +240,15 @@ class Tensor:
                            lambda g: g.transpose(inverse))
 
     def __getitem__(self, key):
-        """``self[key]``, the one gather. A basic key (ints, slices, None,
-        Ellipsis, or a tuple of these) picks each element at most once, so
-        its gradient is assigned into zeros; any other key (an integer
-        array or a list, such as embedding ids) may pick an element more
-        than once, and its gradients accumulate."""
-        parts = key if isinstance(key, tuple) else (key,)
-        basic = all(k is None or k is Ellipsis
-                    or isinstance(k, (int, np.integer, slice)) for k in parts)
-
+        """``self[key]``, the one gather, for any numpy key. Its gradient
+        adds the gradient of every pick into zeros, in pick order: one
+        `np.bincount` over the flat positions that `key` picks, so an
+        element picked more than once gets the sum of its picks'
+        gradients."""
         def grad(g):
-            out = np.zeros_like(self.data)
-            if basic:
-                out[key] = g
-            else:
-                np.add.at(out, key, g)
-            return out
+            picks = np.arange(self.data.size).reshape(self.shape)[key]
+            return np.bincount(np.ravel(picks), weights=np.ravel(g),
+                               minlength=self.data.size).reshape(self.shape)
 
         return self._unary(self.data[key], grad)
 
@@ -329,14 +322,34 @@ def concat(tensors, axis: int) -> Tensor:
 
 
 # The fused nodes below each stand for a chain of the ops above. Forward
-# runs the chain's numpy expressions in the chain's order, so every value
-# is bit-identical to it; the one liberty taken is that a (..., 1) column
-# the chain would broadcast into a full copy is broadcast inside the
-# elementwise op that uses it. Backward gives the chain's bits too, but
-# for two rules re-derived for speed, which equal the chain's only up to
-# rounding: `linear`'s weight gradient is one gemm over all rows, not one
-# product per batch entry summed, and `layer_norm`'s input gradient is
-# the closed form, not a replay of the chain's ops.
+# gives the exact bits of the chain's numpy expressions in the chain's
+# order. Where a cheaper numpy form gives the same bits it is used: a
+# mean is the sum divided by the count (which is what `np.mean` does), a
+# row max is a running `np.maximum` (max is exact in any order), and an
+# elementwise op whose operand is a fresh temporary runs in place.
+# Backward gives the chain's bits too, but for two rules re-derived for
+# speed, which equal the chain's only up to rounding: a linear weight
+# gradient is one gemm over all rows, not one product per batch entry
+# summed, and a layer norm's input gradient is the closed form, not a
+# replay of the chain's ops.
+
+
+def _affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    out = np.matmul(x, w)
+    out += b
+    return out
+
+
+def _linear_grads(g: np.ndarray, x: np.ndarray, w: np.ndarray,
+                  wants) -> tuple:
+    """The one linear rule: the gradients of ``x @ w + b`` toward `x`, `w`
+    and `b` given the output's gradient `g`, each None where its flag in
+    `wants` is False."""
+    want_x, want_w, want_b = wants
+    rows = g.reshape(-1, g.shape[-1])
+    return (np.matmul(g, w.T) if want_x else None,
+            np.matmul(x.reshape(-1, x.shape[-1]).T, rows) if want_w else None,
+            rows.sum(axis=0) if want_b else None)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -344,85 +357,130 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     x, w, b = Tensor._coerce(x), Tensor._coerce(w), Tensor._coerce(b)
 
     def backward(g):
-        rows = g.reshape(-1, g.shape[-1])
-        return (
-            np.matmul(g, w.data.T) if _wants_grad(x) else None,
-            np.matmul(x.data.reshape(-1, x.shape[-1]).T, rows)
-            if _wants_grad(w) else None,
-            rows.sum(axis=0) if _wants_grad(b) else None,
-        )
+        return _linear_grads(g, x.data, w.data,
+                             (_wants_grad(x), _wants_grad(w), _wants_grad(b)))
 
-    return Tensor._node(np.matmul(x.data, w.data) + b.data, (x, w, b),
-                        backward)
+    return Tensor._node(_affine(x.data, w.data, b.data), (x, w, b), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    """Normalize over the last axis to zero mean and unit variance (`eps`
-    added to the variance), then scale by `gamma` and shift by `beta`; one
-    node."""
-    x, gamma, beta = (Tensor._coerce(x), Tensor._coerce(gamma),
-                      Tensor._coerce(beta))
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    sd = np.sqrt(var + eps)
-    xhat = centered / sd
-
-    def backward(g):
-        g_xhat = g * gamma.data
-        return (
-            (g_xhat - g_xhat.mean(axis=-1, keepdims=True)
-             - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)) / sd
-            if _wants_grad(x) else None,
-            _unbroadcast(g * xhat, gamma.shape)
-            if _wants_grad(gamma) else None,
-            _unbroadcast(g, beta.shape) if _wants_grad(beta) else None,
-        )
-
-    return Tensor._node(xhat * gamma.data + beta.data, (x, gamma, beta),
-                        backward)
+def _normalize(a: np.ndarray, eps: float) -> np.ndarray:
+    """Normalize `a` in place over its last axis to zero mean and unit
+    variance (`eps` added to the variance); returns the standard
+    deviations."""
+    D = a.shape[-1]
+    a -= a.sum(axis=-1, keepdims=True) / D
+    sd = (a * a).sum(axis=-1, keepdims=True) / D
+    sd += eps
+    np.sqrt(sd, out=sd)
+    a /= sd
+    return sd
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, heads: int,
-              key_bias: np.ndarray) -> Tensor:
-    """Multi-head scaled dot-product attention as one node.
+def _norm_grads(g: np.ndarray, xhat: np.ndarray, sd: np.ndarray,
+                gamma: np.ndarray) -> tuple:
+    """The gradients of the layer norm ``xhat * gamma + beta`` of (B, T, D)
+    rows toward its input, `gamma` and `beta`."""
+    D = g.shape[-1]
+    g_xhat = g * gamma
+    dot = (g_xhat * xhat).sum(axis=-1, keepdims=True) / D
+    g_in = g_xhat - g_xhat.sum(axis=-1, keepdims=True) / D
+    g_in -= xhat * dot
+    g_in /= sd
+    return g_in, (g * xhat).sum(axis=(0, 1)), g.sum(axis=(0, 1))
 
-    `q`, `k` and `v` are (B, T, D); each is split into `heads` heads of
-    D / heads columns. Per head, the weights are the softmax over keys of
-    ``q k^T / sqrt(D / heads) + key_bias`` (`key_bias` broadcasts to
-    (B, heads, T, T), e.g. (B, 1, 1, T) per key), and the heads' weighted
-    sums of `v` are merged back into (B, T, D).
+
+_ALL = (True, True, True)
+
+
+def transformer_block(h: Tensor, weights, heads: int, key_bias: np.ndarray,
+                      eps: float) -> Tensor:
+    """One post-norm transformer encoder block as one node.
+
+    `h` is (B, T, D) and `weights` the 16 tensors ``wq, bq, wk, bk, wv,
+    bv, wo, bo, ln1_g, ln1_b, w1, c1, w2, c2, ln2_g, ln2_b``. Multi-head
+    attention splits ``h wq + bq``, ``h wk + bk`` and ``h wv + bv`` into
+    `heads` heads of D / heads columns; per head, the weights are the
+    softmax over keys of ``q k^T / sqrt(D / heads) + key_bias``
+    (`key_bias` broadcasts to (B, heads, T, T), e.g. (B, 1, 1, T) per
+    key), and the heads' weighted sums of v are merged back into
+    (B, T, D). Then ``a = LN1(h + ctx wo + bo)`` and the output is
+    ``LN2(a + relu(a w1 + c1) w2 + c2)``, where each layer norm normalizes
+    the last axis to zero mean and unit variance (`eps` added to the
+    variance), then scales by its gain and shifts by its bias.
     """
-    q, k, v = Tensor._coerce(q), Tensor._coerce(k), Tensor._coerce(v)
-    B, T, D = q.shape
+    h = Tensor._coerce(h)
+    parents = (h, *weights)
+    (wq, bq, wk, bk, wv, bv, wo, bo, g1, b1, w1, c1, w2, c2, g2,
+     b2) = (p.data for p in weights)
+    x = h.data
+    B, T, D = x.shape
     dh = D // heads
-
-    def split(x):
-        return x.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
-
-    def merge(x):
-        return x.transpose(0, 2, 1, 3).reshape(B, T, D)
-
-    qh, kh, vh = split(q.data), split(k.data), split(v.data)
     scale = 1.0 / np.sqrt(dh)
-    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale + key_bias
-    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    attn = ex / ex.sum(axis=-1, keepdims=True)
+
+    def split(a):
+        return a.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(a):
+        return a.transpose(0, 2, 1, 3).reshape(B, T, D)
+
+    qh, kh, vh = (split(_affine(x, w, b))
+                  for w, b in ((wq, bq), (wk, bk), (wv, bv)))
+    attn = np.matmul(qh, kh.transpose(0, 1, 3, 2))
+    attn *= scale
+    attn += key_bias
+    top = attn[..., 0].copy()
+    for j in range(1, T):
+        np.maximum(top, attn[..., j], out=top)
+    attn -= top[..., None]
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+    ctx = merge(np.matmul(attn, vh))
+    xhat1 = _affine(ctx, wo, bo)
+    xhat1 += x
+    sd1 = _normalize(xhat1, eps)
+    a = xhat1 * g1
+    a += b1
+    r = _affine(a, w1, c1)
+    np.maximum(r, 0.0, out=r)
+    xhat2 = _affine(r, w2, c2)
+    xhat2 += a
+    sd2 = _normalize(xhat2, eps)
+    out = xhat2 * g2
+    out += b2
 
     def backward(g):
-        g_ctx = split(g)
+        g_sum2, g_g2, g_b2 = _norm_grads(g, xhat2, sd2, g2)
+        g_r, g_w2, g_c2 = _linear_grads(g_sum2, r, w2, _ALL)
+        g_r *= r > 0.0
+        g_a, g_w1, g_c1 = _linear_grads(g_r, a, w1, _ALL)
+        g_a += g_sum2
+        g_sum1, g_g1, g_b1 = _norm_grads(g_a, xhat1, sd1, g1)
+        g_ctx, g_wo, g_bo = _linear_grads(g_sum1, ctx, wo, _ALL)
+        g_ctx = split(g_ctx)
         g_attn = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
         dot = (g_attn * attn).sum(axis=-1, keepdims=True)
-        g_scores = attn * (g_attn - dot) * scale
-        return (
-            merge(np.matmul(g_scores, kh)) if _wants_grad(q) else None,
-            merge(np.matmul(np.swapaxes(qh, -1, -2), g_scores)
-                  .transpose(0, 1, 3, 2)) if _wants_grad(k) else None,
-            merge(np.matmul(np.swapaxes(attn, -1, -2), g_ctx))
-            if _wants_grad(v) else None,
-        )
+        g_attn -= dot
+        g_attn *= attn
+        g_attn *= scale
+        g_q = merge(np.matmul(g_attn, kh))
+        g_k = merge(np.matmul(np.swapaxes(qh, -1, -2), g_attn)
+                    .transpose(0, 1, 3, 2))
+        g_v = merge(np.matmul(np.swapaxes(attn, -1, -2), g_ctx))
+        want_x = _wants_grad(h)
+        g_x = g_sum1 if want_x else None
+        g_qkv = []
+        for g_proj, w in ((g_q, wq), (g_k, wk), (g_v, wv)):
+            g_in, g_w, g_b = _linear_grads(g_proj, x, w,
+                                           (want_x, True, True))
+            if want_x:
+                g_x += g_in  # residual, then q, k, v: the chain's bits
+            g_qkv += [g_w, g_b]
+        grads = (g_x, *g_qkv, g_wo, g_bo, g_g1, g_b1, g_w1, g_c1, g_w2, g_c2,
+                 g_g2, g_b2)
+        return tuple(gr if _wants_grad(p) else None
+                     for gr, p in zip(grads, parents))
 
-    return Tensor._node(merge(np.matmul(attn, vh)), (q, k, v), backward)
+    return Tensor._node(out, parents, backward)
 
 
 def softmax_cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -16,6 +16,12 @@ over token positions (softmax, `attn @ v`, token mean) round differently
 at different lengths. Padded positions add exact zeros and numpy's
 pairwise sum runs 8 lanes, so padding a sentence past its bucket leaves
 its embedding unchanged.
+
+A forward is the embedding (two gathers, `tok_emb[ids]` and
+`pos_emb[:T]`, whose gradients add each picked row in (B, T) order) and
+one autodiff node per layer, `dc.transformer_block`. That node gives
+the bits of the chain of sublayer ops it stands for, forward and
+backward, so training through it writes the same checkpoint bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +41,10 @@ _NEG_BIAS = -1e30  # additive attention bias; exp() underflows to exactly 0
 _LN_EPS = 1e-5
 _MIN_BUCKET = 8  # numpy's pairwise sum runs 8 lanes
 _ENCODE_CHUNK = 64  # sentences per `encode_many` forward
+# Each block's tensors, `l{layer}.` prefixed, in `dc.transformer_block`'s
+# order.
+_BLOCK_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g",
+                  "ln1_b", "w1", "c1", "w2", "c2", "ln2_g", "ln2_b")
 
 class Vocabulary:
     """Dense token-to-id map with pad/unk/mask specials at ids 0/1/2.
@@ -179,17 +189,8 @@ class EncoderModel:
 
     def _block(self, h: Tensor, layer: int, key_bias: np.ndarray) -> Tensor:
         p, pre = self.params, f"l{layer}."
-
-        def linear(x, w, b):
-            return dc.linear(x, p[pre + w], p[pre + b])
-
-        ctx = dc.attention(linear(h, "wq", "bq"), linear(h, "wk", "bk"),
-                           linear(h, "wv", "bv"), self.arch.heads, key_bias)
-        h = dc.layer_norm(h + linear(ctx, "wo", "bo"), p[pre + "ln1_g"],
-                          p[pre + "ln1_b"], _LN_EPS)
-        ff = linear(linear(h, "w1", "c1").relu(), "w2", "c2")
-        return dc.layer_norm(h + ff, p[pre + "ln2_g"], p[pre + "ln2_b"],
-                             _LN_EPS)
+        return dc.transformer_block(h, [p[pre + n] for n in _BLOCK_WEIGHTS],
+                                    self.arch.heads, key_bias, _LN_EPS)
 
 
 def init_encoder(arch: EncoderArch, vocab: Vocabulary, seed: int) -> EncoderModel:

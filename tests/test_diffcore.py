@@ -1,5 +1,6 @@
 """Autodiff core: gradients against central finite differences, the fused
-nodes against the composed chains they stand for, optimizer single-step
+nodes against the composed chains they stand for (the transformer block
+against the op chain it replaced, kept here), optimizer single-step
 oracles worked by hand, the packed optimizers against the per-tensor form
 they replaced, schedule values, and the training loop with its batch
 samplers."""
@@ -11,9 +12,9 @@ import pytest
 
 import sedkit.diffcore as dc
 from sedkit.diffcore import (Adam, LinearDecay, RMSProp, Tensor,
-                             WarmupThenConstant, attention, bce_with_logits,
-                             concat, finite_step_count, layer_norm, linear,
-                             softmax_cross_entropy)
+                             WarmupThenConstant, bce_with_logits, concat,
+                             finite_step_count, linear,
+                             softmax_cross_entropy, transformer_block)
 from sedkit.errors import (DetachedParameterError, DivergenceError,
                            ShapeMismatchError)
 
@@ -54,9 +55,9 @@ def check_grads_fd(build_loss, leaves, h: float = FD_H):
 def _random_graph_loss(rng, leaves):
     """Build a scalar loss from a random composition of supported ops.
 
-    Touches matmul, the fused nodes, broadcasting arithmetic, the
-    nonlinearities, reshape, transpose, slicing, concat, and both
-    reductions.
+    Touches matmul, `linear`, the sublayer nodes the transformer block
+    is checked against, broadcasting arithmetic, the nonlinearities,
+    reshape, transpose, slicing, concat, and both reductions.
     """
     a, b, w = leaves
     x = a @ w                      # (3,4) @ (4,5)
@@ -66,15 +67,15 @@ def _random_graph_loss(rng, leaves):
     elif choice == 1:
         x = linear(a, w, b).tanh()
     elif choice == 2:
-        x = x.relu() - b * 0.5
+        x = node_relu(x) - b * 0.5
     elif choice == 3:
         x = (x + b).square() * 0.1
     elif choice == 4:
-        x = layer_norm(x, b, b * 0.5, 1e-5)
+        x = node_layer_norm(x, b, b * 0.5, 1e-5)
     elif choice == 5:              # one sequence of 3 tokens, 5 heads of 1
-        seq = attention(x.reshape(1, 3, 5), (x * b).reshape(1, 3, 5),
-                        x.tanh().reshape(1, 3, 5), 5,
-                        rng.normal(size=(1, 1, 1, 3)))
+        seq = node_attention(x.reshape(1, 3, 5), (x * b).reshape(1, 3, 5),
+                             x.tanh().reshape(1, 3, 5), 5,
+                             rng.normal(size=(1, 1, 1, 3)))
         x = seq.reshape(3, 5)
     else:
         x = x / (b.square() + 1.5)
@@ -176,12 +177,108 @@ def chain_attention(q, k, v, heads, key_bias):
     return ctx.transpose(0, 2, 1, 3).reshape(B, T, D)
 
 
+def chain_relu(x):
+    return x * Tensor(x.data > 0.0)
+
+
+# One node per sublayer, with the rules of `transformer_block`: the
+# reference the block must match bit for bit. Each is checked against
+# its chain above, and each is written the plain way (`mean`, `max`, new
+# arrays), so the block's cheaper forms are checked too.
+
+
+def node_layer_norm(x, gamma, beta, eps):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    sd = np.sqrt(var + eps)
+    xhat = centered / sd
+
+    def backward(g):
+        g_xhat = g * gamma.data
+        return ((g_xhat - g_xhat.mean(axis=-1, keepdims=True)
+                 - xhat * (g_xhat * xhat).mean(axis=-1, keepdims=True)) / sd,
+                dc._unbroadcast(g * xhat, gamma.shape),
+                dc._unbroadcast(g, beta.shape))
+
+    return Tensor._node(xhat * gamma.data + beta.data, (x, gamma, beta),
+                        backward)
+
+
+def node_attention(q, k, v, heads, key_bias):
+    B, T, D = q.shape
+    dh = D // heads
+
+    def split(x):
+        return x.reshape(B, T, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        return x.transpose(0, 2, 1, 3).reshape(B, T, D)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    scale = 1.0 / np.sqrt(dh)
+    scores = np.matmul(qh, kh.transpose(0, 1, 3, 2)) * scale + key_bias
+    ex = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = ex / ex.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        g_ctx = split(g)
+        g_attn = np.matmul(g_ctx, np.swapaxes(vh, -1, -2))
+        dot = (g_attn * attn).sum(axis=-1, keepdims=True)
+        g_scores = attn * (g_attn - dot) * scale
+        return (merge(np.matmul(g_scores, kh)),
+                merge(np.matmul(np.swapaxes(qh, -1, -2), g_scores)
+                      .transpose(0, 1, 3, 2)),
+                merge(np.matmul(np.swapaxes(attn, -1, -2), g_ctx)))
+
+    return Tensor._node(merge(np.matmul(attn, vh)), (q, k, v), backward)
+
+
+def node_relu(x):
+    a = x.data
+    return Tensor._node(np.maximum(a, 0.0), (x,), lambda g: (g * (a > 0.0),))
+
+
+def block_of(linear, layer_norm, attention, relu):
+    """A function with `transformer_block`'s signature that composes the
+    given sublayer ops."""
+    def block(h, weights, heads, key_bias, eps):
+        wq, bq, wk, bk, wv, bv, wo, bo, g1, b1, w1, c1, w2, c2, g2, b2 = weights
+        ctx = attention(linear(h, wq, bq), linear(h, wk, bk),
+                        linear(h, wv, bv), heads, key_bias)
+        a = layer_norm(h + linear(ctx, wo, bo), g1, b1, eps)
+        return layer_norm(a + linear(relu(linear(a, w1, c1)), w2, c2), g2,
+                          b2, eps)
+
+    return block
+
+
+NODE_BLOCK = block_of(linear, node_layer_norm, node_attention, node_relu)
+CHAIN_BLOCK = block_of(chain_linear, chain_layer_norm, chain_attention,
+                       chain_relu)
+
+
+def _flat(block):
+    """`block` called as ``block(h, *weights, heads, key_bias, eps)``."""
+    return lambda h, *rest: block(h, rest[:16], *rest[16:])
+
+
+def _block_shapes(B, T, D, F):
+    return [(B, T, D)] + [(D, D), (D,)] * 4 + [(D,)] * 2 + [
+        (D, F), (F,), (F, D), (D,)] + [(D,)] * 2
+
+
 def _padded_key_bias(B, T):
     """Rows 0 and 2 padded after 5 and T - 1 tokens; row 1 full."""
     mask = np.ones((B, T))
     mask[0, 5:] = 0.0
     mask[2, T - 1:] = 0.0
     return (1.0 - mask)[:, None, None, :] * -1e30
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bytes, so -0.0 and 0.0 differ."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _grads(op, values, weights, *consts):
@@ -194,30 +291,31 @@ def _grads(op, values, weights, *consts):
 
 
 def _assert_node_matches_chain(fused, chain, shapes, rng, *consts,
-                               rederived=()):
+                               rederived=(), same=np.array_equal):
     """Same output bits, and the same gradient bits toward every parent
     but those whose positions are in `rederived`; those equal the chain's
     up to rounding: within 1e-12 relative, plus 1e-12 of the gradient's
-    largest magnitude for an element that nearly cancels."""
+    largest magnitude for an element that nearly cancels. `same` compares
+    two arrays' bits."""
     values = [rng.normal(size=s) for s in shapes]
     with dc.no_grad():
         weights = rng.normal(size=fused(*map(Tensor, values), *consts).shape)
     out_f, grads_f = _grads(fused, values, weights, *consts)
     out_c, grads_c = _grads(chain, values, weights, *consts)
-    assert np.array_equal(out_f, out_c)
+    assert same(out_f, out_c)
     for i, (gf, gc) in enumerate(zip(grads_f, grads_c)):
         if i in rederived:
             np.testing.assert_allclose(gf, gc, rtol=1e-12,
                                        atol=1e-12 * np.abs(gc).max())
         else:
-            assert np.array_equal(gf, gc), i
+            assert same(gf, gc), i
 
 
 @pytest.mark.parametrize("T", [8, 16])
 @pytest.mark.parametrize("D", [6, 8])  # at 6, 1/D and 1/sqrt(D/2) round
 def test_fused_nodes_match_their_chains_bit_for_bit(T, D):
     """Forward bits always; backward bits but for `linear`'s weight
-    gradient (one gemm over all rows) and `layer_norm`'s input gradient
+    gradient (one gemm over all rows) and the layer norm's input gradient
     (the closed form), which match up to rounding."""
     rng = np.random.default_rng(T + D)
     B, H = 3, 2
@@ -226,12 +324,41 @@ def test_fused_nodes_match_their_chains_bit_for_bit(T, D):
                                rederived=(1,))
     _assert_node_matches_chain(linear, chain_linear,
                                [(T, D), (D, 3), (3,)], rng)
-    _assert_node_matches_chain(layer_norm, chain_layer_norm,
+    _assert_node_matches_chain(node_layer_norm, chain_layer_norm,
                                [(B, T, D), (D,), (D,)], rng, 1e-5,
                                rederived=(0,))
-    _assert_node_matches_chain(attention, chain_attention,
+    _assert_node_matches_chain(node_attention, chain_attention,
                                [(B, T, D)] * 3, rng, H,
                                _padded_key_bias(B, T))
+    _assert_node_matches_chain(node_relu, chain_relu, [(B, T, D)], rng)
+
+
+@pytest.mark.parametrize("T", [8, 16, 32])
+@pytest.mark.parametrize("D", [6, 8])
+def test_block_matches_the_node_chain_bit_for_bit(T, D):
+    """The block's output and its gradient toward `h` and each of its 16
+    weights have the bytes of the chain of sublayer nodes, padded keys
+    included: the block input's four gradients are summed residual first,
+    then q, k, v, as the chain's graph sums them."""
+    rng = np.random.default_rng(10 * T + D)
+    B, H = 3, 2
+    _assert_node_matches_chain(_flat(transformer_block), _flat(NODE_BLOCK),
+                               _block_shapes(B, T, D, 2 * D), rng, H,
+                               _padded_key_bias(B, T), 1e-5,
+                               same=_same_bits)
+
+
+def test_block_under_no_grad_builds_no_graph():
+    rng = np.random.default_rng(4)
+    B, T, D = 3, 8, 6
+    values = [Tensor(rng.normal(size=s), requires_grad=True)
+              for s in _block_shapes(B, T, D, 12)]
+    args = (values[0], values[1:], 2, _padded_key_bias(B, T), 1e-5)
+    with dc.no_grad():
+        out = transformer_block(*args)
+    assert out._parents == () and out._backward is None
+    assert _same_bits(out.data, transformer_block(*args).data)
+    assert _same_bits(out.data, NODE_BLOCK(*args).data)
 
 
 @pytest.mark.parametrize("D", [6, 8])
@@ -239,8 +366,9 @@ def test_rederived_gradients_are_accurate(D):
     """Against a long-double reference: every element of `linear`'s
     weight gradient, and of the chain's, is within the dot-product rounding
     bound ``K u / (1 - K u) * sum_k |x_k g_k|`` over its K = B * T rows;
-    and `layer_norm`'s closed-form input gradient has, over 20 draws, at
-    most 1.25 times the chain's total absolute error."""
+    and the layer norm's closed-form input gradient (the block's, bit for
+    bit) has, over 20 draws, at most 1.25 times the chain's total
+    absolute error."""
     rng = np.random.default_rng(D)
     B, T, E = 3, 16, 2 * D
     K, u, wide = B * T, np.finfo(np.float64).eps / 2, np.longdouble
@@ -254,7 +382,7 @@ def test_rederived_gradients_are_accurate(D):
             grad_w = _grads(op, values, g)[1][1]
             assert np.all(np.abs(grad_w - exact) <= bound), op.__name__
 
-    errors = {layer_norm: 0.0, chain_layer_norm: 0.0}
+    errors = {node_layer_norm: 0.0, chain_layer_norm: 0.0}
     for _ in range(20):
         values = [rng.normal(size=s) for s in [(B, T, D), (D,), (D,)]]
         g = rng.normal(size=(B, T, D))
@@ -269,14 +397,13 @@ def test_rederived_gradients_are_accurate(D):
         for op in errors:
             grad_x = _grads(op, values, g, 1e-5)[1][0]
             errors[op] += float(np.abs(grad_x - exact).sum())
-    assert errors[layer_norm] <= 1.25 * errors[chain_layer_norm], errors
+    assert errors[node_layer_norm] <= 1.25 * errors[chain_layer_norm], errors
 
 
-def test_encoder_training_matches_the_chains(monkeypatch):
-    """Regression steps on sentences of 8, 16 and 32 slots through the
-    fused encoder leave every parameter within 1e-12 of its value through
-    the chains (parameters are of order 0.1 to 1; the two differ by about
-    3e-15, the rounding of the two re-derived gradient rules)."""
+def _trained_regression(monkeypatch, block):
+    """An encoder after three STS-regression steps through `block`. The
+    12 sentences fill the 8-, 16- and 32-slot buckets, and each sits on
+    both sides of the pairs, so every batch encodes repeats."""
     from sedkit.encoder import EncoderArch, Vocabulary, init_encoder
     from sedkit.evalsts import ScoredPair
     from sedkit.objectives import RegressionTargetMap, sts_regression_loss
@@ -287,38 +414,52 @@ def test_encoder_training_matches_the_chains(monkeypatch):
     pairs = [ScoredPair(a, b, float(g)) for a, b, g in
              zip(sents, sents[::-1], rng.integers(0, 6, size=12))]
     arch = EncoderArch(layers=2, hidden=8, heads=2, ff=16, max_len=32)
+    monkeypatch.setattr(dc, "transformer_block", block)
+    model = init_encoder(arch, Vocabulary(words), seed=3)
+    dc.train(Adam(model.parameters()), [pairs[:6], pairs[6:], pairs],
+             lambda batch: sts_regression_loss(
+                 model, batch, RegressionTargetMap(0.3)), 1e-2)
+    return model
 
-    def trained():
-        model = init_encoder(arch, Vocabulary(words), seed=3)
-        dc.train(Adam(model.parameters()), [pairs[:6], pairs[6:], pairs],
-                 lambda batch: sts_regression_loss(
-                     model, batch, RegressionTargetMap(0.3)), 1e-2)
-        return model
 
-    fused = trained()
-    monkeypatch.setattr(dc, "linear", chain_linear)
-    monkeypatch.setattr(dc, "layer_norm", chain_layer_norm)
-    monkeypatch.setattr(dc, "attention", chain_attention)
-    chained = trained()
+def test_encoder_training_matches_the_chains(monkeypatch):
+    """Regression steps through the block leave every parameter within
+    1e-12 of its value through the chain of primitive ops (parameters are
+    of order 0.1 to 1; the two differ by about 3e-15, the rounding of the
+    two re-derived gradient rules)."""
+    fused = _trained_regression(monkeypatch, transformer_block)
+    chained = _trained_regression(monkeypatch, CHAIN_BLOCK)
     for name, p in fused.params.items():
         np.testing.assert_allclose(p.data, chained.params[name].data,
                                    rtol=0, atol=1e-12, err_msg=name)
 
 
+def test_encoder_training_through_the_block_keeps_every_bit(monkeypatch):
+    """Three buckets with repeats: training through the block and through
+    the chain of sublayer nodes ends with the same parameter bytes."""
+    fused = _trained_regression(monkeypatch, transformer_block)
+    nodes = _trained_regression(monkeypatch, NODE_BLOCK)
+    for name, p in fused.params.items():
+        assert _same_bits(p.data, nodes.params[name].data), name
+
+
 def test_gather_and_attention_grads():
+    """Finite differences through an embedding gather into the block, for
+    the table, the block input and each of the block's 16 weights."""
     rng = np.random.default_rng(3)
     table = Tensor(rng.normal(size=(6, 4)), requires_grad=True)
     idx = rng.integers(0, 6, size=(2, 8))
-    q, k, v = (Tensor(rng.normal(size=(2, 8, 4)), requires_grad=True)
-               for _ in range(3))
+    leaves = [Tensor(rng.normal(size=s), requires_grad=True)
+              for s in _block_shapes(2, 8, 4, 6)]
     key_bias = _padded_key_bias(3, 8)[:2]
     weights = rng.normal(size=(2, 8, 4))
 
     def loss():
-        out = attention(q + table[idx], k, v, 2, key_bias)
+        out = transformer_block(leaves[0] + table[idx], leaves[1:], 2,
+                                key_bias, 1e-5)
         return (out * weights).sum()
 
-    check_grads_fd(loss, [table, q, k, v])
+    check_grads_fd(loss, [table] + leaves)
 
 
 def test_gather_accumulates_repeated_indices():
@@ -349,23 +490,51 @@ def test_embedding_gather_grad_equals_flat_add_at():
     assert np.array_equal(table.grad, want)
 
 
+@pytest.mark.parametrize("key", [
+    np.array([3, 0, 3, 3, 1]),                       # repeats
+    np.array([[1, 1], [4, 1]]),
+    [2, 2, 0],
+    (np.array([0, 4, 0]), np.array([2, 2, 2])),      # a tuple of arrays
+    (np.array([1, 1]), slice(None)),
+    np.array([True, False, True, True, False]),      # a boolean mask
+    np.arange(15).reshape(5, 3) % 4 == 1,
+    slice(1, 4), (slice(None, None, 2), 1), (Ellipsis, None, 0),
+    3, (4, 2), np.int64(0)])                         # scalar indices
+def test_gather_grad_equals_add_at_for_every_key(key):
+    """For every kind of key, the gradient of ``t[key]`` has the bytes of
+    ``np.add.at`` of the output's gradient into zeros."""
+    rng = np.random.default_rng(12)
+    t = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+    out = t[key]
+    g = rng.normal(size=out.shape)
+    g.reshape(-1)[1::3] = -0.0
+    (out * g).sum().backward()
+    want = np.zeros((5, 3))
+    np.add.at(want, key, g)
+    assert _same_bits(t.grad, want)
+
+
 def test_attention_ignores_padded_values():
-    """A padded key's weight is exactly 0: changing its value leaves the
-    output bit-identical, and its value gets an exactly zero gradient."""
+    """A padded key's weight is exactly 0: changing the block's input at
+    padded positions leaves the outputs at real tokens bit-identical, and
+    a loss over real tokens gives padded positions an exactly zero
+    gradient."""
     rng = np.random.default_rng(1)
     B, T, D = 3, 8, 4
     key_bias = _padded_key_bias(B, T)
-    q, k, v = (rng.normal(size=(B, T, D)) for _ in range(3))
-    v_leaf = Tensor(v, requires_grad=True)
-    out = attention(Tensor(q), Tensor(k), v_leaf, 2, key_bias)
-    out.sum().backward()
-    moved = v.copy()
+    real = (key_bias[:, 0, 0, :] == 0.0)[:, :, None]
+    h, *weights = (rng.normal(size=s) for s in _block_shapes(B, T, D, 8))
+    weights = [Tensor(w) for w in weights]
+    h_leaf = Tensor(h, requires_grad=True)
+    out = transformer_block(h_leaf, weights, 2, key_bias, 1e-5)
+    (out * Tensor(real)).sum().backward()
+    moved = h.copy()
     moved[0, 5:] += 100.0
     moved[2, T - 1] -= 7.0
-    again = attention(Tensor(q), Tensor(k), Tensor(moved), 2, key_bias)
-    assert np.array_equal(out.data, again.data)
-    assert not v_leaf.grad[0, 5:].any() and not v_leaf.grad[2, T - 1].any()
-    assert v_leaf.grad[1].all()
+    again = transformer_block(Tensor(moved), weights, 2, key_bias, 1e-5)
+    assert _same_bits(out.data[real[..., 0]], again.data[real[..., 0]])
+    assert not h_leaf.grad[0, 5:].any() and not h_leaf.grad[2, T - 1].any()
+    assert h_leaf.grad[1].all()
 
 
 def test_constant_parents_get_no_gradient():
@@ -384,6 +553,13 @@ def test_constant_parents_get_no_gradient():
         np.ones((2, 4)))
     assert grads[0] is None and grads[2] is None
     assert np.array_equal(grads[1], np.full((3, 4), 2.0))
+    shapes = _block_shapes(1, 8, 4, 6)
+    weights = [Tensor(np.ones(s), requires_grad=i % 2 == 0)
+               for i, s in enumerate(shapes[1:])]
+    out = transformer_block(Tensor(np.ones(shapes[0])), weights, 2,
+                            np.zeros((1, 1, 1, 8)), 1e-5)
+    grads = out._backward(np.ones(shapes[0]))
+    assert [g is None for g in grads] == [True] + [False, True] * 8
 
 
 def test_softmax_cross_entropy_uniform_logits():

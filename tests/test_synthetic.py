@@ -42,11 +42,11 @@ def test_spec_validation():
 @pytest.mark.parametrize("field, value", [
     ("latent_dim", 0), ("sts_pairs", 0), ("nli_pairs", 0), ("nli_pairs", -3),
     ("temperature", 0.0), ("temperature", -1.0), ("temperature", float("nan")),
-    ("temperature", float("inf"))])
+    ("temperature", float("inf")), ("seed", -1)])
 def test_spec_rejects_out_of_range_fields(field, value):
-    """A world with no latent axis (every gold 5.0), no pairs, or a
-    temperature that makes no sampling distribution is refused when the
-    spec is built, naming the field."""
+    """A world with no latent axis (every gold 5.0), no pairs, a
+    temperature that makes no sampling distribution, or a seed numpy
+    cannot take is refused when the spec is built, naming the field."""
     with pytest.raises(DataError, match=f"^{field} must be "):
         SyntheticWorldSpec(**{field: value})
 
