@@ -20,13 +20,15 @@ only source of tensor names and shapes. The same save on the same
 artifact is byte-identical, which makes checkpoint hashes meaningful in
 run manifests.
 
-The module also holds the toolkit's plain-file I/O: `write_atomic`, and
-the one text-input reader (`read_text`) that the config loader and,
-through `read_lines`, the corpus, STS and NLI loaders parse.
+The module also holds the toolkit's plain-file I/O: `write_atomic`, the
+one CSV writer (`csv_text`) behind every report table, and the one
+text-input reader (`read_text`) that the config loader and, through
+`read_lines`, the corpus, STS and NLI loaders parse.
 """
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import io
@@ -122,6 +124,16 @@ def write_atomic(path, blob: bytes) -> None:
     finally:
         if os.path.exists(tmp):
             os.remove(tmp)
+
+
+def csv_text(rows, comment: str | None = None) -> str:
+    """`rows` as CSV, one "\n"-terminated line each, after a `# comment`
+    line when one is given; the comment is written as is, unquoted."""
+    buf = io.StringIO()
+    if comment is not None:
+        buf.write(f"# {comment}\n")
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 def read_text(path) -> str:

@@ -6,16 +6,18 @@ a sentence embedding is the token mean of each of the final k layers,
 then the mean of those k pooled vectors, in that order.
 
 A sentence is padded to the bucket set by its own length: the smallest
-of 8, 16, 32, ... that holds it, capped at `max_len`. `encode_batch` runs
-one forward per bucket present, over the batch's distinct sentences only,
+of 8, 16, 32, ... that holds it, capped at `max_len`. `encode_batch` is
+the one place that plans forwards: it keeps the batch's distinct
+sentences only, runs each bucket present in forwards of at most 64 rows,
 then one gather puts the rows in input order and repeats each repeated
-sentence's row. So a sentence runs at the same padded length whatever it
-is batched with, and its embedding is bit-identical alone or inside any
-batch. Padding to the batch's longest sentence would break that: the sums
-over token positions (softmax, `attn @ v`, token mean) round differently
-at different lengths. Padded positions add exact zeros and numpy's
-pairwise sum runs 8 lanes, so padding a sentence past its bucket leaves
-its embedding unchanged.
+sentence's row. `encode_many` is the same call without a graph. So a
+sentence runs at the same padded length whatever it is batched with, and
+its embedding is bit-identical alone or inside any batch. Padding to the
+batch's longest sentence would break that: the sums over token positions
+(softmax, `attn @ v`, token mean) round differently at different
+lengths. Padded positions add exact zeros and numpy's pairwise sum runs
+8 lanes, so padding a sentence past its bucket leaves its embedding
+unchanged.
 
 A forward is the embedding (two gathers, `tok_emb[ids]` and
 `pos_emb[:T]`, whose gradients add each picked row in (B, T) order) and
@@ -40,7 +42,7 @@ _TOKEN_RE = re.compile(r"\w+|[^\w\s]")
 _NEG_BIAS = -1e30  # additive attention bias; exp() underflows to exactly 0
 _LN_EPS = 1e-5
 _MIN_BUCKET = 8  # numpy's pairwise sum runs 8 lanes
-_ENCODE_CHUNK = 64  # sentences per `encode_many` forward
+_ENCODE_CHUNK = 64  # most rows in one forward, with or without a graph
 # Each block's tensors, `l{layer}.` prefixed, in `dc.transformer_block`'s
 # order.
 _BLOCK_WEIGHTS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g",
@@ -270,14 +272,14 @@ def batch_ids(model: EncoderModel, sentences) -> tuple[np.ndarray, np.ndarray]:
 def encode_batch(model: EncoderModel, sentences, pool: PoolingSpec) -> Tensor:
     """Embeddings (B, hidden) for a list of sentences, in input order.
 
-    One forward per length bucket present, over the distinct sentences
-    only: sentences with the same token ids share one row. One gather
-    then restores input order and repeats shared rows, so a repeated
-    row's gradients are summed. A batch without repeats in one bucket
-    needs no gather. Pooling takes the token mean first (padding
-    positions excluded), then the mean over the final k layers,
-    accumulated from the last layer backwards so the summation order is
-    reproducible.
+    Each length bucket present runs over its distinct sentences only,
+    in forwards of at most `_ENCODE_CHUNK` rows: sentences with the same
+    token ids share one row. One gather then restores input order and
+    repeats shared rows, so a repeated row's gradients are summed. A
+    batch without repeats that fits one forward needs no gather. Pooling
+    takes the token mean first (padding positions excluded), then the
+    mean over the final k layers, accumulated from the last layer
+    backwards so the summation order is reproducible.
     """
     if pool.k > model.arch.layers + 1:
         raise ShapeMismatchError("pooling k exceeds available layers")
@@ -291,8 +293,10 @@ def encode_batch(model: EncoderModel, sentences, pool: PoolingSpec) -> Tensor:
     parts, order = [], []
     for T in sorted(set(buckets)):
         rows = [i for i, b in enumerate(buckets) if b == T]
-        ids, mask = _pad(model, [distinct[i] for i in rows], T)
-        parts.append(_pool(model.forward_ids(ids, mask), mask, pool.k))
+        for start in range(0, len(rows), _ENCODE_CHUNK):
+            chunk = rows[start : start + _ENCODE_CHUNK]
+            ids, mask = _pad(model, [distinct[i] for i in chunk], T)
+            parts.append(_pool(model.forward_ids(ids, mask), mask, pool.k))
         order.extend(rows)
     if len(parts) == 1 and len(distinct) == len(toks):
         return parts[0]  # rows already in input order: no gather
@@ -315,16 +319,10 @@ def _pool(hiddens: list[Tensor], mask: np.ndarray, k: int) -> Tensor:
 
 def encode_many(model: EncoderModel, sentences,
                 pool: PoolingSpec) -> np.ndarray:
-    """Embeddings (N, hidden) encoded in chunks of 64 sentences; no
-    gradient graph. Bit-identical to one `encode_batch` call over all
-    sentences, since a sentence encodes alike in any batch; no sentences
-    give (0, hidden)."""
-    chunks = []
+    """`encode_batch` without a gradient graph, as an (N, hidden) array;
+    no sentences give (0, hidden)."""
     with dc.no_grad():
-        for start in range(0, max(len(sentences), 1), _ENCODE_CHUNK):
-            chunk = sentences[start : start + _ENCODE_CHUNK]
-            chunks.append(encode_batch(model, chunk, pool).data)
-    return np.concatenate(chunks, axis=0)
+        return encode_batch(model, sentences, pool).data
 
 
 def pretrain_base(corpus, arch: EncoderArch, cfg, seed: int) -> EncoderModel:

@@ -1,7 +1,8 @@
 """STS evaluation: dataset loading, pair scoring, correlation reports.
 
 One scorer serves a model, a model+flow and a full ensemble: per task,
-`score_pairs` embeds each unique sentence once and scores every pair by
+`score_pairs` embeds both sides of every pair in one call, in which the
+encoder runs each distinct sentence once, and scores every pair by
 cosine (in the flow's latent space when there is one); `score_suite`
 builds the `CorrelationReport`. A report holds only what was measured;
 what was scored, and with which checkpoints, is recorded by the caller's
@@ -16,8 +17,6 @@ hidden by it.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import warnings
@@ -25,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import read_tsv, write_atomic
+from .checkpoint import csv_text, read_tsv, write_atomic
 from .encoder import EncoderModel, PoolingSpec, encode_many
 from .errors import ConstantInputError, DataError, ShapeMismatchError
 from .flow import flow_forward
@@ -124,26 +123,18 @@ def spearman(xs, ys) -> float:
 
 def score_pairs(embed, task: StsTask) -> np.ndarray:
     """Cosine similarity per pair, in task order. `embed` maps sentences
-    to an (n, D) array and sees each unique sentence once, in first-seen
-    order; encoding is batch-invariant, so deduplication changes no
-    embedding. `encode_batch` dedups too, but only within one call, so it
-    does not reach across `encode_many`'s 64-sentence chunks; and the
-    flow and the ensemble that `embed` may run must see distinct rows
-    only. So the task-wide dedup stays here."""
-    unique = dict.fromkeys(s for p in task.pairs
-                           for s in (p.sentence_1, p.sentence_2))
-    index = {s: i for i, s in enumerate(unique)}
-    embs = embed(list(unique))
-    return np.array([
-        cosine(embs[index[p.sentence_1]], embs[index[p.sentence_2]])
-        for p in task.pairs
-    ])
+    to an (n, D) array; it is given both sides of every pair in pair
+    order, so a task is one call and a repeated sentence is encoded once
+    within it (see `encoder.encode_batch`)."""
+    embs = embed([s for p in task.pairs
+                  for s in (p.sentence_1, p.sentence_2)])
+    return np.array([cosine(u, v) for u, v in zip(embs[0::2], embs[1::2])])
 
 
 def predict_scores(model: EncoderModel, task: StsTask, pool: PoolingSpec,
                    flow=None) -> np.ndarray:
     """Predicted cosine similarity per pair, in task order; with a flow,
-    scored in its latent space after one pass over all unique embeddings."""
+    scored in its latent space after one pass over the task's embeddings."""
     def embed(sentences):
         embs = encode_many(model, sentences, pool)
         return embs if flow is None else flow_forward(flow, embs)[0]
@@ -213,15 +204,12 @@ def write_report_csv(report: CorrelationReport, path) -> None:
     Values are rounded to 2 decimals here and only here. A JSON sidecar
     at `path` + ".meta.json" carries the failed tasks' messages.
     """
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["task", "pearson_x100", "spearman_x100"])
-    for name, res in report.per_task.items():
-        writer.writerow([name, f"{res.pearson_x100:.2f}",
-                         f"{res.spearman_x100:.2f}"])
-    writer.writerow(["Avg.", f"{report.average_pearson_x100:.2f}",
-                     f"{report.average_spearman_x100:.2f}"])
-    write_atomic(path, buf.getvalue().encode("utf-8"))
+    rows = [[name, f"{res.pearson_x100:.2f}", f"{res.spearman_x100:.2f}"]
+            for name, res in report.per_task.items()]
+    text = csv_text([["task", "pearson_x100", "spearman_x100"], *rows,
+                     ["Avg.", f"{report.average_pearson_x100:.2f}",
+                      f"{report.average_spearman_x100:.2f}"]])
+    write_atomic(path, text.encode("utf-8"))
     text = json.dumps({"failed": report.failed}, indent=2,
                       sort_keys=True) + "\n"
     write_atomic(f"{path}.meta.json", text.encode("utf-8"))

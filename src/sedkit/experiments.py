@@ -34,11 +34,9 @@ returns what running them in turn would.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import hashlib
-import io
 import itertools
 import json
 import os
@@ -49,7 +47,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .checkpoint import checkpoint_hash, save_checkpoint, write_atomic
+from .checkpoint import (checkpoint_hash, csv_text, save_checkpoint,
+                         write_atomic)
 from .config import RunConfig, render_config
 from .encoder import (TRAIN_POOL, EncoderModel, PoolingSpec, encode_batch,
                       encode_many, pretrain_base)
@@ -508,13 +507,12 @@ def _scored_student(cfg: RunConfig, members: list[EncoderModel],
 
 
 def stability_csv(reports: dict[str, StabilityReport]) -> str:
-    lines = ["# std is the population standard deviation (divide by n)",
-             "group,runs,max,mean,std,values"]
-    for name, rep in reports.items():
-        values = ";".join(f"{v:.2f}" for v in rep.values)
-        lines.append(f"{name},{rep.count},{rep.max:.2f},{rep.mean:.2f},"
-                     f"{rep.std:.2f},{values}")
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        [["group", "runs", "max", "mean", "std", "values"]] + [
+            [name, rep.count, f"{rep.max:.2f}", f"{rep.mean:.2f}",
+             f"{rep.std:.2f}", ";".join(f"{v:.2f}" for v in rep.values)]
+            for name, rep in reports.items()],
+        "std is the population standard deviation (divide by n)")
 
 
 @dataclass(frozen=True)
@@ -605,17 +603,15 @@ def select_bound(means: dict) -> float:
 
 
 def grid_csv(result: GridSearchResult) -> str:
-    lines = ["# selection rule: max mean dev spearman, ties to the "
-             "smaller bound",
-             "bound,mean_dev_spearman,values"]
+    rows = [["bound", "mean_dev_spearman", "values"]]
     for bound in result.bounds:
         cells = result.scores_by_bound.get(bound, ())
         mean = result.mean_by_bound.get(bound)
-        mean_text = f"{mean:.2f}" if mean is not None else ""
-        values = ";".join(f"{v:.2f}" for v in cells)
-        lines.append(f"{bound},{mean_text},{values}")
-    lines.append(f"selected,{result.selected_bound},")
-    return "\n".join(lines) + "\n"
+        rows.append([bound, "" if mean is None else f"{mean:.2f}",
+                     ";".join(f"{v:.2f}" for v in cells)])
+    rows.append(["selected", result.selected_bound, ""])
+    return csv_text(rows, "selection rule: max mean dev spearman, ties to "
+                    "the smaller bound")
 
 
 def train_supervised_with_early_stopping(
@@ -694,9 +690,6 @@ def pooling_ablation(models: dict[str, EncoderModel],
 
 def ablation_csv(table: dict[str, dict[int, float]]) -> str:
     """The table as CSV; a model name holding a comma or quote is quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["model", "k1", "k2", "k3"])
-    for name, row in table.items():
-        writer.writerow([name] + [f"{row[k]:.2f}" for k in (1, 2, 3)])
-    return buf.getvalue()
+    return csv_text([["model", "k1", "k2", "k3"]] + [
+        [name] + [f"{row[k]:.2f}" for k in (1, 2, 3)]
+        for name, row in table.items()])

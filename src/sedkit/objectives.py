@@ -99,10 +99,12 @@ def ensemble_mean_embeddings(ensemble: EnsembleSpec, sentences,
     """Per-sentence mean of member embeddings under `pool`, shape
     (B, hidden).
 
-    Members encode through `encode_many` (no gradient graph, 64 sentences
-    per forward), so targets are detached constants and a whole corpus
-    never runs as one forward. The member outputs are accumulated in a
-    canonical (per-coordinate sorted) order so the result is exactly
+    Members encode through `encode_many` (no gradient graph; each
+    distinct sentence once, at most 64 rows per forward), so targets are
+    detached constants and a whole corpus never runs as one forward. The
+    mean is taken row by row, so a repeated sentence gets the same target
+    in every row. The member outputs are accumulated in a canonical
+    (per-coordinate sorted) order so the result is exactly
     permutation-invariant; a naive running sum can differ in the last ulp
     when members are reordered.
     """

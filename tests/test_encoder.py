@@ -287,6 +287,53 @@ def test_repeats_encode_once_across_buckets(tiny_vocab, monkeypatch):
     assert worst < 1e-4, f"worst relative error {worst:.2e}"
 
 
+def _distinct_short_sentences(vocab, count):
+    """`count` distinct two-word sentences: all in the 8 bucket."""
+    pool = vocab.tokens[3:]
+    sents = [f"{a} {b}" for a in pool for b in pool if a != b]
+    assert len(sents) >= count
+    return sents[:count]
+
+
+def _forward_rows(model, monkeypatch) -> list[int]:
+    """The row count of every `forward_ids` call `model` makes from now."""
+    rows = []
+    real_forward = model.forward_ids
+    monkeypatch.setattr(model, "forward_ids", lambda ids, mask: (
+        rows.append(ids.shape[0]) or real_forward(ids, mask)))
+    return rows
+
+
+def test_encode_many_encodes_a_repeat_once_across_forwards(wide_model,
+                                                            monkeypatch):
+    """A sentence repeated on both sides of index 64 in a 75-sentence
+    `encode_many` call runs through `forward_ids` once, though the call
+    needs two forwards; every row equals the sentence encoded alone."""
+    pool = PoolingSpec(2)
+    batch = _distinct_short_sentences(wide_model.vocab, 74)
+    batch.insert(70, batch[10])
+    alone = [encode_many(wide_model, [s], pool)[0] for s in batch]
+    rows = _forward_rows(wide_model, monkeypatch)
+    out = encode_many(wide_model, batch, pool)
+    assert sum(rows) == 74 and max(rows) <= enc._ENCODE_CHUNK
+    for row, ref in zip(out, alone):
+        assert np.array_equal(row, ref)
+
+
+def test_grad_forwards_hold_at_most_64_rows(wide_model, monkeypatch):
+    """Under grad, 75 distinct sentences of one bucket run as forwards of
+    at most 64 rows, and each embedding keeps the bits it has alone."""
+    pool = PoolingSpec(2)
+    batch = _distinct_short_sentences(wide_model.vocab, 75)
+    alone = [encode_many(wide_model, [s], pool)[0] for s in batch]
+    rows = _forward_rows(wide_model, monkeypatch)
+    out = encode_batch(wide_model, batch, pool)
+    assert out._parents  # a graph was built
+    assert sum(rows) == 75 and max(rows) <= enc._ENCODE_CHUNK
+    for row, ref in zip(out.data, alone):
+        assert np.array_equal(row, ref)
+
+
 def _graph_nodes(t: Tensor) -> int:
     """Interior nodes of the graph that ends at `t`, each counted once."""
     seen, stack = set(), [t]

@@ -295,13 +295,13 @@ def test_repeated_sentence_is_encoded_once(tiny_model, tiny_corpus,
     from sedkit.objectives import EnsembleSpec
 
     rows = []
-    real = enc.encode_batch
+    real = enc.EncoderModel.forward_ids
 
-    def counting(model, sentences, pool):
-        rows.append(len(sentences))
-        return real(model, sentences, pool)
+    def counting(model, ids, mask):
+        rows.append(ids.shape[0])
+        return real(model, ids, mask)
 
-    monkeypatch.setattr(enc, "encode_batch", counting)
+    monkeypatch.setattr(enc.EncoderModel, "forward_ids", counting)
     a, b, c = tiny_corpus[0], tiny_corpus[4], tiny_corpus[8]
     task = StsTask("repeats", (ScoredPair(a, b, 1.0), ScoredPair(a, c, 2.0),
                                ScoredPair(b, a, 3.0), ScoredPair(c, c, 4.0)))

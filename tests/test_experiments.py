@@ -263,7 +263,7 @@ def test_train_sed_computes_targets_once(tiny_model, tiny_corpus,
 
 
 def test_encode_many_matches_single_batch(tiny_model, tiny_corpus):
-    """90 sentences cross encode_many's 64-sentence chunk boundary."""
+    """90 sentences cross the 64-row limit of one forward."""
     sents = list(tiny_corpus) + [" ".join(reversed(s.split()))
                                  for s in tiny_corpus]
     sents += [a + " " + b for a, b in zip(sents[:30], sents[30:60])]
