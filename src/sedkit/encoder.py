@@ -24,6 +24,12 @@ A forward is the embedding (two gathers, `tok_emb[ids]` and
 one autodiff node per layer, `dc.transformer_block`. That node gives
 the bits of the chain of sublayer ops it stands for, forward and
 backward, so training through it writes the same checkpoint bytes.
+Without a graph (`encode_many`, a frozen teacher) the node keeps no
+intermediates and reuses its own buffers: at the desk arch a block over
+64 rows of 32 tokens allocates 2.1 MiB at its peak, where keeping them
+took 6.1 MiB. `_ENCODE_CHUNK` stays 64. Smaller forwards shrink the
+same temporaries, which saves time only where glibc would otherwise
+trim the heap and fault it in again, and costs time elsewhere.
 """
 
 from __future__ import annotations
