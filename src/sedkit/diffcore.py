@@ -9,7 +9,7 @@ exact zero. A parent that is neither such a leaf nor computed from one
 (a mask, a scale, a target) gets no gradient at all.
 
 Each kind of op has one written gradient rule: `Tensor._binary` serves
-``+ - * /`` (and is where the no-gradient-toward-constants rule and the
+``+ - * / @`` (and is where the no-gradient-toward-constants rule and the
 undoing of broadcasting live), `Tensor._unary` every op of one input
 but the fused nodes, and one backward both reductions. Indexing is the
 one gather, for any numpy key: its gradient is one `np.bincount` of the
@@ -41,10 +41,12 @@ All arithmetic is float64; there is no GPU path and no mixed precision.
 Every trainer in the toolkit steps through `train`: one optimizer step
 per batch of an iterable, with a constant learning rate or a schedule
 indexed by the optimizer's step count, and a `DivergenceError` as soon
-as a loss is not finite. Batches come from `sample_batches` (random
-subsets for step-budgeted training) or `epoch_batches` (one fresh
-permutation per epoch). Both are generators, so their draws interleave
-with any draws the loss makes from the same generator.
+as a loss is not finite; the two that pick an epoch (the flow fit and
+supervised early stopping) do so through `train_best`. Batches come
+from `sample_batches` (random subsets for step-budgeted training) or
+`epoch_batches` (one fresh permutation per epoch). Both are generators,
+so their draws interleave with any draws the loss makes from the same
+generator.
 """
 
 from __future__ import annotations
@@ -178,19 +180,12 @@ class Tensor:
 
     def __matmul__(self, other):
         other = Tensor._coerce(other)
-        a, b = self, other
-        if a.data.ndim < 2 or b.data.ndim < 2:
+        if self.data.ndim < 2 or other.data.ndim < 2:
             raise ShapeMismatchError("matmul operands must be at least 2-D")
-
-        def backward(g):
-            return (
-                _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)),
-                             a.shape) if _wants_grad(a) else None,
-                _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g),
-                             b.shape) if _wants_grad(b) else None,
-            )
-
-        return Tensor._node(np.matmul(a.data, b.data), (a, b), backward)
+        return self._binary(
+            other, np.matmul,
+            lambda g, a, b: np.matmul(g, np.swapaxes(b, -1, -2)),
+            lambda g, a, b: np.matmul(np.swapaxes(a, -1, -2), g))
 
     # -- elementwise, reductions and shape -------------------------------
 
@@ -714,6 +709,27 @@ def train(opt, batches, loss_fn, lr) -> None:
         opt.zero_grad()
         loss.backward()
         opt.step(lr(opt.step_count) if callable(lr) else lr)
+
+
+def train_best(opt, epochs: int, batches, loss_fn, lr, score, best: float,
+               patience) -> list[float]:
+    """Up to `epochs` rounds of ``train(opt, batches(), loss_fn, lr)``,
+    each scored by ``score()``; returns the scores. Ends holding the
+    parameters of the first highest-scoring round, or the starting ones
+    (scored `best`) if no round beats them. The `patience`-th round in a
+    row not to beat the best so far ends the run (the first, for 0);
+    ``math.inf`` runs every round."""
+    kept, scores, improved = opt.data.copy(), [], 0
+    for epoch in range(1, epochs + 1):
+        train(opt, batches(), loss_fn, lr)
+        scores.append(score())
+        if scores[-1] > best:
+            best, improved = scores[-1], epoch
+            kept[...] = opt.data
+        elif epoch - improved >= patience:
+            break
+    opt.data[...] = kept
+    return scores
 
 
 def sample_batches(rng, n: int, batch: int, steps: int):

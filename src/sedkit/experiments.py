@@ -595,11 +595,7 @@ def _grid_cell(base: EncoderModel, train_pairs, target_map, cfg,
 
 def select_bound(means: dict) -> float:
     """Bound with the highest mean dev score, ties to the smaller bound."""
-    selected = None
-    for bound in sorted(means):
-        if selected is None or means[bound] > means[selected]:
-            selected = bound
-    return selected
+    return max(sorted(means), key=means.__getitem__)
 
 
 def grid_csv(result: GridSearchResult) -> str:
@@ -621,9 +617,10 @@ def train_supervised_with_early_stopping(
     section's [lower_bound, 1], with dev-Spearman early stopping; training
     and the dev score both pool with `TRAIN_POOL`.
 
-    Stops once the dev score has failed to improve for `patience`
-    consecutive epochs and restores the best-dev parameters, so the
-    returned model matches the maximum of the returned trajectory.
+    Epochs run through `diffcore.train_best` scored by the dev Spearman,
+    which stops after `patience` epochs in a row without improvement and
+    restores the best-dev parameters: the returned model matches the
+    maximum of the returned trajectory, the per-epoch dev scores.
     """
     if not train_pairs:
         raise DataError("no training pairs")
@@ -638,29 +635,14 @@ def train_supervised_with_early_stopping(
             f"dev task shares {len(overlap)} pairs with the training set"
         )
     target_map = RegressionTargetMap(cfg.lower_bound)
-    opt = dc.Adam(model.parameters())
     rng = np.random.default_rng(seed)
-    trajectory: list[float] = []
-    best_score = -np.inf
-    best_state = opt.data.copy()
-    bad_epochs = 0
-    for _ in range(cfg.max_epochs):
-        dc.train(opt, dc.epoch_batches(rng, len(train_pairs), cfg.batch),
-                 lambda idx: sts_regression_loss(
-                     model, [train_pairs[i] for i in idx], target_map),
-                 cfg.lr)
-        _, dev_s = evaluate_task(model, dev_task, TRAIN_POOL)
-        trajectory.append(dev_s)
-        if dev_s > best_score:
-            best_score = dev_s
-            best_state = opt.data.copy()
-            bad_epochs = 0
-        else:
-            bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
-    opt.data[...] = best_state
-    return model, trajectory
+    return model, dc.train_best(
+        dc.Adam(model.parameters()), cfg.max_epochs,
+        lambda: dc.epoch_batches(rng, len(train_pairs), cfg.batch),
+        lambda idx: sts_regression_loss(
+            model, [train_pairs[i] for i in idx], target_map),
+        cfg.lr, lambda: evaluate_task(model, dev_task, TRAIN_POOL)[1],
+        -np.inf, cfg.patience)
 
 
 def supervised_stage(cfg: RunConfig, model: EncoderModel, train_pairs,

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Tensor
-from .errors import DataError, ShapeMismatchError
+from .errors import ConfigError, DataError, ShapeMismatchError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -36,7 +36,12 @@ class CouplingFlow:
         self.dim = dim
         self.n_layers = n_layers
         self.hidden = 2 * dim  # width of each layer's subnetwork
+        # every layer's first weight in one draw (the same numbers as one
+        # draw per layer), so a flow too large to hold fails at once
+        w1 = np.random.default_rng(seed).normal(
+            0.0, 0.1, size=(n_layers, dim, self.hidden))
         self.masks: list[np.ndarray] = []
+        self.params: dict[str, Tensor] = {}
         half = dim // 2
         for layer in range(n_layers):
             mask = np.zeros(dim)
@@ -45,12 +50,8 @@ class CouplingFlow:
             else:
                 mask[half:] = 1.0
             self.masks.append(mask)
-        rng = np.random.default_rng(seed)
-        self.params: dict[str, Tensor] = {}
-        for layer in range(n_layers):
             pre = f"f{layer}."
-            self.params[pre + "w1"] = Tensor(
-                rng.normal(0.0, 0.1, size=(dim, self.hidden)), requires_grad=True)
+            self.params[pre + "w1"] = Tensor(w1[layer], requires_grad=True)
             self.params[pre + "b1"] = Tensor(np.zeros(self.hidden),
                                              requires_grad=True)
             # zero heads make the fresh flow the exact identity
@@ -76,8 +77,9 @@ class CouplingFlow:
         for layer in range(self.n_layers):
             keep = Tensor(self.masks[layer])
             change = Tensor(1.0 - self.masks[layer])
-            s, t = self._subnet(x * keep, layer)
-            x = x * keep + (x * s.exp() + t) * change
+            kept = x * keep
+            s, t = self._subnet(kept, layer)
+            x = kept + (x * s.exp() + t) * change
             contrib = (s * change).sum(axis=1)
             log_det = contrib if log_det is None else log_det + contrib
         return x, log_det
@@ -95,8 +97,9 @@ class CouplingFlow:
             for layer in reversed(range(self.n_layers)):
                 keep = self.masks[layer]
                 change = 1.0 - keep
-                s, t = self._subnet(Tensor(x * keep), layer)
-                x = x * keep + (x - t.data) * np.exp(-s.data) * change
+                kept = x * keep
+                s, t = self._subnet(Tensor(kept), layer)
+                x = kept + (x - t.data) * np.exp(-s.data) * change
         return x[0] if squeeze else x
 
 
@@ -135,14 +138,20 @@ def fit_flow(embeddings, cfg, init_seed: int, seed: int) -> CouplingFlow:
     maximum likelihood, Adam with the section's lr, epochs and batch;
     `seed` orders batches.
 
-    Keeps the per-epoch snapshot with the lowest full-data NLL (the
-    initial state included), so the returned flow's training NLL never
-    exceeds the starting value. Zero epochs return the initial flow.
+    `diffcore.train_best`, scored by the negated full-data NLL, keeps
+    the epoch of lowest NLL, the initial state included, so the returned
+    flow's training NLL never exceeds the starting value. Zero epochs
+    return the initial flow. A flow too large to allocate is a
+    `ConfigError` naming its layer count and dimension.
     """
     X = np.asarray(embeddings, dtype=np.float64)
     if X.ndim != 2:
         raise ShapeMismatchError("expected embeddings (N, dim)")
-    flow = CouplingFlow(X.shape[1], cfg.layers, seed=init_seed)
+    try:
+        flow = CouplingFlow(X.shape[1], cfg.layers, seed=init_seed)
+    except MemoryError:
+        raise ConfigError(f"cannot allocate a flow of {cfg.layers} layers "
+                          f"over dimension {X.shape[1]}") from None
     if X.shape[0] < 2 * cfg.batch:
         raise DataError(
             f"need >= {2 * cfg.batch} embeddings, got {X.shape[0]}"
@@ -151,17 +160,12 @@ def fit_flow(embeddings, cfg, init_seed: int, seed: int) -> CouplingFlow:
         warnings.warn("all embeddings identical; flow fit is degenerate")
 
     opt = dc.Adam(flow.parameters())
-    best_nll = flow_nll_value(flow, X)
-    best_state = opt.data.copy()
     rng = np.random.default_rng(seed)
-    for _ in range(cfg.epochs):
-        dc.train(opt, dc.epoch_batches(rng, X.shape[0], cfg.batch),
-                 lambda idx: flow_nll(flow, X[idx]), cfg.lr)
-        nll = flow_nll_value(flow, X)
-        if nll < best_nll:
-            best_nll = nll
-            best_state = opt.data.copy()
-    opt.data[...] = best_state
+    dc.train_best(opt, cfg.epochs,
+                  lambda: dc.epoch_batches(rng, X.shape[0], cfg.batch),
+                  lambda idx: flow_nll(flow, X[idx]), cfg.lr,
+                  lambda: -flow_nll_value(flow, X), -flow_nll_value(flow, X),
+                  np.inf)
     return flow
 
 

@@ -103,18 +103,14 @@ def ensemble_mean_embeddings(ensemble: EnsembleSpec, sentences,
     distinct sentence once, at most 64 rows per forward), so targets are
     detached constants and a whole corpus never runs as one forward. The
     mean is taken row by row, so a repeated sentence gets the same target
-    in every row. The member outputs are accumulated in a canonical
-    (per-coordinate sorted) order so the result is exactly
-    permutation-invariant; a naive running sum can differ in the last ulp
-    when members are reordered.
+    in every row. The member outputs are sorted per coordinate and
+    summed over the member axis, which numpy adds in order, so the
+    result is exactly permutation-invariant; an unsorted sum can differ
+    in the last ulp when members are reordered.
     """
     stack = np.stack([enc.encode_many(member, sentences, pool)
                       for member in ensemble.members])
-    stack = np.sort(stack, axis=0, kind="stable")
-    acc = stack[0]
-    for i in range(1, stack.shape[0]):
-        acc = acc + stack[i]
-    return acc / len(ensemble)
+    return np.sort(stack, axis=0, kind="stable").sum(axis=0) / len(ensemble)
 
 
 def sed_loss(target: np.ndarray, student_out: Tensor) -> Tensor:

@@ -115,14 +115,15 @@ def _main_in_child(argv) -> tuple[int, str]:
 
 @pytest.mark.parametrize("case", [
     "key_before_header", "duplicate_key", "duplicate_section",
-    "unclosed_header", "not_utf8", "unallocatable_arch", "bom"])
+    "unclosed_header", "not_utf8", "unallocatable_arch",
+    "unallocatable_flow", "bom"])
 def test_config_file_is_read_like_every_text_input(workspace, tmp_path,
                                                    case):
     """A config file is decoded like the other text inputs, so a leading
     BOM is dropped and the config trains the base it names. A malformed
     one exits 1 with one `error:` line naming the file and the line, no
-    traceback and no checkpoint; an arch whose tensors cannot be
-    allocated fails when the encoder is built, and is named by its sizes."""
+    traceback and no checkpoint; an arch or a flow whose tensors cannot
+    be allocated fails when it is built, and is named by its sizes."""
     with open(workspace["ini"], "rb") as fh:
         ini = fh.read()
     cfg, out = tmp_path / "run.ini", tmp_path / "out"
@@ -138,16 +139,22 @@ def test_config_file_is_read_like_every_text_input(workspace, tmp_path,
         "unallocatable_arch": (
             ini.replace(b"max_len = 8", b"max_len = 100000000000"),
             "max_len=100000000000"),
+        "unallocatable_flow": (
+            ini.replace(b"[flow]\nlayers = 2", b"[flow]\nlayers = 1000000000"),
+            "1000000000 layers"),
         "bom": (b"\xef\xbb\xbf" + ini, None),
     }[case]
     cfg.write_bytes(body)
-    rc, err = _main_in_child(["pretrain", "--config", str(cfg), "--corpus",
-                              workspace["corpus"], "--out", str(out)])
+    command = (["fit-flow", "--model", workspace["base"]]
+               if case == "unallocatable_flow" else ["pretrain"])
+    rc, err = _main_in_child(command + ["--config", str(cfg), "--corpus",
+                                        workspace["corpus"], "--out",
+                                        str(out)])
     if names is None:
         assert rc == 0, err
         assert sha(out / "base.ckpt") == sha(workspace["base"])
         return
-    assert rc == 1 and not (out / "base.ckpt").exists()
+    assert rc == 1 and not list(out.glob("*.ckpt"))
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert names in err, err
 

@@ -932,6 +932,49 @@ def test_train_raises_divergence_naming_the_step():
     assert issubclass(DivergenceError, ValueError)
 
 
+def scripted_best(script, best, patience):
+    """`train_best` on a quadratic for len(script) rounds, round i scored
+    script[i]; returns the scores, the parameters after each round, the
+    starting parameters and the parameters it ends holding."""
+    p = Tensor(np.array([3.0, -1.0]), requires_grad=True)
+    start, after = p.data.copy(), []
+
+    def score():
+        after.append(p.data.copy())
+        return script[len(after) - 1]
+
+    scores = dc.train_best(Adam([p]), len(script),
+                           lambda: [np.array([0.0])] * 2, quadratic(p), 0.1,
+                           score, best, patience)
+    assert len(after) == len(scores)
+    return scores, after, start, p.data
+
+
+@pytest.mark.parametrize("patience, rounds", [(0, 3), (1, 3), (2, 4),
+                                              (math.inf, 6)])
+def test_train_best_keeps_the_best_round_and_stops_on_patience(patience,
+                                                               rounds):
+    """Round 2 scores highest until round 6; a patience of 0 stops at the
+    first round that fails to beat the best, as 1 does, and math.inf runs
+    every round and ends on round 6's parameters."""
+    script = [1.0, 3.0, 2.0, 3.0, 0.0, 4.0]
+    scores, after, _, held = scripted_best(script, -math.inf, patience)
+    assert scores == script[:rounds]
+    assert np.array_equal(held, after[5] if rounds == 6 else after[1])
+    if rounds < 6:  # the best round is not the last one run
+        assert not np.array_equal(held, after[-1])
+
+
+def test_train_best_keeps_the_start_when_no_round_beats_it():
+    scores, after, start, held = scripted_best([1.0, 2.0, 2.0], 2.0,
+                                               math.inf)
+    assert scores == [1.0, 2.0, 2.0]
+    assert not np.array_equal(after[-1], start)
+    assert np.array_equal(held, start)
+    _, _, start, held = scripted_best([5.0], 6.0, 0)
+    assert np.array_equal(held, start)
+
+
 def test_epoch_batches_cover_each_index_once_per_epoch():
     batches = list(dc.epoch_batches(np.random.default_rng(3), 10, 4,
                                     epochs=3))
