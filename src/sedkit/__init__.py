@@ -15,7 +15,7 @@ from .errors import (CheckpointError, CheckpointVersionError, ConfigError,
                      DivergenceError, ShapeMismatchError)
 from .evalsts import (CorrelationReport, ScoredPair, StsTask, cosine,
                       evaluate_suite, evaluate_task, load_sts_tsv, pearson,
-                      spearman, write_report_csv)
+                      report_files, spearman)
 from .flow import CouplingFlow, fit_flow, flow_forward, flow_nll
 from .objectives import (CtPair, EnsembleSpec, LabeledNliPair, NliHead,
                          RegressionTargetMap, ct_loss,

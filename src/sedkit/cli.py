@@ -5,12 +5,19 @@ on data or configuration errors (with a structured message on stderr),
 2 on usage errors (argparse). Every subcommand writes into --out
 (default `runs`); `main` loads the config and creates that directory
 before it dispatches to the subcommand.
+
+One input table, `_INPUTS`, gives each input its flag and a reader of
+its value and digest. One writer, `_run`, reads a subcommand's inputs,
+each file once, runs it (it only computes) and writes what it returns
+in one order: tables, then checkpoints, then `{stage}_manifest.json`.
+`gen-synthetic`, which writes no manifest, keeps its own path.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -19,8 +26,8 @@ from .checkpoint import (read_checkpoint, read_lines, save_checkpoint,
                          write_atomic)
 from .config import RunConfig, _parse_value, load_config, render_config
 from .encoder import EncoderModel, PoolingSpec
-from .errors import DataError
-from .evalsts import evaluate_suite, load_sts_tsv, write_report_csv
+from .errors import ConfigError, DataError
+from .evalsts import evaluate_suite, load_sts_tsv, report_files
 from .experiments import (_hash_lines, _hash_nli, _hash_task, _sized_corpus,
                           ablation_csv, distill_stage,
                           flow_stage, grid_csv, grid_search_lower_bound,
@@ -43,17 +50,18 @@ def read_corpus(path) -> list[str]:
     return lines
 
 
-def _resolve_corpus(args, cfg: RunConfig) -> tuple[list[str], str]:
-    """The `[data] corpus_size` sample of --corpus, and the hash of all
-    its lines as `run_pipeline` records it."""
-    lines = read_corpus(args.corpus)
-    return _sized_corpus(cfg, lines), _hash_lines(lines)
-
-
-# Each setting flag's argparse dest is the key it overrides in a section.
-_SETTING_FLAGS = {"seed": "run", "bounds": "grid", "seeds_per_bound": "grid",
-                  "lower_bound": "supervised", "runs": "stability",
-                  "pool_k": "eval"}
+# Setting flags: argparse dest (the key overridden) -> flag, keywords, section.
+_SETTINGS = {
+    "seed": ("--seed", {"help": "[run] seed"}, "run"),
+    "bounds": ("--bounds", {"help": "[grid] bounds, comma-separated"},
+               "grid"),
+    "seeds_per_bound": ("--seeds-per-bound",
+                        {"help": "[grid] seeds_per_bound"}, "grid"),
+    "lower_bound": ("--lower-bound", {"help": "[supervised] lower_bound"},
+                    "supervised"),
+    "runs": ("--runs", {"help": "[stability] runs"}, "stability"),
+    "pool_k": ("--pool", {"help": "[eval] pool_k"}, "eval"),
+}
 
 
 def _load_cfg(args) -> RunConfig:
@@ -61,7 +69,7 @@ def _load_cfg(args) -> RunConfig:
     parsed as its key's INI value and put in its place; the rebuilt
     section checks the value as it checks the key."""
     cfg = load_config(args.config) if args.config else RunConfig()
-    for key, name in _SETTING_FLAGS.items():
+    for key, (_, _, name) in _SETTINGS.items():
         text = getattr(args, key, None)
         if text is not None:
             section = getattr(cfg, name)
@@ -72,15 +80,7 @@ def _load_cfg(args) -> RunConfig:
     return cfg
 
 
-def _load_tasks(args) -> list:
-    if not args.task:
-        raise DataError("no tasks given (use --task FILE ...)")
-    return [load_sts_tsv(p) for p in args.task]
-
-
-def _load(path, cls) -> tuple:
-    """The checkpoint at `path`, which must hold a `cls`, and the digest
-    of the bytes it was loaded from, which a manifest records."""
+def _checkpoint(path, cfg, cls=EncoderModel) -> tuple:
     artifact, digest = read_checkpoint(path)
     if not isinstance(artifact, cls):
         raise DataError(f"checkpoint {path} holds "
@@ -88,162 +88,18 @@ def _load(path, cls) -> tuple:
     return artifact, digest
 
 
-def _write_manifest(out: str, name: str, cfg: RunConfig, seeds: dict,
-                    inputs: dict, checkpoints: dict) -> None:
-    """`{name}_manifest.json`: what the subcommand ran with and wrote."""
-    write_manifest({"stage": name, "config_text": render_config(cfg),
-                    "derived_seeds": seeds, "input_hashes": inputs,
-                    "checkpoints": checkpoints},
-                   os.path.join(out, f"{name}_manifest.json"))
+def _checkpoints(paths, cfg) -> tuple:
+    loaded = [_checkpoint(path, cfg) for path in paths]
+    return [m for m, _ in loaded], [digest for _, digest in loaded]
 
 
-def _save_stage(out: str, name: str, cfg: RunConfig, seeds: dict,
-                inputs: dict, key: str, artifact) -> str:
-    """Save `artifact` as `{key}.ckpt` beside `{name}_manifest.json`,
-    which records its digest; returns the checkpoint path."""
-    path = os.path.join(out, f"{key}.ckpt")
-    _write_manifest(out, name, cfg, seeds, inputs,
-                    {key: save_checkpoint(artifact, path)})
-    return path
-
-
-def _cmd_pretrain(args, cfg: RunConfig, out: str) -> None:
-    corpus, corpus_hash = _resolve_corpus(args, cfg)
-    model, seed = pretrain_stage(cfg, corpus)
-    path = _save_stage(out, "pretrain", cfg, {"pretrain": seed},
-                       {"corpus": corpus_hash}, "base", model)
-    print(f"wrote {path}")
-
-
-def _cmd_train_ct(args, cfg: RunConfig, out: str) -> None:
-    base, base_hash = _load(args.base, EncoderModel)
-    corpus, corpus_hash = _resolve_corpus(args, cfg)
-    model, seed = member_stage("ct", cfg, base, corpus, args.member)
-    name = f"ct_{args.member}"
-    path = _save_stage(out, name, cfg, {"ct": seed},
-                       {"corpus": corpus_hash, "base": base_hash}, name,
-                       model)
-    print(f"wrote {path}")
-
-
-def _cmd_train_nli(args, cfg: RunConfig, out: str) -> None:
-    base, base_hash = _load(args.base, EncoderModel)
-    pairs = load_nli_tsv(args.nli)
-    model, seed = member_stage("nli", cfg, base, pairs, args.member)
-    name = f"nli_{args.member}"
-    path = _save_stage(out, name, cfg, {"nli": seed},
-                       {"nli": _hash_nli(pairs), "base": base_hash}, name,
-                       model)
-    print(f"wrote {path}")
-
-
-def _cmd_train_sed(args, cfg: RunConfig, out: str) -> None:
-    teachers, teacher_hashes = zip(*(_load(p, EncoderModel)
-                                     for p in args.teachers))
-    init, init_hash = _load(args.student_init, EncoderModel)
-    corpus, corpus_hash = _resolve_corpus(args, cfg)
-    model, seed = distill_stage(cfg, list(teachers), corpus, init)
-    path = _save_stage(out, "sed", cfg, {"sed": seed},
-                       {"corpus": corpus_hash,
-                        "teachers": list(teacher_hashes),
-                        "student_init": init_hash},
-                       "student", model)
-    print(f"wrote {path}")
-
-
-def _cmd_fit_flow(args, cfg: RunConfig, out: str) -> None:
-    model, model_hash = _load(args.model, EncoderModel)
-    corpus, corpus_hash = _resolve_corpus(args, cfg)
-    flow, seeds = flow_stage(cfg, model, corpus)
-    path = _save_stage(out, "flow", cfg, {"flow": seeds},
-                       {"corpus": corpus_hash, "model": model_hash}, "flow",
-                       flow)
-    print(f"wrote {path}")
-
-
-def _cmd_train_supervised(args, cfg: RunConfig, out: str) -> None:
-    model, model_hash = _load(args.model, EncoderModel)
-    train_task = load_sts_tsv(args.train_pairs)
-    dev_task = load_sts_tsv(args.dev_task)
-    trained, trajectory, seed = supervised_stage(
-        cfg, model, list(train_task.pairs), dev_task)
-    text = json.dumps({"lower_bound": cfg.supervised.lower_bound,
-                       "dev_spearman_x100": trajectory}, indent=2) + "\n"
-    write_atomic(os.path.join(out, "dev_trajectory.json"), text.encode("utf-8"))
-    path = _save_stage(out, "supervised", cfg, {"supervised": seed},
-                       {"train_pairs": _hash_task(train_task),
-                        "dev_task": _hash_task(dev_task),
-                        "model": model_hash},
-                       "supervised", trained)
-    print(f"wrote {path} (best dev spearman x100: {max(trajectory):.2f})")
-
-
-def _cmd_grid_search(args, cfg: RunConfig, out: str) -> None:
-    model, model_hash = _load(args.model, EncoderModel)
-    train_task = load_sts_tsv(args.train_pairs)
-    dev_task = load_sts_tsv(args.dev_task)
-    result = grid_search_lower_bound(
-        model, list(train_task.pairs), dev_task, cfg.grid.bounds,
-        cfg.grid.seeds_per_bound, cfg=cfg.grid, master_seed=cfg.run.seed,
-    )
-    path = os.path.join(out, "grid_search.csv")
-    write_atomic(path, grid_csv(result).encode("utf-8"))
-    _write_manifest(out, "grid_search", cfg, {"grid": list(result.seeds)},
-                    {"train_pairs": _hash_task(train_task),
-                     "dev_task": _hash_task(dev_task),
-                     "model": model_hash}, {})
-    print(f"selected lower bound: {result.selected_bound}")
-    print(f"wrote {path}")
-
-
-def _cmd_evaluate(args, cfg: RunConfig, out: str) -> None:
-    model, model_hash = _load(args.model, EncoderModel)
-    tasks = _load_tasks(args)
-    flow, flow_hash = (_load(args.flow, CouplingFlow) if args.flow
-                       else (None, None))
-    report = evaluate_suite(model, tasks, PoolingSpec(cfg.eval.pool_k),
-                            flow=flow)
-    path = os.path.join(out, "report.csv")
-    write_report_csv(report, path)
-    inputs = {"model": model_hash,
-              "tasks": {t.name: _hash_task(t) for t in tasks}}
-    if args.flow:
-        inputs["flow"] = flow_hash
-    _write_manifest(out, "evaluate", cfg, {}, inputs, {})
-    for name, res in report.per_task.items():
-        print(f"{name}: pearson {res.pearson_x100:.2f} "
-              f"spearman {res.spearman_x100:.2f}")
-    print(f"Avg.: pearson {report.average_pearson_x100:.2f} "
-          f"spearman {report.average_spearman_x100:.2f}")
-    if report.failed:
-        print(f"partial report; failed tasks: {sorted(report.failed)}",
-              file=sys.stderr)
-    print(f"wrote {path}")
-
-
-def _cmd_stability(args, cfg: RunConfig, out: str) -> None:
-    base, base_hash = _load(args.base, EncoderModel)
-    corpus, corpus_hash = _resolve_corpus(args, cfg)
-    tasks = _load_tasks(args)
-    reports, seeds = stability_study(base, corpus, tasks, cfg)
-    path = os.path.join(out, "stability.csv")
-    write_atomic(path, stability_csv(reports).encode("utf-8"))
-    _write_manifest(out, "stability", cfg, seeds,
-                    {"corpus": corpus_hash, "base": base_hash,
-                     "tasks": {t.name: _hash_task(t) for t in tasks}}, {})
-    for name, rep in reports.items():
-        print(f"{name}: max {rep.max:.2f} mean {rep.mean:.2f} "
-              f"std {rep.std:.2f} over {rep.count} runs")
-    print(f"wrote {path}")
-
-
-def _cmd_ablate_pooling(args, cfg: RunConfig, out: str) -> None:
+def _models(entries, cfg) -> tuple:
+    """`ablate-pooling`'s `name=path` (or bare path) entries, every name
+    checked before any checkpoint is read."""
     paths = {}
-    for entry in args.model:
-        if "=" in entry:
-            name, path = entry.split("=", 1)
-        else:
-            name, path = os.path.basename(entry), entry
+    for entry in entries:
+        name, path = (entry.split("=", 1) if "=" in entry
+                      else (os.path.basename(entry), entry))
         if not name:
             raise DataError(f"--model {entry!r} gives no name; "
                             "give name=path")
@@ -251,29 +107,169 @@ def _cmd_ablate_pooling(args, cfg: RunConfig, out: str) -> None:
             raise DataError(f"two --model entries are named {name!r}; "
                             "give each a distinct name=path")
         paths[name] = path
-    loaded = {name: _load(path, EncoderModel) for name, path in paths.items()}
-    models = {name: model for name, (model, _) in loaded.items()}
-    tasks = _load_tasks(args)
+    models, digests = _checkpoints(paths.values(), cfg)
+    return dict(zip(paths, models)), dict(zip(paths, digests))
+
+
+def _corpus(path, cfg) -> tuple:
+    """The `[data] corpus_size` sample, and the hash of all the lines."""
+    lines = read_corpus(path)
+    return _sized_corpus(cfg, lines), _hash_lines(lines)
+
+
+def _nli(path, cfg) -> tuple:
+    pairs = load_nli_tsv(path)
+    return pairs, _hash_nli(pairs)
+
+
+def _task(path, cfg) -> tuple:
+    task = load_sts_tsv(path)
+    return task, _hash_task(task)
+
+
+def _tasks(paths, cfg) -> tuple:
+    if not paths:
+        raise DataError("no tasks given (use --task FILE ...)")
+    loaded = [_task(path, cfg) for path in paths]
+    return [t for t, _ in loaded], {t.name: digest for t, digest in loaded}
+
+
+# Each input's argparse dest, also its key in a manifest's `input_hashes`:
+# its flag, argparse keywords and reader, which returns the value and its
+# digest (of a checkpoint's bytes, of a text input as read; see
+# `experiments`). Only --flow may be left out: it is None, with no digest.
+_INPUTS = {
+    "base": ("--base", {"required": True}, _checkpoint),
+    "model": ("--model", {"required": True}, _checkpoint),
+    "models": ("--model", {"action": "append", "required": True,
+                           "metavar": "MODEL",
+                           "help": "name=path, repeatable"}, _models),
+    "teachers": ("--teachers", {"nargs": "+", "required": True}, _checkpoints),
+    "student_init": ("--student-init", {"required": True}, _checkpoint),
+    "corpus": ("--corpus", {"required": True}, _corpus),
+    "nli": ("--nli", {"required": True,
+                      "help": "premise/hypothesis/label TSV"}, _nli),
+    "train_pairs": ("--train-pairs", {"required": True}, _task),
+    "dev_task": ("--dev-task", {"required": True}, _task),
+    "tasks": ("--task", {"nargs": "+", "action": "extend", "default": [],
+                         "metavar": "TASK", "help": "STS task files"},
+              _tasks),
+    "flow": ("--flow", {"help": "flow checkpoint for latent scoring"},
+             lambda path, cfg: _checkpoint(path, cfg, CouplingFlow)),
+}
+
+
+def _run(command, inputs, args, cfg: RunConfig) -> None:
+    """Read `inputs` in order, call `command(args, cfg, **values)` for
+    `(stage, seeds, checkpoints, tables, summary)`, write the tables (file
+    name -> text), each checkpoint as `{key}.ckpt`, then the manifest, and
+    print the summary and the first checkpoint, else the first table."""
+    values, hashes = {}, {}
+    for dest in inputs:
+        values[dest] = getattr(args, dest)
+        if values[dest] is not None:
+            values[dest], hashes[dest] = _INPUTS[dest][2](values[dest], cfg)
+    stage, seeds, checkpoints, tables, summary = command(args, cfg, **values)
+    for name, text in tables.items():
+        write_atomic(os.path.join(args.out, name), text.encode("utf-8"))
+    written = {key: save_checkpoint(artifact,
+                                    os.path.join(args.out, f"{key}.ckpt"))
+               for key, artifact in checkpoints.items()}
+    write_manifest({"stage": stage, "config_text": render_config(cfg),
+                    "derived_seeds": seeds, "input_hashes": hashes,
+                    "checkpoints": written},
+                   os.path.join(args.out, f"{stage}_manifest.json"))
+    names = [f"{key}.ckpt" for key in checkpoints] + list(tables)
+    print(f"{summary}wrote {os.path.join(args.out, names[0])}")
+
+
+def _cmd_pretrain(args, cfg: RunConfig, corpus) -> tuple:
+    model, seed = pretrain_stage(cfg, corpus)
+    return "pretrain", {"pretrain": seed}, {"base": model}, {}, ""
+
+
+def _cmd_member(args, cfg: RunConfig, base, **data) -> tuple:
+    """`train-ct` (data: --corpus) or `train-nli` (data: --nli)."""
+    kind = "ct" if "corpus" in data else "nli"
+    (data,) = data.values()
+    model, seed = member_stage(kind, cfg, base, data, args.member)
+    name = f"{kind}_{args.member}"
+    return name, {kind: seed}, {name: model}, {}, ""
+
+
+def _cmd_train_sed(args, cfg: RunConfig, teachers, student_init,
+                   corpus) -> tuple:
+    if cfg.sed.student_init != "base":
+        raise ConfigError(f"sed.student_init = {cfg.sed.student_init!r}, "
+                          "but train-sed starts the student from "
+                          "--student-init; set it to 'base'")
+    model, seed = distill_stage(cfg, teachers, corpus, student_init)
+    return "sed", {"sed": seed}, {"student": model}, {}, ""
+
+
+def _cmd_fit_flow(args, cfg: RunConfig, model, corpus) -> tuple:
+    flow, seeds = flow_stage(cfg, model, corpus)
+    return "flow", {"flow": seeds}, {"flow": flow}, {}, ""
+
+
+def _cmd_train_supervised(args, cfg: RunConfig, model, train_pairs,
+                          dev_task) -> tuple:
+    trained, trajectory, seed = supervised_stage(
+        cfg, model, list(train_pairs.pairs), dev_task)
+    text = json.dumps({"lower_bound": cfg.supervised.lower_bound,
+                       "dev_spearman_x100": trajectory}, indent=2) + "\n"
+    return ("supervised", {"supervised": seed}, {"supervised": trained},
+            {"dev_trajectory.json": text},
+            f"best dev spearman x100: {max(trajectory):.2f}\n")
+
+
+def _cmd_grid_search(args, cfg: RunConfig, model, train_pairs,
+                     dev_task) -> tuple:
+    result = grid_search_lower_bound(
+        model, list(train_pairs.pairs), dev_task, cfg.grid.bounds,
+        cfg.grid.seeds_per_bound, cfg=cfg.grid, master_seed=cfg.run.seed)
+    return ("grid_search", {"grid": list(result.seeds)}, {},
+            {"grid_search.csv": grid_csv(result)},
+            f"selected lower bound: {result.selected_bound}\n")
+
+
+def _cmd_evaluate(args, cfg: RunConfig, model, tasks, flow) -> tuple:
+    report = evaluate_suite(model, tasks, PoolingSpec(cfg.eval.pool_k),
+                            flow=flow)
+    if report.failed:
+        print(f"partial report; failed tasks: {sorted(report.failed)}",
+              file=sys.stderr)
+    rows = [*((name, r.pearson_x100, r.spearman_x100)
+              for name, r in report.per_task.items()),
+            ("Avg.", report.average_pearson_x100,
+             report.average_spearman_x100)]
+    return "evaluate", {}, {}, report_files(report), "".join(
+        f"{name}: pearson {p:.2f} spearman {s:.2f}\n" for name, p, s in rows)
+
+
+def _cmd_stability(args, cfg: RunConfig, base, corpus, tasks) -> tuple:
+    reports, seeds = stability_study(base, corpus, tasks, cfg)
+    return ("stability", seeds, {}, {"stability.csv": stability_csv(reports)},
+            "".join(f"{name}: max {rep.max:.2f} mean {rep.mean:.2f} "
+                    f"std {rep.std:.2f} over {rep.count} runs\n"
+                    for name, rep in reports.items()))
+
+
+def _cmd_ablate_pooling(args, cfg: RunConfig, models, tasks) -> tuple:
     text = ablation_csv(pooling_ablation(models, tasks))
-    path = os.path.join(out, "pooling_ablation.csv")
-    write_atomic(path, text.encode("utf-8"))
-    _write_manifest(out, "ablate_pooling", cfg, {},
-                    {"models": {name: digest
-                                for name, (_, digest) in loaded.items()},
-                     "tasks": {t.name: _hash_task(t) for t in tasks}}, {})
-    print(text, end="")
-    print(f"wrote {path}")
+    return "ablate_pooling", {}, {}, {"pooling_ablation.csv": text}, text
 
 
 _WORLD_FLAGS = ("clusters", "sentences_per_cluster", "vocab_size",
                 "sts_pairs", "nli_pairs")
 
 
-def _cmd_gen_synthetic(args, cfg: RunConfig, out: str) -> None:
+def _gen_synthetic(args, cfg: RunConfig) -> None:
     given = {key: getattr(args, key) for key in _WORLD_FLAGS
              if getattr(args, key) is not None}
-    gen_synthetic_world(SyntheticWorldSpec(seed=cfg.run.seed, **given), out)
-    print(f"wrote synthetic world to {out}")
+    gen_synthetic_world(SyntheticWorldSpec(seed=cfg.run.seed, **given),
+                        args.out)
+    print(f"wrote synthetic world to {args.out}")
 
 
 def _member_index(text: str) -> int:
@@ -291,76 +287,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, command, flags, **kwargs):
+        """Subcommand `name`: --config, --out, --seed, then `flags` (input
+        and setting dests); it runs `command` on its inputs through `_run`."""
         p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
+        inputs = [dest for dest in flags if dest in _INPUTS]
+        p.set_defaults(func=functools.partial(_run, command, inputs))
         p.add_argument("--config", help="INI run configuration")
         p.add_argument("--out", default="runs", help="output directory")
-        p.add_argument("--seed", help="[run] seed")
+        for dest in ("seed", *flags):
+            flag, keywords, _ = _INPUTS.get(dest) or _SETTINGS[dest]
+            p.add_argument(flag, dest=dest, **keywords)
         return p
 
-    p = add("pretrain", _cmd_pretrain, help="masked-token pretraining")
-    p.add_argument("--corpus", required=True)
-
-    p = add("train-ct", _cmd_train_ct, help="contrastive tension member")
-    p.add_argument("--base", required=True)
-    p.add_argument("--corpus", required=True)
+    add("pretrain", _cmd_pretrain, ("corpus",),
+        help="masked-token pretraining")
+    p = add("train-ct", _cmd_member, ("base", "corpus"),
+            help="contrastive tension member")
     p.add_argument("--member", type=_member_index, default=0,
                    help="member index (seeds differ per member)")
-
-    p = add("train-nli", _cmd_train_nli, help="siamese NLI member")
-    p.add_argument("--base", required=True)
-    p.add_argument("--nli", required=True, help="premise/hypothesis/label TSV")
+    p = add("train-nli", _cmd_member, ("base", "nli"),
+            help="siamese NLI member")
     p.add_argument("--member", type=_member_index, default=0)
-
-    p = add("train-sed", _cmd_train_sed, help="distill an ensemble")
-    p.add_argument("--teachers", nargs="+", required=True)
-    p.add_argument("--student-init", required=True)
-    p.add_argument("--corpus", required=True)
-
-    p = add("fit-flow", _cmd_fit_flow, help="fit a calibration flow")
-    p.add_argument("--model", required=True)
-    p.add_argument("--corpus", required=True)
-
-    p = add("train-supervised", _cmd_train_supervised,
-            help="regression fine-tuning with early stopping")
-    p.add_argument("--model", required=True)
-    p.add_argument("--train-pairs", required=True)
-    p.add_argument("--dev-task", required=True)
-    p.add_argument("--lower-bound", help="[supervised] lower_bound")
-
-    p = add("grid-search", _cmd_grid_search, help="lower-bound sweep")
-    p.add_argument("--model", required=True)
-    p.add_argument("--train-pairs", required=True)
-    p.add_argument("--dev-task", required=True)
-    p.add_argument("--bounds", help="[grid] bounds, comma-separated")
-    p.add_argument("--seeds-per-bound", help="[grid] seeds_per_bound")
-
-    p = add("evaluate", _cmd_evaluate, help="STS correlation report")
-    p.add_argument("--model", required=True)
-    p.add_argument("--task", nargs="+", action="extend",
-                   help="STS task files")
-    p.add_argument("--pool", dest="pool_k", help="[eval] pool_k")
-    p.add_argument("--flow", help="flow checkpoint for latent scoring")
-
-    p = add("stability", _cmd_stability, help="member/ensemble/student spread")
-    p.add_argument("--base", required=True)
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--task", nargs="+", action="extend",
-                   help="STS task files")
-    p.add_argument("--runs", help="[stability] runs")
-
-    p = add("ablate-pooling", _cmd_ablate_pooling, help="k in {1,2,3} grid")
-    p.add_argument("--model", action="append", required=True,
-                   help="name=path, repeatable")
-    p.add_argument("--task", nargs="+", action="extend",
-                   help="STS task files")
-
-    p = add("gen-synthetic", _cmd_gen_synthetic, help="generate a toy world")
+    add("train-sed", _cmd_train_sed, ("teachers", "student_init", "corpus"),
+        help="distill an ensemble")
+    add("fit-flow", _cmd_fit_flow, ("model", "corpus"),
+        help="fit a calibration flow")
+    add("train-supervised", _cmd_train_supervised,
+        ("model", "train_pairs", "dev_task", "lower_bound"),
+        help="regression fine-tuning with early stopping")
+    add("grid-search", _cmd_grid_search,
+        ("model", "train_pairs", "dev_task", "bounds", "seeds_per_bound"),
+        help="lower-bound sweep")
+    add("evaluate", _cmd_evaluate, ("model", "tasks", "pool_k", "flow"),
+        help="STS correlation report")
+    add("stability", _cmd_stability, ("base", "corpus", "tasks", "runs"),
+        help="member/ensemble/student spread")
+    add("ablate-pooling", _cmd_ablate_pooling, ("models", "tasks"),
+        help="k in {1,2,3} grid")
+    p = add("gen-synthetic", None, (), help="generate a toy world")
+    p.set_defaults(func=_gen_synthetic)
     for key in _WORLD_FLAGS:
         p.add_argument("--" + key.replace("_", "-"), type=int,
                        help=f"SyntheticWorldSpec.{key}")
-
     return parser
 
 
@@ -373,7 +342,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_cfg(args)
         os.makedirs(args.out, exist_ok=True)
-        args.func(args, cfg, args.out)
+        args.func(args, cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -175,7 +175,7 @@ class SupervisedSection:
     lower_bound: float = 0.5
 
     def __post_init__(self):
-        _at_least("supervised", self, max_epochs=1, batch=1, patience=0)
+        _at_least("supervised", self, max_epochs=1, batch=1, patience=1)
         _positive("supervised", self, "lr")
         RegressionTargetMap(self.lower_bound)  # raises ConfigError out of range
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checkpoint import csv_text, read_tsv, write_atomic
+from .checkpoint import csv_text, read_tsv
 from .encoder import EncoderModel, PoolingSpec, encode_many
 from .errors import ConstantInputError, DataError, ShapeMismatchError
 from .flow import flow_forward
@@ -198,18 +198,16 @@ def load_sts_tsv(path) -> StsTask:
     return StsTask(name=name, pairs=tuple(pairs))
 
 
-def write_report_csv(report: CorrelationReport, path) -> None:
-    """CSV with task, pearson_x100, spearman_x100 rows plus an Avg. row.
-
-    Values are rounded to 2 decimals here and only here. A JSON sidecar
-    at `path` + ".meta.json" carries the failed tasks' messages.
-    """
+def report_files(report: CorrelationReport) -> dict[str, str]:
+    """`report.csv` (task, pearson_x100, spearman_x100 rows plus an Avg.
+    row) and its sidecar `report.csv.meta.json`, which carries the
+    failed tasks' messages, as file name -> text. Values are rounded to
+    2 decimals here and only here."""
     rows = [[name, f"{res.pearson_x100:.2f}", f"{res.spearman_x100:.2f}"]
             for name, res in report.per_task.items()]
-    text = csv_text([["task", "pearson_x100", "spearman_x100"], *rows,
-                     ["Avg.", f"{report.average_pearson_x100:.2f}",
-                      f"{report.average_spearman_x100:.2f}"]])
-    write_atomic(path, text.encode("utf-8"))
-    text = json.dumps({"failed": report.failed}, indent=2,
-                      sort_keys=True) + "\n"
-    write_atomic(f"{path}.meta.json", text.encode("utf-8"))
+    return {"report.csv": csv_text(
+                [["task", "pearson_x100", "spearman_x100"], *rows,
+                 ["Avg.", f"{report.average_pearson_x100:.2f}",
+                  f"{report.average_spearman_x100:.2f}"]]),
+            "report.csv.meta.json": json.dumps(
+                {"failed": report.failed}, indent=2, sort_keys=True) + "\n"}

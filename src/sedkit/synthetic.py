@@ -128,6 +128,18 @@ class SyntheticWorld:
 
 
 def build_synthetic_world(spec: SyntheticWorldSpec) -> SyntheticWorld:
+    """The world `spec` describes; one too large to allocate is a
+    `DataError` naming its sizes."""
+    try:
+        return _draw_world(spec)
+    except MemoryError:
+        raise DataError(
+            f"cannot allocate a world of {spec.clusters} clusters x "
+            f"{spec.sentences_per_cluster} sentences over "
+            f"{spec.vocab_size} words") from None
+
+
+def _draw_world(spec: SyntheticWorldSpec) -> SyntheticWorld:
     rng = np.random.default_rng(spec.seed)
     raw_centers = rng.normal(size=(spec.clusters, spec.latent_dim))
     dists = [

@@ -28,8 +28,9 @@ from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
 from sedkit.encoder import EncoderArch
 from sedkit.errors import DataError
 from sedkit.evalsts import load_sts_tsv
-from sedkit.experiments import (DataBundle, _hash_task, derive_seed,
-                                run_pipeline, sample_corpus)
+from sedkit.experiments import (DataBundle, _hash_lines, _hash_nli,
+                                _hash_task, derive_seed, run_pipeline,
+                                sample_corpus)
 from sedkit.flow import CouplingFlow
 from sedkit.synthetic import (SyntheticWorldSpec, gen_synthetic_world,
                               load_nli_tsv)
@@ -116,14 +117,15 @@ def _main_in_child(argv) -> tuple[int, str]:
 @pytest.mark.parametrize("case", [
     "key_before_header", "duplicate_key", "duplicate_section",
     "unclosed_header", "not_utf8", "unallocatable_arch",
-    "unallocatable_flow", "bom"])
+    "unallocatable_flow", "unallocatable_world", "bom"])
 def test_config_file_is_read_like_every_text_input(workspace, tmp_path,
                                                    case):
     """A config file is decoded like the other text inputs, so a leading
     BOM is dropped and the config trains the base it names. A malformed
     one exits 1 with one `error:` line naming the file and the line, no
-    traceback and no checkpoint; an arch or a flow whose tensors cannot
-    be allocated fails when it is built, and is named by its sizes."""
+    traceback and no file written; an arch, a flow or a synthetic world
+    whose arrays cannot be allocated fails when it is built, and is named
+    by its sizes."""
     with open(workspace["ini"], "rb") as fh:
         ini = fh.read()
     cfg, out = tmp_path / "run.ini", tmp_path / "out"
@@ -142,19 +144,26 @@ def test_config_file_is_read_like_every_text_input(workspace, tmp_path,
         "unallocatable_flow": (
             ini.replace(b"[flow]\nlayers = 2", b"[flow]\nlayers = 1000000000"),
             "1000000000 layers"),
+        "unallocatable_world": (ini, "1000000000 clusters x 5 sentences "
+                                     "over 2000000000 words"),
         "bom": (b"\xef\xbb\xbf" + ini, None),
     }[case]
     cfg.write_bytes(body)
-    command = (["fit-flow", "--model", workspace["base"]]
-               if case == "unallocatable_flow" else ["pretrain"])
-    rc, err = _main_in_child(command + ["--config", str(cfg), "--corpus",
-                                        workspace["corpus"], "--out",
-                                        str(out)])
+    command = {"unallocatable_flow": ["fit-flow", "--model",
+                                      workspace["base"], "--corpus",
+                                      workspace["corpus"]],
+               "unallocatable_world": ["gen-synthetic", "--clusters",
+                                       "1000000000", "--vocab-size",
+                                       "2000000000",
+                                       "--sentences-per-cluster", "5"]
+               }.get(case, ["pretrain", "--corpus", workspace["corpus"]])
+    rc, err = _main_in_child(command + ["--config", str(cfg),
+                                        "--out", str(out)])
     if names is None:
         assert rc == 0, err
         assert sha(out / "base.ckpt") == sha(workspace["base"])
         return
-    assert rc == 1 and not list(out.glob("*.ckpt"))
+    assert rc == 1 and not list(out.glob("*"))
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert names in err, err
 
@@ -379,7 +388,7 @@ def test_negative_member_is_a_usage_error(workspace, tmp_path, capsys,
     """--member -1 exits 2 naming the flag, before any input loads."""
     import sedkit.cli as cli
     loaded = []
-    monkeypatch.setattr(cli, "_load", lambda *a: loaded.append(a))
+    monkeypatch.setattr(cli, "read_checkpoint", lambda *a: loaded.append(a))
     data = {"train-ct": "--corpus", "train-nli": "--nli"}[command]
     out = tmp_path / "out"
     assert main([command, "--base", workspace["base"],
@@ -455,6 +464,26 @@ def test_train_sed_pipeline_and_arch_mismatch(workspace, tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
 
 
+def test_train_sed_refuses_a_student_init_it_would_ignore(workspace,
+                                                         tmp_path, capsys):
+    """`train-sed` starts the student from --student-init, so a config
+    whose `[sed] student_init` names a member (which its manifest would
+    record) exits 1 saying so, before anything is trained or written."""
+    ini = tmp_path / "member.ini"
+    ini.write_text(render_config(cli_config()).replace(
+        "student_init = base", "student_init = member:0"))
+    out = tmp_path / "out"
+    rc = main(["train-sed", "--config", str(ini),
+               "--teachers", workspace["base"],
+               "--student-init", workspace["base"],
+               "--corpus", workspace["corpus"], "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sed.student_init = 'member:0'"), err
+    assert "--student-init" in err and err.count("\n") == 1, err
+    assert os.listdir(out) == []
+
+
 def test_cli_stages_match_pipeline_bytes(workspace, tmp_path, capsys):
     """The training subcommands and run_pipeline build each stage the
     same way: chained on one corpus and config, their checkpoints are
@@ -496,37 +525,53 @@ def test_cli_stages_match_pipeline_bytes(workspace, tmp_path, capsys):
 
 def test_each_checkpoint_is_opened_once_and_its_bytes_recorded(
         workspace, tmp_path, capsys, monkeypatch):
-    """Every subcommand that takes checkpoints opens each of them once,
-    and its manifest records the SHA-256 of those bytes."""
+    """Every subcommand opens each input file once (checkpoint, corpus,
+    NLI, train/dev and --task files alike), and its manifest records
+    each under the input's dest: a checkpoint by the SHA-256 of its
+    bytes, a text input by its hash as read; nothing else is recorded."""
     world, ini, base = workspace["world"], workspace["ini"], workspace["base"]
-    corpus = ["--corpus", workspace["corpus"]]
+    corpus_path = workspace["corpus"]
+    corpus = ["--corpus", corpus_path]
     prep = tmp_path / "prep"
     for argv in (["train-ct", "--base", base], ["fit-flow", "--model", base]):
         assert main(argv + corpus + ["--config", ini, "--out", str(prep)]) == 0
     ct, flow = str(prep / "ct_0.ckpt"), str(prep / "flow.ckpt")
-    sts = ["--train-pairs", str(world / "sts_train.tsv"),
-           "--dev-task", str(world / "sts_dev.tsv")]
-    task = ["--task", str(world / "sts_test.tsv")]
-    # subcommand, its arguments, its manifest, and each checkpoint it
-    # takes with the keys under which its manifest records its digest
+    nli, test = str(world / "nli.tsv"), str(world / "sts_test.tsv")
+    train, dev = str(world / "sts_train.tsv"), str(world / "sts_dev.tsv")
+    sts = ["--train-pairs", train, "--dev-task", dev]
+    task = ["--task", test]
+    # the digest a manifest records for each input file
+    expected = {base: sha(base), ct: sha(ct), flow: sha(flow),
+                corpus_path: _hash_lines(read_corpus(corpus_path)),
+                nli: _hash_nli(load_nli_tsv(nli)),
+                **{path: _hash_task(load_sts_tsv(path))
+                   for path in (train, dev, test)}}
+    # subcommand, its arguments, its manifest, and each input file with
+    # the keys under which its manifest records its digest
     runs = [
-        ("train-ct", ["--base", base] + corpus, "ct_0", [(base, "base")]),
-        ("train-nli", ["--base", base, "--nli", str(world / "nli.tsv")],
-         "nli_0", [(base, "base")]),
+        ("pretrain", corpus, "pretrain", [(corpus_path, "corpus")]),
+        ("train-ct", ["--base", base] + corpus, "ct_0",
+         [(base, "base"), (corpus_path, "corpus")]),
+        ("train-nli", ["--base", base, "--nli", nli], "nli_0",
+         [(base, "base"), (nli, "nli")]),
         ("train-sed", ["--teachers", ct, "--student-init", base] + corpus,
-         "sed", [(ct, "teachers", 0), (base, "student_init")]),
-        ("fit-flow", ["--model", ct] + corpus, "flow", [(ct, "model")]),
+         "sed", [(ct, "teachers", 0), (base, "student_init"),
+                 (corpus_path, "corpus")]),
+        ("fit-flow", ["--model", ct] + corpus, "flow",
+         [(ct, "model"), (corpus_path, "corpus")]),
         ("train-supervised", ["--model", base] + sts, "supervised",
-         [(base, "model")]),
+         [(base, "model"), (train, "train_pairs"), (dev, "dev_task")]),
         ("grid-search", ["--model", base] + sts, "grid_search",
-         [(base, "model")]),
+         [(base, "model"), (train, "train_pairs"), (dev, "dev_task")]),
         ("evaluate", ["--model", ct, "--flow", flow] + task, "evaluate",
-         [(ct, "model"), (flow, "flow")]),
+         [(ct, "model"), (flow, "flow"), (test, "tasks", "sts_test")]),
         ("stability", ["--base", base] + corpus + task, "stability",
-         [(base, "base")]),
+         [(base, "base"), (corpus_path, "corpus"),
+          (test, "tasks", "sts_test")]),
         ("ablate-pooling", ["--model", f"base={base}", "--model",
                             f"ct={ct}"] + task, "ablate_pooling",
-         [(base, "models", "base"), (ct, "models", "ct")]),
+         [(base, "models", "base"), (ct, "models", "ct"),
+          (test, "tasks", "sts_test")]),
     ]
     opened = []
     real_open = open
@@ -545,11 +590,12 @@ def test_each_checkpoint_is_opened_once_and_its_bytes_recorded(
         capsys.readouterr()
         recorded = json.loads((out / f"{manifest}_manifest.json")
                               .read_text())["input_hashes"]
+        assert set(recorded) == {keys[0] for _, *keys in inputs}, command
         for path, *keys in inputs:
             digest = recorded
             for key in keys:
                 digest = digest[key]
-            assert digest == sha(path), (command, keys)
+            assert digest == expected[path], (command, keys)
             assert opened.count(os.path.abspath(path)) == 1, (command, path)
 
 
@@ -905,7 +951,7 @@ def test_ablate_pooling_rejects_two_models_of_one_name(workspace, tmp_path,
     name=, exit 1 naming it before any model loads; no CSV is written."""
     import sedkit.cli as cli
     loaded = []
-    monkeypatch.setattr(cli, "_load", lambda *a: loaded.append(a))
+    monkeypatch.setattr(cli, "read_checkpoint", lambda *a: loaded.append(a))
     copies = [tmp_path / sub / "base.ckpt" for sub in ("a", "b")]
     for copy in copies:
         copy.parent.mkdir()

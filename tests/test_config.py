@@ -124,6 +124,7 @@ def test_validation_rules():
         ("[arch]\nlayers = 1\n[eval]\npool_k = 3\n", "pool_k"),
         ("[grid]\nbounds = 0.97\n", "lower_bound 0.97 outside"),
         ("[supervised]\nlower_bound = -0.1\n", "lower_bound -0.1 outside"),
+        ("[supervised]\npatience = 0\n", "supervised.patience must be >= 1"),
     ):
         with pytest.raises(ConfigError, match=match):
             parse_config(probe)

@@ -4,6 +4,7 @@ TSV parsing edge cases, and the reporting layer."""
 
 import csv
 import functools
+import io
 import json
 import math
 import re
@@ -17,8 +18,8 @@ from sedkit.errors import ConstantInputError, DataError, ShapeMismatchError
 from sedkit.evalsts import (CorrelationReport, ScoredPair, StsTask,
                             TaskResult, cosine, evaluate_suite,
                             evaluate_task, fractional_ranks, load_sts_tsv,
-                            pearson, predict_scores, score_pairs,
-                            score_suite, spearman, write_report_csv)
+                            pearson, predict_scores, report_files,
+                            score_pairs, score_suite, spearman)
 
 
 # -- independent oracle: naive O(n^2) ranks, explicit-loop moments --------
@@ -397,7 +398,7 @@ def test_load_sts_tsv_no_valid_lines(tmp_path):
 
 # -- CSV reporting --------------------------------------------------------
 
-def test_write_report_rounds_only_at_csv(tmp_path):
+def test_write_report_rounds_only_at_csv():
     report = CorrelationReport(
         per_task={"t1": TaskResult(41.23456, 39.87654),
                   "t2": TaskResult(50.0, 60.005)},
@@ -405,27 +406,24 @@ def test_write_report_rounds_only_at_csv(tmp_path):
         average_spearman_x100=49.94077,
         failed={"t3": "task 't3': constant input"},
     )
-    out = tmp_path / "report.csv"
-    write_report_csv(report, out)
-    rows = list(csv.reader(out.open()))
+    files = report_files(report)
+    assert list(files) == ["report.csv", "report.csv.meta.json"]
+    rows = list(csv.reader(io.StringIO(files["report.csv"])))
     assert rows[0] == ["task", "pearson_x100", "spearman_x100"]
     assert rows[1] == ["t1", "41.23", "39.88"]
     assert rows[3] == ["Avg.", "45.62", "49.94"]
     # raw values stay unrounded on the report object
     assert report.per_task["t1"].pearson_x100 == 41.23456
     # the sidecar carries the failures only; provenance is the manifest's
-    sidecar = json.loads((tmp_path / "report.csv.meta.json").read_text())
+    sidecar = json.loads(files["report.csv.meta.json"])
     assert sidecar == {"failed": {"t3": "task 't3': constant input"}}
 
 
-def test_written_average_matches_rows(tiny_model, tiny_world, eval_pool,
-                                      tmp_path):
+def test_written_average_matches_rows(tiny_model, tiny_world, eval_pool):
     tasks = [tiny_world.sts["test"],
              StsTask("d", tiny_world.sts["dev"].pairs)]
     report = evaluate_suite(tiny_model, tasks, eval_pool)
-    out = tmp_path / "r.csv"
-    write_report_csv(report, out)
-    rows = list(csv.reader(out.open()))
+    rows = list(csv.reader(io.StringIO(report_files(report)["report.csv"])))
     body = {r[0]: (float(r[1]), float(r[2])) for r in rows[1:]}
     avg = body.pop("Avg.")
     # rounded average equals the average of raw values, rounded
