@@ -30,7 +30,7 @@ print("completed stages:", result.manifest["completed_stages"])
 print("checkpoints:", sorted(result.manifest["checkpoints"]))
 
 pool = PoolingSpec(cfg.eval.pool_k)
-teachers = [result.models[f"member_{i}"] for i in range(cfg.sed.members)]
+teachers = [result.models[f"ct_{i}"] for i in range(cfg.sed.members)]
 scores = [evaluate_suite(t, tasks, pool).average_spearman_x100
           for t in teachers]
 print(f"teacher spearman x100: {[f'{s:.2f}' for s in scores]}"

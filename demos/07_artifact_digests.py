@@ -8,6 +8,13 @@ on the world in `world/`), then `run_pipeline` with the stages
 `pipeline_nli/`). Prints one `sha256  relative/path` line per file
 written, sorted by path; the commands' own output goes to stderr.
 
+Both drivers run and record every stage through the same code, so a
+pipeline directory names its files as the CLI does (`ct_{i}.ckpt`,
+`nli_{i}.ckpt`, one `{stage}_manifest.json` per stage). `run.ini`
+renders the config `pipeline_ct/` runs, `[run] stages` included, so
+its `pretrain`, `ct_0`, `ct_1`, `sed` and `flow` stage manifests are
+byte-identical to those in `cli/`.
+
 A change that should keep every trained byte runs this at both commits
 and diffs the two listings, with one usable CPU (`taskset -c 0`) and with
 several. About 7 s on one core of a shared 2-vCPU host.

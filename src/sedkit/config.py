@@ -308,22 +308,29 @@ def parse_config(text: str) -> RunConfig:
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(_syntax_error(exc)) from None
+    return override_config(RunConfig(), {
+        name: dict(parser.items(name)) for name in parser.sections()})
+
+
+def override_config(cfg: RunConfig, texts: dict) -> RunConfig:
+    """`cfg` with each text of `texts` (section -> key -> text) parsed as
+    that key's INI value in its place; the rebuilt section checks it, and
+    an unknown section or key or a bad value raises `ConfigError`."""
     sections = {}
-    for section_name in parser.sections():
-        if section_name not in _SECTION_TYPES:
-            raise ConfigError(f"unknown config section [{section_name}]")
-        cls = _SECTION_TYPES[section_name]
-        known = {f.name: f for f in dataclasses.fields(cls)}
+    for name, values in texts.items():
+        if name not in _SECTION_TYPES:
+            raise ConfigError(f"unknown config section [{name}]")
+        known = {f.name: f for f in dataclasses.fields(_SECTION_TYPES[name])}
         kwargs = {}
-        for key, raw in parser.items(section_name):
+        for key, raw in values.items():
             if key not in known:
-                raise ConfigError(f"unknown key {key!r} in [{section_name}]")
-            kwargs[key] = _parse_value(raw, known[key].type, section_name, key)
+                raise ConfigError(f"unknown key {key!r} in [{name}]")
+            kwargs[key] = _parse_value(raw, known[key].type, name, key)
         try:
-            sections[section_name] = cls(**kwargs)
+            sections[name] = dataclasses.replace(getattr(cfg, name), **kwargs)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return RunConfig(**sections)
+    return RunConfig(**{**vars(cfg), **sections})
 
 
 def load_config(path) -> RunConfig:

@@ -9,22 +9,16 @@ trainer, distillation targets included, pools the final layer
 (`TRAIN_POOL`, k=1) while evaluation pools `[eval] pool_k` layers. The
 teachers are frozen, so `train_sed` computes their targets once per call.
 
-Every run derives its stage seeds from one master seed through
-SeedSequence spawn keys, and emits a manifest (config text, seeds, input
-and checkpoint hashes) sufficient to reproduce it bit-identically. Text
-inputs are hashed as read, the same in `run_pipeline` and the CLI: the
-corpus by its lines (`_hash_lines`), an STS task by its name and pairs
-(`_hash_task`), NLI pairs by their fields (`_hash_nli`). Checkpoint
-inputs are hashed by their file bytes. `run_pipeline` saves each
-checkpoint once, as its stage completes, and writes one manifest when
-the run ends, a failed run (`failed_stage`, `error`) included.
-
-Each stage has one function (`pretrain_stage`, `member_stage`,
-`distill_stage`, `flow_stage`, `supervised_stage`) that derives its
-seeds from `cfg.run.seed`, trains from its config section without
-touching its inputs, and returns the artifact with the seeds a manifest
-records; `run_pipeline`, the CLI and `stability_study` all use them.
-The first two train on the same `[data] corpus_size` corpus sample.
+`STAGES`, the stage table, names each stage's inputs and the one
+function that computes it, for `run_pipeline` and the CLI alike. A stage
+derives its seeds from `cfg.run.seed` through SeedSequence spawn keys,
+and `record_stage` records what it returns: its tables, checkpoints and
+`{stage}_manifest.json` (config text, seeds, input and checkpoint
+digests), enough to reproduce it bit-identically. Checkpoint inputs are
+hashed by their bytes and text inputs as read: the corpus by its lines
+(`hash_lines`), an STS task by its name and pairs (`hash_task`), NLI
+pairs by their fields (`hash_nli`). `pretrain_stage`, `member_stage` and
+`distill_stage` train a stage's model for it and for `stability_study`.
 
 Runs that share nothing but their inputs (grid cells, the members of
 one stage, stability members and students) go through `_run_each`,
@@ -55,8 +49,9 @@ from .encoder import (TRAIN_POOL, EncoderModel, PoolingSpec, encode_batch,
 from .errors import (ConstantInputError, DataError, DivergenceError,
                      ShapeMismatchError)
 from .evalsts import (CorrelationReport, StsTask, evaluate_suite,
-                      evaluate_task, score_pairs, score_suite)
-from .flow import CouplingFlow, fit_flow
+                      evaluate_task, report_files, score_pairs,
+                      score_suite)
+from .flow import fit_flow
 from .objectives import (EnsembleSpec, NliHead, RegressionTargetMap,
                          ensemble_mean_embeddings, nli_siamese_loss,
                          sample_ct_batches, sed_loss, ct_loss,
@@ -164,18 +159,18 @@ class PipelineResult:
     manifest: dict
 
 
-def _hash_lines(lines: list[str]) -> str:
+def hash_lines(lines: list[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
 
-def _hash_task(task: StsTask) -> str:
-    return _hash_lines([task.name] + [f"{p.sentence_1}\t{p.sentence_2}\t"
-                                      f"{p.gold!r}" for p in task.pairs])
+def hash_task(task: StsTask) -> str:
+    return hash_lines([task.name] + [f"{p.sentence_1}\t{p.sentence_2}\t"
+                                     f"{p.gold!r}" for p in task.pairs])
 
 
-def _hash_nli(pairs) -> str:
-    return _hash_lines([f"{p.premise}\t{p.hypothesis}\t{p.label}"
-                        for p in pairs])
+def hash_nli(pairs) -> str:
+    return hash_lines([f"{p.premise}\t{p.hypothesis}\t{p.label}"
+                       for p in pairs])
 
 
 def train_ct(base: EncoderModel, corpus: list[str], cfg, seed: int) -> EncoderModel:
@@ -279,16 +274,6 @@ def distill_stage(cfg: RunConfig, teachers: list[EncoderModel],
                      init.clone()), seed
 
 
-def flow_stage(cfg: RunConfig, model: EncoderModel,
-               corpus: list[str]) -> tuple[CouplingFlow, list[int]]:
-    """Stage `flow`: a flow fitted to the evaluation-pooled embeddings
-    of `corpus` under `model`."""
-    seeds = [derive_seed(cfg.run.seed, "flow", 0),
-             derive_seed(cfg.run.seed, "flow", 1)]
-    embs = encode_many(model, corpus, PoolingSpec(cfg.eval.pool_k))
-    return fit_flow(embs, cfg.flow, seeds[0], seeds[1]), seeds
-
-
 def sample_corpus(lines: list[str], count: int, seed: int) -> list[str]:
     """A uniform sample of `count` distinct lines of `lines` (no line
     drawn twice), drawn by `seed`. Sentence text is kept exactly."""
@@ -302,101 +287,88 @@ def sample_corpus(lines: list[str], count: int, seed: int) -> list[str]:
     return [lines[int(i)] for i in idx]
 
 
-def _sized_corpus(cfg: RunConfig, lines: list[str]) -> list[str]:
-    """A `[data] corpus_size` sample of `lines` drawn by `run.seed`, or
-    all of them when that size is 0 or not below their number."""
+def corpus_input(cfg: RunConfig, lines: list[str]) -> tuple[list[str], str]:
+    """The `[data] corpus_size` sample of `lines` drawn by `run.seed` (all
+    of them if that size is 0 or not below their number), and their hash."""
     size = cfg.data.corpus_size
     if size and size < len(lines):
-        return sample_corpus(lines, size, cfg.run.seed)
-    return lines
+        return sample_corpus(lines, size, cfg.run.seed), hash_lines(lines)
+    return lines, hash_lines(lines)
 
 
 def run_pipeline(cfg: RunConfig, bundle: DataBundle,
                  out_dir=None) -> PipelineResult:
-    """Execute `cfg.run.stages` in order and evaluate the final model:
-    the student if there is one, else member 0, else the base.
+    """Run `cfg.run.stages` in order, then evaluate the final model: the
+    student if there is one, else member 0, else the base.
 
-    With `out_dir`, the directory is made before the first stage, each
-    artifact is saved as `{name}.ckpt` as its stage completes, and
-    `manifest.json` is written when the run ends, however it ends. A
-    run that raises (a stage, or the final evaluation as stage
-    `evaluate`) records `failed_stage` and `error` in it and raises the
-    same exception; its `checkpoints` name exactly the files saved.
-    """
-    master, stages = cfg.run.seed, cfg.run.stages
-    corpus = _sized_corpus(cfg, bundle.corpus)
-    n_members = cfg.sed.members if "sed" in stages else 1
-    seeds: dict = {}
-    checkpoints: dict = {}
+    Each stage's `STAGES` function runs on inputs from the bundle or from
+    earlier stages and `record_stage` records it, each ct or nli member
+    as a stage of its own, so `out_dir` (made before the first stage)
+    holds what the same CLI chain writes, and `manifest.json`, written
+    however the run ends, lists the records in run order. A run that
+    raises (a stage, or the final evaluation as stage `evaluate`) records
+    `failed_stage` and `error` there and raises the same exception."""
+    data = {"corpus": corpus_input(cfg, bundle.corpus)}
+    if bundle.nli is not None:
+        data["nli"] = (bundle.nli, hash_nli(bundle.nli))
+    records, checkpoints, models, members = [], {}, {}, []
     manifest: dict = {
-        "stages": list(stages),
-        "config_text": render_config(cfg),
-        "master_seed": master,
-        "derived_seeds": seeds,
-        "input_hashes": {
-            "corpus": _hash_lines(bundle.corpus),
-            "tasks": {t.name: _hash_task(t) for t in bundle.tasks},
-        },
-        "checkpoints": checkpoints,
-        "completed_stages": [],
-    }
-    models: dict = {}
-    members: list[EncoderModel] = []
-    final = flow_model = current = None
+        "stages": list(cfg.run.stages), "config_text": render_config(cfg),
+        "master_seed": cfg.run.seed, "records": records,
+        "input_hashes": {**{dest: h for dest, (_, h) in data.items()},
+                         "tasks": {task.name: hash_task(task)
+                                   for task in bundle.tasks}},
+        "checkpoints": checkpoints, "completed_stages": []}
+    n_members = cfg.sed.members if "sed" in cfg.run.stages else 1
+    final = current = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
 
-    def keep(key: str, model) -> None:
-        models[key] = model
-        checkpoints[key] = (
-            checkpoint_hash(model) if out_dir is None else
-            save_checkpoint(model, os.path.join(out_dir, f"{key}.ckpt")))
+    def resolve(dest: str, i: int) -> tuple:
+        """Input `dest` of job `i` of the current stage, and its digest."""
+        if dest in data:
+            return data[dest]
+        if dest == "teachers":
+            return ([models[key] for key in members],
+                    [checkpoints[key] for key in members])
+        if dest == "base":  # member i of the stage before, else the base
+            key = members[i] if members else "base"
+        elif dest == "student_init":
+            init = cfg.sed.student_init
+            key = (init if init == "base"
+                   else members[int(init.partition(":")[2])])
+        elif dest == "model":
+            key = final
+        else:
+            raise DataError(f"{current} stage needs NLI pairs in the bundle")
+        return models[key], checkpoints[key]
 
     try:
-        for current in stages:
-            if current == "pretrain":
-                base, seeds["pretrain"] = pretrain_stage(cfg, corpus)
-                keep("base", base)
-                final = base
-            elif current in ("nli", "ct"):
-                if current == "nli":
-                    if bundle.nli is None:
-                        raise DataError(
-                            "nli stage needs NLI pairs in the bundle")
-                    manifest["input_hashes"]["nli"] = _hash_nli(bundle.nli)
-                data = corpus if current == "ct" else bundle.nli
-                sources = members if members else [base] * n_members
-                trained = _run_each(
-                    member_stage,
-                    [(current, cfg, src, data, i)
-                     for i, src in enumerate(sources)],
-                    [derive_seed(master, current, i)
-                     for i in range(len(sources))])
-                members = [m for m, _ in trained]
-                seeds[current] = [s for _, s in trained]
-                for i, m in enumerate(members):
-                    keep(f"member_{i}", m)
-                final = members[0]
-            elif current == "sed":
-                init = cfg.sed.student_init
-                source = (base if init == "base"
-                          else members[int(init.split(":", 1)[1])])
-                final, seeds["sed"] = distill_stage(cfg, members, corpus,
-                                                    source)
-                keep("student", final)
-            elif current == "flow":
-                flow_model, seeds["flow"] = flow_stage(cfg, final, corpus)
-                keep("flow", flow_model)
+        for current in cfg.run.stages:
+            inputs, run = STAGES[current]
+            member = current in ("ct", "nli")
+            jobs = [[resolve(dest, i) for dest in inputs]
+                    for i in range(n_members if member else 1)]
+            results = _run_each(run, [
+                (cfg, *(value for value, _ in job), *([i] if member else []))
+                for i, job in enumerate(jobs)],
+                [derive_seed(cfg.run.seed, current, i)
+                 for i in range(len(jobs))])
+            for job, result in zip(jobs, results):
+                hashes = {dest: h for dest, (_, h) in zip(inputs, job)}
+                records.append(record_stage(result, cfg, hashes, out_dir))
+                checkpoints.update(records[-1]["checkpoints"])
+                models.update(result[2])
+            if member:
+                members = [stage for stage, *_ in results]
+            if current != "flow":  # what the next stage builds on
+                final = next(iter(results[0][2]))
             manifest["completed_stages"].append(current)
         current = "evaluate"
-        report = evaluate_suite(final, bundle.tasks,
-                                PoolingSpec(cfg.eval.pool_k), flow=flow_model)
-        manifest["report"] = {
-            "average_pearson_x100": report.average_pearson_x100,
-            "average_spearman_x100": report.average_spearman_x100,
-            "per_task": {name: dataclasses.asdict(r)
-                         for name, r in report.per_task.items()},
-        }
+        report = evaluate_suite(models[final], bundle.tasks,
+                                PoolingSpec(cfg.eval.pool_k),
+                                flow=models.get("flow"))
+        manifest["report"] = dataclasses.asdict(report)
     except BaseException as exc:
         manifest["failed_stage"] = current
         manifest["error"] = str(exc) or type(exc).__name__
@@ -404,7 +376,7 @@ def run_pipeline(cfg: RunConfig, bundle: DataBundle,
     finally:
         if out_dir is not None:
             write_manifest(manifest, os.path.join(out_dir, "manifest.json"))
-    models["final"] = final
+    models["final"] = models[final]
     return PipelineResult(models, report, manifest)
 
 
@@ -414,6 +386,27 @@ def write_manifest(manifest: dict, path) -> None:
     text = json.dumps(manifest, indent=2, sort_keys=True,
                       allow_nan=False) + "\n"
     write_atomic(path, text.encode("utf-8"))
+
+
+def record_stage(result: tuple, cfg: RunConfig, hashes: dict,
+                 out_dir) -> dict:
+    """The manifest of a stage's `result`; with `out_dir`, writes its tables,
+    checkpoints (`{key}.ckpt`), then manifest (`{stage}_manifest.json`)."""
+    stage, seeds, artifacts, tables, _ = result
+    if out_dir is not None:
+        for name, text in tables.items():
+            write_atomic(os.path.join(out_dir, name), text.encode("utf-8"))
+    manifest = {"stage": stage, "config_text": render_config(cfg),
+                "derived_seeds": seeds, "input_hashes": hashes,
+                "checkpoints": {
+                    key: checkpoint_hash(artifact) if out_dir is None else
+                    save_checkpoint(artifact,
+                                    os.path.join(out_dir, f"{key}.ckpt"))
+                    for key, artifact in artifacts.items()}}
+    if out_dir is not None:
+        write_manifest(manifest, os.path.join(out_dir,
+                                              f"{stage}_manifest.json"))
+    return manifest
 
 
 @dataclass(frozen=True)
@@ -675,3 +668,96 @@ def ablation_csv(table: dict[str, dict[int, float]]) -> str:
     return csv_text([["model", "k1", "k2", "k3"]] + [
         [name] + [f"{row[k]:.2f}" for k in (1, 2, 3)]
         for name, row in table.items()])
+
+
+# -- the stage table ------------------------------------------------------
+# A stage function takes the config, its inputs in `STAGES` order and, for
+# a member, its index; it returns (stage, seeds, checkpoints by key, tables
+# by file name, summary) and reaches each trainer through module globals.
+
+def _pretrain(cfg: RunConfig, corpus) -> tuple:
+    model, seed = pretrain_stage(cfg, corpus)
+    return "pretrain", {"pretrain": seed}, {"base": model}, {}, ""
+
+
+def _member(kind: str, cfg: RunConfig, base, data, index: int) -> tuple:
+    """Stage `ct` (data: a corpus) or `nli` (NLI pairs) as member `index`."""
+    model, seed = member_stage(kind, cfg, base, data, index)
+    name = f"{kind}_{index}"
+    return name, {kind: seed}, {name: model}, {}, ""
+
+
+def _sed(cfg: RunConfig, teachers, student_init, corpus) -> tuple:
+    model, seed = distill_stage(cfg, teachers, corpus, student_init)
+    return "sed", {"sed": seed}, {"student": model}, {}, ""
+
+
+def _flow(cfg: RunConfig, model, corpus) -> tuple:
+    """A flow fitted to `model`'s evaluation-pooled `corpus` embeddings."""
+    seeds = [derive_seed(cfg.run.seed, "flow", i) for i in (0, 1)]
+    embs = encode_many(model, corpus, PoolingSpec(cfg.eval.pool_k))
+    return ("flow", {"flow": seeds},
+            {"flow": fit_flow(embs, cfg.flow, *seeds)}, {}, "")
+
+
+def _supervised(cfg: RunConfig, model, train_pairs, dev_task) -> tuple:
+    trained, trajectory, seed = supervised_stage(
+        cfg, model, list(train_pairs.pairs), dev_task)
+    text = json.dumps({"lower_bound": cfg.supervised.lower_bound,
+                       "dev_spearman_x100": trajectory}, indent=2) + "\n"
+    return ("supervised", {"supervised": seed}, {"supervised": trained},
+            {"dev_trajectory.json": text},
+            f"best dev spearman x100: {max(trajectory):.2f}\n")
+
+
+def _grid_search(cfg: RunConfig, model, train_pairs, dev_task) -> tuple:
+    result = grid_search_lower_bound(
+        model, list(train_pairs.pairs), dev_task, cfg.grid.bounds,
+        cfg.grid.seeds_per_bound, cfg=cfg.grid, master_seed=cfg.run.seed)
+    return ("grid_search", {"grid": list(result.seeds)}, {},
+            {"grid_search.csv": grid_csv(result)},
+            f"selected lower bound: {result.selected_bound}\n")
+
+
+def _evaluate(cfg: RunConfig, model, tasks, flow) -> tuple:
+    """The report files; failed tasks are named on stderr."""
+    report = evaluate_suite(model, tasks, PoolingSpec(cfg.eval.pool_k),
+                            flow=flow)
+    if report.failed:
+        print(f"partial report; failed tasks: {sorted(report.failed)}",
+              file=sys.stderr)
+    rows = [*((name, r.pearson_x100, r.spearman_x100)
+              for name, r in report.per_task.items()),
+            ("Avg.", report.average_pearson_x100,
+             report.average_spearman_x100)]
+    return "evaluate", {}, {}, report_files(report), "".join(
+        f"{name}: pearson {p:.2f} spearman {s:.2f}\n" for name, p, s in rows)
+
+
+def _stability(cfg: RunConfig, base, corpus, tasks) -> tuple:
+    reports, seeds = stability_study(base, corpus, tasks, cfg)
+    return ("stability", seeds, {}, {"stability.csv": stability_csv(reports)},
+            "".join(f"{name}: max {rep.max:.2f} mean {rep.mean:.2f} "
+                    f"std {rep.std:.2f} over {rep.count} runs\n"
+                    for name, rep in reports.items()))
+
+
+def _ablate_pooling(cfg: RunConfig, models, tasks) -> tuple:
+    text = ablation_csv(pooling_ablation(models, tasks))
+    return "ablate_pooling", {}, {}, {"pooling_ablation.csv": text}, text
+
+
+# Stage -> the inputs its function reads, by their CLI dest (also their
+# key in the stage's `input_hashes`), and that function.
+STAGES = {
+    "pretrain": (("corpus",), _pretrain),
+    "ct": (("base", "corpus"), functools.partial(_member, "ct")),
+    "nli": (("base", "nli"), functools.partial(_member, "nli")),
+    "sed": (("teachers", "student_init", "corpus"), _sed),
+    "flow": (("model", "corpus"), _flow),
+    "supervised": (("model", "train_pairs", "dev_task"), _supervised),
+    "grid_search": (("model", "train_pairs", "dev_task"), _grid_search),
+    "evaluate": (("model", "tasks", "flow"), _evaluate),
+    "stability": (("base", "corpus", "tasks"), _stability),
+    "ablate_pooling": (("models", "tasks"), _ablate_pooling),
+}

@@ -28,8 +28,8 @@ from sedkit.config import (CtSection, DataSection, EvalSection, FlowSection,
 from sedkit.encoder import EncoderArch
 from sedkit.errors import DataError
 from sedkit.evalsts import load_sts_tsv
-from sedkit.experiments import (DataBundle, _hash_lines, _hash_nli,
-                                _hash_task, derive_seed, run_pipeline,
+from sedkit.experiments import (DataBundle, derive_seed, hash_lines,
+                                hash_nli, hash_task, run_pipeline,
                                 sample_corpus)
 from sedkit.flow import CouplingFlow
 from sedkit.synthetic import (SyntheticWorldSpec, gen_synthetic_world,
@@ -91,10 +91,22 @@ def workspace(tmp_path_factory):
 # -- exit codes -----------------------------------------------------------
 
 def test_usage_errors_exit_2(capsys):
+    """Usage errors exit 2. With no command, an unknown one, or an
+    argument the chosen subcommand does not take (its parser is the only
+    one built), the usage line lists every subcommand, as --help does."""
     assert main([]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["pretrain"]) == 2  # missing required --corpus
     capsys.readouterr()
+    listing = ("{pretrain,train-ct,train-nli,train-sed,fit-flow,"
+               "train-supervised,grid-search,evaluate,stability,"
+               "ablate-pooling,gen-synthetic}")
+    for argv, code in (([], 2), (["no-such-command"], 2),
+                       (["pretrain", "--corpus", "c.txt", "--bogus"], 2),
+                       (["--help"], 0)):
+        assert main(argv) == code, argv
+        captured = capsys.readouterr()
+        assert listing in captured.out + captured.err, argv
 
 
 def _main_in_child(argv) -> tuple[int, str]:
@@ -485,9 +497,10 @@ def test_train_sed_refuses_a_student_init_it_would_ignore(workspace,
 
 
 def test_cli_stages_match_pipeline_bytes(workspace, tmp_path, capsys):
-    """The training subcommands and run_pipeline build each stage the
-    same way: chained on one corpus and config, their checkpoints are
-    byte-identical."""
+    """The training subcommands and run_pipeline build and record each
+    stage the same way: chained on one corpus and config, their
+    checkpoints are byte-identical, and so are their stage manifests but
+    for the `[run] stages` line of the config text."""
     world, ini, base = workspace["world"], workspace["ini"], workspace["base"]
     cli_dir = tmp_path / "cli"
     for kind, data in (("ct", ["--corpus", workspace["corpus"]]),
@@ -508,12 +521,28 @@ def test_cli_stages_match_pipeline_bytes(workspace, tmp_path, capsys):
     bundle = DataBundle(read_corpus(workspace["corpus"]),
                         [load_sts_tsv(world / "sts_test.tsv")],
                         nli=load_nli_tsv(world / "nli.tsv"))
-    pairs = {"ct": [(base, "base"), (cli_dir / "ct_0.ckpt", "member_0"),
-                    (cli_dir / "ct_1.ckpt", "member_1"),
+    pairs = {"ct": [(base, "base"), (cli_dir / "ct_0.ckpt", "ct_0"),
+                    (cli_dir / "ct_1.ckpt", "ct_1"),
                     (cli_dir / "student.ckpt", "student"),
                     (cli_dir / "flow.ckpt", "flow")],
-             "nli": [(cli_dir / "nli_0.ckpt", "member_0"),
-                     (cli_dir / "nli_1.ckpt", "member_1")]}
+             "nli": [(cli_dir / "nli_0.ckpt", "nli_0"),
+                     (cli_dir / "nli_1.ckpt", "nli_1")]}
+    # the CLI's manifest of each stage the pipeline records alike
+    pretrain = workspace["runs"] / "pretrain_manifest.json"
+    manifests = {"ct": [pretrain] + [cli_dir / f"{name}_manifest.json"
+                                     for name in ("ct_0", "ct_1", "sed",
+                                                  "flow")],
+                 "nli": [pretrain] + [cli_dir / f"{name}_manifest.json"
+                                      for name in ("nli_0", "nli_1")]}
+
+    def without_stages(path) -> dict:
+        manifest = json.loads(path.read_text())
+        lines = manifest["config_text"].split("\n")
+        manifest["config_text"] = [line for line in lines
+                                   if not line.startswith("stages = ")]
+        assert len(manifest["config_text"]) == len(lines) - 1, path
+        return manifest
+
     for kind, stages in (("ct", ("pretrain", "ct", "sed", "flow")),
                          ("nli", ("pretrain", "nli", "sed"))):
         pipe_dir = tmp_path / f"pipeline_{kind}"
@@ -521,6 +550,9 @@ def test_cli_stages_match_pipeline_bytes(workspace, tmp_path, capsys):
                      out_dir=pipe_dir)
         for cli_path, key in pairs[kind]:
             assert sha(cli_path) == sha(pipe_dir / f"{key}.ckpt"), (kind, key)
+        for cli_path in manifests[kind]:
+            assert (without_stages(pipe_dir / cli_path.name)
+                    == without_stages(cli_path)), (kind, cli_path.name)
 
 
 def test_each_checkpoint_is_opened_once_and_its_bytes_recorded(
@@ -542,9 +574,9 @@ def test_each_checkpoint_is_opened_once_and_its_bytes_recorded(
     task = ["--task", test]
     # the digest a manifest records for each input file
     expected = {base: sha(base), ct: sha(ct), flow: sha(flow),
-                corpus_path: _hash_lines(read_corpus(corpus_path)),
-                nli: _hash_nli(load_nli_tsv(nli)),
-                **{path: _hash_task(load_sts_tsv(path))
+                corpus_path: hash_lines(read_corpus(corpus_path)),
+                nli: hash_nli(load_nli_tsv(nli)),
+                **{path: hash_task(load_sts_tsv(path))
                    for path in (train, dev, test)}}
     # subcommand, its arguments, its manifest, and each input file with
     # the keys under which its manifest records its digest
@@ -672,8 +704,8 @@ def test_grid_search_and_stability_write_manifests(workspace, tmp_path,
     assert ran.grid.bounds == (0.0, 0.3) and ran.grid.seeds_per_bound == 1
     assert ran == dataclasses.replace(cfg, grid=ran.grid)
     assert grid["input_hashes"] == {
-        "train_pairs": _hash_task(load_sts_tsv(world / "sts_train.tsv")),
-        "dev_task": _hash_task(load_sts_tsv(world / "sts_dev.tsv")),
+        "train_pairs": hash_task(load_sts_tsv(world / "sts_train.tsv")),
+        "dev_task": hash_task(load_sts_tsv(world / "sts_dev.tsv")),
         "model": sha(base)}
     seed = cfg.run.seed
     assert grid["derived_seeds"] == {
@@ -777,7 +809,7 @@ def test_evaluate_writes_report(workspace, tmp_path, capsys):
                           .read_text())
     assert manifest["input_hashes"] == {
         "model": pretrain["checkpoints"]["base"],
-        "tasks": {"sts_test": _hash_task(
+        "tasks": {"sts_test": hash_task(
             load_sts_tsv(workspace["world"] / "sts_test.tsv"))}}
 
 
@@ -942,7 +974,7 @@ def test_ablate_pooling_command(workspace, tmp_path, capsys):
     assert manifest["input_hashes"] == {
         "models": {"base": sha(workspace["base"]),
                    "ct_0.ckpt": sha(ct / "ct_0.ckpt")},
-        "tasks": {"sts_test": _hash_task(load_sts_tsv(task))}}
+        "tasks": {"sts_test": hash_task(load_sts_tsv(task))}}
 
 
 def test_ablate_pooling_rejects_two_models_of_one_name(workspace, tmp_path,

@@ -306,7 +306,7 @@ def test_pipeline_deterministic(pipeline_bundle):
     assert (r1.report.average_spearman_x100
             == r2.report.average_spearman_x100)
     assert set(r1.manifest["checkpoints"]) == {
-        "base", "member_0", "member_1", "student", "flow"}
+        "base", "ct_0", "ct_1", "student", "flow"}
     assert r1.manifest["completed_stages"] == ["pretrain", "ct", "sed",
                                                "flow"]
 
@@ -339,12 +339,13 @@ def test_pipeline_writes_artifacts(pipeline_bundle, tmp_path):
     result = run_pipeline(cfg, pipeline_bundle,
                           out_dir=tmp_path)
     names = sorted(os.listdir(tmp_path))
-    assert names == ["base.ckpt", "manifest.json", "member_0.ckpt"]
+    assert names == ["base.ckpt", "ct_0.ckpt", "ct_0_manifest.json",
+                     "manifest.json", "pretrain_manifest.json"]
     on_disk = json.loads((tmp_path / "manifest.json").read_text())
     assert on_disk == result.manifest
-    loaded = load_checkpoint(tmp_path / "member_0.ckpt")
+    loaded = load_checkpoint(tmp_path / "ct_0.ckpt")
     for a, b in zip(loaded.parameters(),
-                    result.models["member_0"].parameters()):
+                    result.models["ct_0"].parameters()):
         assert np.array_equal(a.data, b.data)
 
 
@@ -356,13 +357,29 @@ def test_pipeline_student_init_from_member(pipeline_bundle):
     result = run_pipeline(cfg, pipeline_bundle)
     # zero distillation epochs: the student is exactly its init, member 0
     assert (result.manifest["checkpoints"]["student"]
-            == result.manifest["checkpoints"]["member_0"])
+            == result.manifest["checkpoints"]["ct_0"])
 
 
 def _saved_checkpoints(out_dir) -> dict:
     """{name: sha256} of the `.ckpt` files in `out_dir`."""
     return {path.stem: hashlib.sha256(path.read_bytes()).hexdigest()
             for path in out_dir.glob("*.ckpt")}
+
+
+def _assert_only_complete_stages(out_dir, manifest, stages) -> None:
+    """`manifest` records `stages`, in order, and `out_dir` holds
+    `manifest.json` and, for each of them, its `{stage}_manifest.json`,
+    equal to its record, beside exactly the checkpoints it names."""
+    records = manifest["records"]
+    assert [record["stage"] for record in records] == stages
+    names, named = {"manifest.json"}, {}
+    for record in records:
+        path = out_dir / f"{record['stage']}_manifest.json"
+        assert json.loads(path.read_text()) == record
+        names |= {path.name} | {f"{key}.ckpt" for key in record["checkpoints"]}
+        named.update(record["checkpoints"])
+    assert set(os.listdir(out_dir)) == names
+    assert named == _saved_checkpoints(out_dir)
 
 
 def test_pipeline_failure_preserves_manifest(pipeline_bundle, tmp_path):
@@ -382,6 +399,7 @@ def test_pipeline_failure_preserves_manifest(pipeline_bundle, tmp_path):
     assert "report" not in manifest
     assert manifest["checkpoints"] == _saved_checkpoints(out_dir)
     assert set(manifest["checkpoints"]) == {"base"}
+    _assert_only_complete_stages(out_dir, manifest, ["pretrain"])
 
 
 def test_pipeline_out_dir_that_is_a_file_fails_before_training(
@@ -414,7 +432,9 @@ def test_pipeline_interrupt_recorded_as_failed_stage(pipeline_bundle,
     assert manifest["completed_stages"] == ["pretrain", "ct"]
     assert "report" not in manifest
     assert manifest["checkpoints"] == _saved_checkpoints(tmp_path)
-    assert set(manifest["checkpoints"]) == {"base", "member_0", "member_1"}
+    assert set(manifest["checkpoints"]) == {"base", "ct_0", "ct_1"}
+    _assert_only_complete_stages(tmp_path, manifest,
+                                 ["pretrain", "ct_0", "ct_1"])
 
 
 def test_no_task_scoring_is_an_error_not_a_nan(pipeline_bundle, tiny_model,
@@ -435,18 +455,21 @@ def test_no_task_scoring_is_an_error_not_a_nan(pipeline_bundle, tiny_model,
     with pytest.raises(DataError, match=message):
         run_pipeline(tiny_run_config(("pretrain",)), bundle,
                      out_dir=tmp_path)
-    assert sorted(os.listdir(tmp_path)) == ["base.ckpt", "manifest.json"]
+    assert sorted(os.listdir(tmp_path)) == ["base.ckpt", "manifest.json",
+                                            "pretrain_manifest.json"]
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["failed_stage"] == "evaluate"
     assert manifest["completed_stages"] == ["pretrain"]
     assert "no task evaluated" in manifest["error"]
     assert "report" not in manifest
     assert manifest["checkpoints"] == _saved_checkpoints(tmp_path)
+    _assert_only_complete_stages(tmp_path, manifest, ["pretrain"])
     before = (tmp_path / "manifest.json").read_bytes()
     with pytest.raises(ValueError, match="not JSON compliant"):
         write_manifest({"report": {"average_spearman_x100": math.nan}},
                        tmp_path / "manifest.json")
-    assert sorted(os.listdir(tmp_path)) == ["base.ckpt", "manifest.json"]
+    assert sorted(os.listdir(tmp_path)) == ["base.ckpt", "manifest.json",
+                                            "pretrain_manifest.json"]
     assert (tmp_path / "manifest.json").read_bytes() == before
 
 
@@ -468,6 +491,7 @@ def test_pipeline_divergence_recorded_as_failed_stage(pipeline_bundle,
     assert manifest["completed_stages"] == ["pretrain"]
     assert "nan" in manifest["error"]
     assert manifest["checkpoints"] == _saved_checkpoints(tmp_path)
+    _assert_only_complete_stages(tmp_path, manifest, ["pretrain"])
 
 
 def test_write_manifest_round_trip(tmp_path):

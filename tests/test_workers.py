@@ -121,7 +121,7 @@ def test_one_and_two_cpus_give_the_same_bytes_and_warnings(ws, tmp_path,
     (files_1, warned_1, pids_1), (files_2, warned_2, pids_2) = runs[1], runs[2]
     assert {"grid_search.csv", "grid_search_manifest.json", "stability.csv",
             "stability_manifest.json", "pipeline/manifest.json",
-            "pipeline/member_0.ckpt", "pipeline/member_1.ckpt",
+            "pipeline/ct_0.ckpt", "pipeline/ct_1.ckpt",
             "pipeline/student.ckpt"} <= set(files_1)
     assert files_1 == files_2
     assert [m for _, m in warned_1] == [
